@@ -192,8 +192,7 @@ int run(int argc, char** argv) {
     const cpm::Result live = state.result();
     materialize_s.push_back(materialize_timer.seconds());
     require(live.cpm.total_communities() == fresh.cpm.total_communities(),
-            "perf_incr: community count diverged at round " +
-                std::to_string(round));
+            "perf_incr: community count diverged at round ", round);
   }
 
   // Honesty check: full digest identity on the final state.
@@ -247,7 +246,7 @@ int run(int argc, char** argv) {
     timings.add("speedup_apply_vs_recompute", speedup);
     doc.add("timings", timings);
     std::FILE* f = std::fopen(json_out.c_str(), "w");
-    require(f != nullptr, "perf_incr: cannot write '" + json_out + "'");
+    require(f != nullptr, "perf_incr: cannot write '", json_out, "'");
     const std::string text = doc.str();
     std::fwrite(text.data(), 1, text.size(), f);
     std::fputc('\n', f);

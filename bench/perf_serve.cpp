@@ -31,6 +31,8 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "bench_json.h"
 #include "common/cli.h"
 #include "common/error.h"
@@ -145,13 +147,12 @@ void verify_sample(serve::Client& client, const cpm::Result& result,
     }
     require(client.membership(node) == expected,
             "perf_serve: served membership diverges from the in-memory "
-            "oracle at node " + std::to_string(node));
+            "oracle at node ", node);
   }
   for (std::size_t k = result.cpm.min_k; k <= result.cpm.max_k; ++k) {
     const Community& c = result.cpm.at(k).communities[0];
     require(client.community(k, c.id) == c.nodes,
-            "perf_serve: served community diverges at k=" +
-                std::to_string(k));
+            "perf_serve: served community diverges at k=", k);
   }
 }
 
@@ -189,8 +190,11 @@ int run(int argc, char** argv) {
                g.num_nodes(), g.num_edges(), scale.c_str());
   const cpm::Result result = cpm::Engine(cpm::Options{}).run(g);
 
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "kcc_perf_serve").string();
+  // Per process: the smoke and full runs may execute concurrently, and
+  // rewriting a snapshot another run has mapped would fault its readers.
+  const std::string dir = (std::filesystem::temp_directory_path() /
+                           ("kcc_perf_serve-" + std::to_string(::getpid())))
+                              .string();
   std::filesystem::create_directories(dir);
   const std::string snap_path = dir + "/ecosystem.snap";
   const std::string socket_path = dir + "/perf.sock";
@@ -231,8 +235,7 @@ int run(int argc, char** argv) {
   const std::uint64_t total = per_client * clients;
   const double qps = static_cast<double>(total) / elapsed;
   require(failed.load() == 0,
-          "perf_serve: " + std::to_string(failed.load()) +
-              " requests answered non-kOk");
+          "perf_serve: ", failed.load(), " requests answered non-kOk");
 
   MixCounts mix;
   for (const MixCounts& c : counts) {
@@ -266,6 +269,7 @@ int run(int argc, char** argv) {
   const double p99 = percentile(lat_us, 0.99);
 
   server.shutdown();
+  std::filesystem::remove_all(dir);
 
   std::printf(
       "perf_serve: %llu requests, %zu clients x depth %llu: %.0f QPS "
@@ -313,7 +317,7 @@ int run(int argc, char** argv) {
     latency.add("max_us", lat_us.empty() ? 0.0 : lat_us.back());
     doc.add("latency", latency);
     std::FILE* f = std::fopen(json_out.c_str(), "w");
-    require(f != nullptr, "perf_serve: cannot write '" + json_out + "'");
+    require(f != nullptr, "perf_serve: cannot write '", json_out, "'");
     const std::string text = doc.str();
     std::fwrite(text.data(), 1, text.size(), f);
     std::fputc('\n', f);

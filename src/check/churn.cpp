@@ -244,16 +244,16 @@ DeltaStream parse_delta_stream(const std::string& text) {
     auto parse_pair = [&]() {
       std::uint64_t u = 0, v = 0;
       require(static_cast<bool>(tokens >> u >> v),
-              where + ": '" + op + "' needs two node ids");
+              where, ": '", op, "' needs two node ids");
       return Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)};
     };
     if (op == "nodes") {
       std::uint64_t n = 0;
-      require(static_cast<bool>(tokens >> n), where + ": 'nodes' needs a count");
+      require(static_cast<bool>(tokens >> n), where, ": 'nodes' needs a count");
       stream.base.num_nodes = n;
     } else if (op == "edge") {
       require(!batch_open && stream.batches.empty(),
-              where + ": 'edge' must precede the first batch op");
+              where, ": 'edge' must precede the first batch op");
       stream.base.edges.push_back(parse_pair());
     } else if (op == "add") {
       batch.add.push_back(parse_pair());

@@ -33,7 +33,7 @@ CliArgs::CliArgs(int argc, const char* const* argv,
       name = body;
       value = "true";
     }
-    require(is_known(name), "CliArgs: unknown flag --" + name);
+    require(is_known(name), "CliArgs: unknown flag --", name);
     values_[name] = value;
   }
 }
@@ -55,8 +55,8 @@ std::int64_t CliArgs::get_int(const std::string& name,
   char* end = nullptr;
   const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
   require(end != it->second.c_str() && *end == '\0',
-          "CliArgs: flag --" + name + " expects an integer, got '" +
-              it->second + "'");
+          "CliArgs: flag --", name, " expects an integer, got '", it->second,
+          "'");
   return v;
 }
 
@@ -66,8 +66,8 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
   require(end != it->second.c_str() && *end == '\0',
-          "CliArgs: flag --" + name + " expects a number, got '" + it->second +
-              "'");
+          "CliArgs: flag --", name, " expects a number, got '", it->second,
+          "'");
   return v;
 }
 

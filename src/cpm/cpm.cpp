@@ -105,10 +105,10 @@ CommunitySet percolate_k2(const Graph& g, const std::vector<NodeSet>& cliques) {
 
 void validate_cpm_input(std::size_t min_k, const std::vector<NodeSet>& cliques,
                         const char* where) {
-  require(min_k >= 2, std::string(where) + ": min_k must be >= 2");
+  require(min_k >= 2, where, ": min_k must be >= 2");
   for (const auto& c : cliques) {
     require(c.size() >= 2 && is_sorted_unique(c),
-            std::string(where) + ": cliques must be sorted and of size >= 2");
+            where, ": cliques must be sorted and of size >= 2");
   }
 }
 

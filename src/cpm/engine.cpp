@@ -308,10 +308,10 @@ const EngineInfo& engine_info(const std::string& name) {
 void register_engine(EngineInfo info) {
   require(!info.name.empty(), "register_engine: name must be non-empty");
   require(find_engine(info.name) == nullptr,
-          "register_engine: duplicate engine name '" + info.name + "'");
+          "register_engine: duplicate engine name '", info.name, "'");
   require(info.run != nullptr || info.run_on_cliques != nullptr,
-          "register_engine: engine '" + info.name +
-              "' needs at least one run hook");
+          "register_engine: engine '", info.name,
+          "' needs at least one run hook");
   mutable_registry().push_back(std::move(info));
 }
 
@@ -403,8 +403,8 @@ Result Engine::run(const Graph& g) const {
 Result Engine::run_on_cliques(const Graph& g,
                               std::vector<NodeSet> cliques) const {
   require(info_->caps.supports_run_on_cliques && info_->run_on_cliques,
-          "cpm::Engine: the " + std::string(info_->name) +
-              " engine enumerates k-cliques itself; use run(g)");
+          "cpm::Engine: the ", info_->name,
+          " engine enumerates k-cliques itself; use run(g)");
   if (info_->caps.supports_memory_budget) {
     validate_spill_dir(options_.spill_dir);
   }

@@ -7,6 +7,7 @@
 
 #include "clique/enumerator.h"
 #include "common/error.h"
+#include "common/set_ops.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "cpm/clique_index.h"
@@ -109,34 +110,37 @@ void IncrementalCpm::validate(const EdgeBatch& batch) const {
   removes.reserve(batch.remove.size());
   for (std::pair<NodeId, NodeId> e : batch.remove) {
     require(e.first != e.second,
-            "IncrementalCpm::apply: self-loop in remove " + describe(e));
+            "IncrementalCpm::apply: self-loop in remove (", e.first, ", ",
+            e.second, ")");
     e = canon(e);
     require(adjacent(e.first, e.second),
-            "IncrementalCpm::apply: remove of absent edge " + describe(e));
+            "IncrementalCpm::apply: remove of absent edge (", e.first, ", ",
+            e.second, ")");
     removes.push_back(e);
   }
   std::sort(removes.begin(), removes.end());
   for (std::size_t i = 1; i < removes.size(); ++i) {
     require(removes[i] != removes[i - 1],
-            "IncrementalCpm::apply: edge " + describe(removes[i]) +
-                " listed twice in remove");
+            "IncrementalCpm::apply: edge (", removes[i].first, ", ",
+            removes[i].second, ") listed twice in remove");
   }
   std::vector<std::pair<NodeId, NodeId>> adds;
   adds.reserve(batch.add.size());
   for (std::pair<NodeId, NodeId> e : batch.add) {
     require(e.first != e.second,
-            "IncrementalCpm::apply: self-loop in add " + describe(e));
+            "IncrementalCpm::apply: self-loop in add (", e.first, ", ",
+            e.second, ")");
     e = canon(e);
     require(!adjacent(e.first, e.second),
-            "IncrementalCpm::apply: add of already-present edge " +
-                describe(e));
+            "IncrementalCpm::apply: add of already-present edge (", e.first,
+            ", ", e.second, ")");
     adds.push_back(e);
   }
   std::sort(adds.begin(), adds.end());
   for (std::size_t i = 1; i < adds.size(); ++i) {
     require(adds[i] != adds[i - 1],
-            "IncrementalCpm::apply: edge " + describe(adds[i]) +
-                " listed twice in add");
+            "IncrementalCpm::apply: edge (", adds[i].first, ", ",
+            adds[i].second, ") listed twice in add");
   }
   std::vector<std::pair<NodeId, NodeId>> both;
   std::set_intersection(adds.begin(), adds.end(), removes.begin(),
@@ -270,6 +274,8 @@ void IncrementalCpm::remove_edge(NodeId u, NodeId v) {
   // Exactly the cliques containing both endpoints die; their fragments
   // Q \ {u}, Q \ {v} are the only candidate new maximal cliques, pairwise
   // incomparable and distinct from every surviving clique.
+  // Both endpoints' clique lists hold every dying clique; scan the shorter.
+  if (cliques_of_node_[u].size() > cliques_of_node_[v].size()) std::swap(u, v);
   std::vector<CliqueId> dying;
   {
     auto& list = cliques_of_node_[u];
@@ -284,44 +290,95 @@ void IncrementalCpm::remove_edge(NodeId u, NodeId v) {
     }
     list.resize(live);
   }
-  std::vector<NodeSet> fragments;
-  for (CliqueId c : dying) {
-    if (cliques_[c].size() < 3) continue;  // fragments would be singletons
+  struct Fragment {
+    NodeSet nodes;
+    std::size_t parent;  // index into `dying`
+    NodeId dropped;
+  };
+  std::vector<Fragment> fragments;
+  for (std::size_t i = 0; i < dying.size(); ++i) {
+    const NodeSet& q = cliques_[dying[i]];
+    if (q.size() < 3) continue;  // fragments would be singletons
+    const auto [keep_without_u, keep_without_v] = maximal_fragments(q, u, v);
     for (NodeId drop : {u, v}) {
+      if (!(drop == u ? keep_without_u : keep_without_v)) continue;
       NodeSet f;
-      f.reserve(cliques_[c].size() - 1);
-      for (NodeId w : cliques_[c]) {
+      f.reserve(q.size() - 1);
+      for (NodeId w : q) {
         if (w != drop) f.push_back(w);
       }
-      fragments.push_back(std::move(f));
+      fragments.push_back({std::move(f), i, drop});
     }
   }
-  for (CliqueId c : dying) retire_clique(c);
-  for (NodeSet& f : fragments) {
-    if (is_maximal(f)) insert_clique(std::move(f));
+  // A fragment's overlaps follow from its parent's: |(Q \ {x}) ∩ D| is
+  // |Q ∩ D| less one when D holds x, so the parent's overlap list (taken
+  // before the retire drops it) replaces a scan of every member's clique
+  // list. Fragments inserted by this removal are not on it and are
+  // intersected directly.
+  std::vector<std::vector<OverlapEntry>> parent_overlaps;
+  parent_overlaps.reserve(dying.size());
+  for (CliqueId c : dying) parent_overlaps.push_back(retire_clique(c));
+  std::vector<CliqueId> inserted;
+  for (Fragment& f : fragments) {
+    const CliqueId c = new_slot();
+    const std::vector<OverlapEntry>& parent = parent_overlaps[f.parent];
+    // Which neighbors hold x: stamp them from x's clique list when that is
+    // the shorter list, else binary-search each neighbor.
+    const std::vector<CliqueRef>& holders = cliques_of_node_[f.dropped];
+    const bool stamped = holders.size() < parent.size();
+    if (stamped) {
+      ++epoch_;
+      for (const CliqueRef e : holders) {
+        if (valid(e)) stamp_[e.clique] = epoch_;
+      }
+    }
+    for (const OverlapEntry& e : parent) {
+      if (!valid(e)) continue;  // retired since, dying cliques included
+      const bool holds_dropped = stamped
+                                     ? stamp_[e.clique] == epoch_
+                                     : contains(cliques_[e.clique], f.dropped);
+      const std::uint32_t shared = e.overlap - (holds_dropped ? 1 : 0);
+      if (shared >= 2) link(c, e.clique, shared);
+    }
+    for (CliqueId d : inserted) {
+      const auto shared =
+          static_cast<std::uint32_t>(intersection_size(f.nodes, cliques_[d]));
+      if (shared >= 2) link(c, d, shared);
+    }
+    index_clique(c, std::move(f.nodes));
+    inserted.push_back(c);
   }
 }
 
-bool IncrementalCpm::is_maximal(const NodeSet& nodes) {
-  // Count, for every node adjacent to some member, how many members it is
-  // adjacent to: a witness reaches nodes.size(). A member never does —
-  // a node is not adjacent to itself — so no membership test is needed.
-  // Σ deg(member) linear scans, no binary searches.
-  const auto target = static_cast<std::uint32_t>(nodes.size());
+std::pair<bool, bool> IncrementalCpm::maximal_fragments(const NodeSet& q,
+                                                       NodeId u, NodeId v) {
+  // Q \ {u} is maximal unless some node adjacent to all of R = Q \ {u, v}
+  // is adjacent to v too (u itself no longer is); likewise Q \ {v} with u.
+  // So one pass counts, for every node adjacent to some member of R, how
+  // many members it is adjacent to: reaching |R| makes it a candidate
+  // witness for both fragments. A member of R never reaches |R|, as a node
+  // is not adjacent to itself.
+  const auto target = static_cast<std::uint32_t>(q.size() - 2);
+  bool without_u = true;
+  bool without_v = true;
   ++node_epoch_;
-  for (NodeId x : nodes) {
+  for (NodeId x : q) {
+    if (x == u || x == v) continue;
     for (NodeId w : adjacency_[x]) {
       if (node_stamp_[w] != node_epoch_) {
         node_stamp_[w] = node_epoch_;
         node_count_[w] = 0;
       }
-      if (++node_count_[w] == target) return false;
+      if (++node_count_[w] != target) continue;
+      if (without_u && adjacent(w, v)) without_u = false;
+      if (without_v && adjacent(w, u)) without_v = false;
+      if (!without_u && !without_v) return {false, false};
     }
   }
-  return true;
+  return {without_u, without_v};
 }
 
-CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
+CliqueId IncrementalCpm::new_slot() {
   CliqueId c;
   if (!free_slots_.empty()) {
     c = free_slots_.back();
@@ -334,7 +391,24 @@ CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
     overlaps_.emplace_back();
   }
   grow_scratch();
+  return c;
+}
 
+void IncrementalCpm::link(CliqueId c, CliqueId d, std::uint32_t shared) {
+  overlaps_[c].push_back({d, gen_[d], shared});
+  overlaps_[d].push_back({c, gen_[c], shared});
+}
+
+void IncrementalCpm::index_clique(CliqueId c, NodeSet nodes) {
+  for (NodeId x : nodes) cliques_of_node_[x].push_back({c, gen_[c]});
+  cliques_[c] = std::move(nodes);
+  alive_[c] = 1;
+  ++alive_count_;
+  ++cliques_created_;
+}
+
+CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
+  const CliqueId c = new_slot();
   // Count shared nodes against every alive clique BEFORE indexing the new
   // one, so it never pairs with itself.
   ++epoch_;
@@ -356,20 +430,14 @@ CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
     list.resize(live);
   }
   for (CliqueId d : touched) {
-    if (count_[d] >= 2) {
-      overlaps_[c].push_back({d, gen_[d], count_[d]});
-      overlaps_[d].push_back({c, gen_[c], count_[d]});
-    }
+    if (count_[d] >= 2) link(c, d, count_[d]);
   }
-  for (NodeId x : nodes) cliques_of_node_[x].push_back({c, gen_[c]});
-  cliques_[c] = std::move(nodes);
-  alive_[c] = 1;
-  ++alive_count_;
-  ++cliques_created_;
+  index_clique(c, std::move(nodes));
   return c;
 }
 
-void IncrementalCpm::retire_clique(CliqueId c) {
+std::vector<IncrementalCpm::OverlapEntry> IncrementalCpm::retire_clique(
+    CliqueId c) {
   // Lazy retire: the back-references this clique holds in its neighbors'
   // overlap lists and in the node index stay physically in place — the
   // generation bump invalidates them all at once. Scans skip (and
@@ -378,6 +446,7 @@ void IncrementalCpm::retire_clique(CliqueId c) {
   // retire, which is quadratic when a dense-core edge removal retires
   // thousands of mutually-overlapping cliques.
   stale_entries_ += overlaps_[c].size() + cliques_[c].size();
+  std::vector<OverlapEntry> overlaps = std::move(overlaps_[c]);
   overlaps_[c].clear();
   cliques_[c].clear();
   ++gen_[c];
@@ -385,6 +454,7 @@ void IncrementalCpm::retire_clique(CliqueId c) {
   free_slots_.push_back(c);
   --alive_count_;
   ++cliques_retired_;
+  return overlaps;
 }
 
 void IncrementalCpm::compact_if_needed() {

@@ -131,9 +131,17 @@ class IncrementalCpm {
   void add_edge(NodeId u, NodeId v);
   void remove_edge(NodeId u, NodeId v);
   bool adjacent(NodeId u, NodeId v) const;
-  bool is_maximal(const NodeSet& nodes);
+  /// Whether Q \ {u} and Q \ {v} are maximal once edge (u, v) is gone,
+  /// for a clique Q of size >= 3 that held both endpoints.
+  std::pair<bool, bool> maximal_fragments(const NodeSet& q, NodeId u,
+                                          NodeId v);
+  /// Inserts a new maximal clique, finding its overlaps by scanning the
+  /// clique lists of its members.
   CliqueId insert_clique(NodeSet nodes);
-  void retire_clique(CliqueId c);
+  /// Insert steps: a free slot, one symmetric overlap entry, the node index.
+  CliqueId new_slot();
+  void link(CliqueId c, CliqueId d, std::uint32_t shared);
+  void index_clique(CliqueId c, NodeSet nodes);
   void grow_scratch();
 
   /// A lazily-invalidated reference to clique slot `clique`: valid iff
@@ -151,6 +159,8 @@ class IncrementalCpm {
   };
   bool valid(CliqueRef e) const { return gen_[e.clique] == e.gen; }
   bool valid(const OverlapEntry& e) const { return gen_[e.clique] == e.gen; }
+  /// Retires clique slot `c` and hands back its overlap list.
+  std::vector<OverlapEntry> retire_clique(CliqueId c);
   /// Rebuilds every node/overlap list without its stale entries once the
   /// stale fraction crosses 1/2 (amortized O(1) per staleness created).
   void compact_if_needed();
@@ -181,10 +191,9 @@ class IncrementalCpm {
   std::vector<std::uint32_t> count_;
   std::uint64_t epoch_ = 0;
 
-  // Same trick over node ids: is_maximal counts, for every node adjacent
-  // to a fragment member, how many members it is adjacent to (a witness
-  // reaches the full fragment size — and is never a member, since a node
-  // is not adjacent to itself); collect_absorbed stamps one endpoint's
+  // Same trick over node ids: maximal_fragments counts, for every node
+  // adjacent to a member of the fragments' common core, how many members
+  // it is adjacent to; collect_absorbed stamps one endpoint's
   // neighborhood for O(1) membership tests.
   std::vector<std::uint64_t> node_stamp_;
   std::vector<std::uint32_t> node_count_;

@@ -70,11 +70,9 @@ class StreamPercolator {
     require(options_.min_k >= 2, "run_stream_cpm: min_k must be >= 2");
     require(options_.memory_budget == 0 ||
                 options_.memory_budget >= stream_min_memory_budget(),
-            "run_stream_cpm: --memory-budget " +
-                std::to_string(options_.memory_budget) +
-                " is smaller than the spill chunk (" +
-                std::to_string(stream_min_memory_budget()) +
-                " bytes); raise the budget or use 0 for unlimited");
+            "run_stream_cpm: --memory-budget ", options_.memory_budget,
+            " is smaller than the spill chunk (", stream_min_memory_budget(),
+            " bytes); raise the budget or use 0 for unlimited");
     // Pairs below this overlap would feed no sweep level: level k consumes
     // overlap k-1 and the lowest emitted union level is max(3, min_k).
     prune_min_ = std::max<std::size_t>(3, options_.min_k) - 1;
@@ -239,7 +237,7 @@ class StreamPercolator {
           spill_dir_ / ("overlap-" + std::to_string(overlap) + ".pairs");
       bucket.spill_out.open(path, std::ios::binary | std::ios::app);
       require(bucket.spill_out.good(),
-              "run_stream_cpm: cannot open spill file " + path.string());
+              "run_stream_cpm: cannot open spill file ", path.native());
     }
     const std::uint64_t bytes = bucket.resident.size() * sizeof(PackedPair);
     bucket.spill_out.write(
@@ -281,7 +279,7 @@ class StreamPercolator {
           spill_dir_ / ("overlap-" + std::to_string(overlap) + ".pairs");
       std::ifstream in(path, std::ios::binary);
       require(in.good(),
-              "run_stream_cpm: cannot reopen spill file " + path.string());
+              "run_stream_cpm: cannot reopen spill file ", path.native());
       std::vector<PackedPair> chunk(kSpillChunkPairs);
       std::uint64_t remaining = bucket.spilled_pairs;
       while (remaining > 0) {
@@ -291,7 +289,7 @@ class StreamPercolator {
                 static_cast<std::streamsize>(n * sizeof(PackedPair)));
         require(static_cast<std::size_t>(in.gcount()) ==
                     n * sizeof(PackedPair),
-                "run_stream_cpm: spill file truncated: " + path.string());
+                "run_stream_cpm: spill file truncated: ", path.native());
         for (std::size_t i = 0; i < n; ++i) uf.unite(chunk[i].a, chunk[i].b);
         join_ops += n;
         remaining -= n;
@@ -343,19 +341,19 @@ std::uint64_t parse_memory_budget(const std::string& text) {
          std::isdigit(static_cast<unsigned char>(text[digits]))) {
     ++digits;
   }
-  require(digits > 0, "parse_memory_budget: '" + text +
-                          "' must start with a number (e.g. 512M)");
+  require(digits > 0, "parse_memory_budget: '", text,
+          "' must start with a number (e.g. 512M)");
   std::uint64_t value = 0;
   for (std::size_t i = 0; i < digits; ++i) {
     const std::uint64_t next = value * 10 + (text[i] - '0');
-    require(next >= value, "parse_memory_budget: '" + text + "' overflows");
+    require(next >= value, "parse_memory_budget: '", text, "' overflows");
     value = next;
   }
   std::uint64_t multiplier = 1;
   if (digits < text.size()) {
     require(digits + 1 == text.size(),
-            "parse_memory_budget: '" + text +
-                "' has trailing characters after the unit");
+            "parse_memory_budget: '", text,
+            "' has trailing characters after the unit");
     switch (std::toupper(static_cast<unsigned char>(text[digits]))) {
       case 'K':
         multiplier = 1024ULL;
@@ -373,7 +371,7 @@ std::uint64_t parse_memory_budget(const std::string& text) {
     }
   }
   require(value <= ~0ULL / multiplier,
-          "parse_memory_budget: '" + text + "' overflows");
+          "parse_memory_budget: '", text, "' overflows");
   return value * multiplier;
 }
 

@@ -27,10 +27,10 @@ void write_membership_csv_file(const std::string& path,
                                const CpmResult& result,
                                const LabeledGraph& g) {
   std::ofstream out(path);
-  require(out.good(), "write_membership_csv_file: cannot open '" + path + "'");
+  require(out.good(), "write_membership_csv_file: cannot open '", path, "'");
   write_membership_csv(out, result, g);
   require(out.good(),
-          "write_membership_csv_file: write failed for '" + path + "'");
+          "write_membership_csv_file: write failed for '", path, "'");
 }
 
 void write_community_listing(std::ostream& out, const CpmResult& result,

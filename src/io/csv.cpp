@@ -44,9 +44,9 @@ std::string CsvWriter::to_string() const {
 
 void CsvWriter::save(const std::string& path) const {
   std::ofstream out(path);
-  require(out.good(), "CsvWriter::save: cannot open '" + path + "'");
+  require(out.good(), "CsvWriter::save: cannot open '", path, "'");
   out << to_string();
-  require(out.good(), "CsvWriter::save: write failed for '" + path + "'");
+  require(out.good(), "CsvWriter::save: write failed for '", path, "'");
 }
 
 }  // namespace kcc

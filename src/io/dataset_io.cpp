@@ -35,7 +35,7 @@ std::uint64_t parse_u64(const std::string& s, const std::string& context) {
   } catch (const std::exception&) {
     throw Error(context + ": invalid number '" + s + "'");
   }
-  require(pos == s.size(), context + ": invalid number '" + s + "'");
+  require(pos == s.size(), context, ": invalid number '", s, "'");
   return v;
 }
 
@@ -52,7 +52,7 @@ IxpDataset read_ixp_dataset(std::istream& in, const LabeledGraph& g) {
     Ixp ixp;
     std::string members;
     require(static_cast<bool>(ls >> ixp.name >> ixp.country >> members),
-            "read_ixp_dataset: malformed line " + std::to_string(line_no));
+            "read_ixp_dataset: malformed line ", line_no);
     for (const std::string& token : split_csv(members)) {
       ixp.participants.push_back(
           g.node_of(parse_u64(token, "read_ixp_dataset")));
@@ -66,7 +66,7 @@ IxpDataset read_ixp_dataset(std::istream& in, const LabeledGraph& g) {
 IxpDataset read_ixp_dataset_file(const std::string& path,
                                  const LabeledGraph& g) {
   std::ifstream in(path);
-  require(in.good(), "read_ixp_dataset_file: cannot open '" + path + "'");
+  require(in.good(), "read_ixp_dataset_file: cannot open '", path, "'");
   return read_ixp_dataset(in, g);
 }
 
@@ -93,8 +93,7 @@ GeoDataset read_geo_dataset(std::istream& countries_in, std::istream& geo_in,
     std::istringstream ls(line);
     Country country;
     require(static_cast<bool>(ls >> country.code >> country.continent),
-            "read_geo_dataset: malformed country line " +
-                std::to_string(line_no));
+            "read_geo_dataset: malformed country line ", line_no);
     countries.push_back(std::move(country));
   }
 
@@ -114,7 +113,7 @@ GeoDataset read_geo_dataset(std::istream& countries_in, std::istream& geo_in,
     std::istringstream ls(line);
     std::string label_str, codes;
     require(static_cast<bool>(ls >> label_str >> codes),
-            "read_geo_dataset: malformed geo line " + std::to_string(line_no));
+            "read_geo_dataset: malformed geo line ", line_no);
     const NodeId v = g.node_of(parse_u64(label_str, "read_geo_dataset"));
     for (const std::string& code : split_csv(codes)) {
       locations[v].push_back(find_code(code));
@@ -128,10 +127,10 @@ GeoDataset read_geo_dataset_files(const std::string& countries_path,
                                   const LabeledGraph& g) {
   std::ifstream countries_in(countries_path);
   require(countries_in.good(),
-          "read_geo_dataset_files: cannot open '" + countries_path + "'");
+          "read_geo_dataset_files: cannot open '", countries_path, "'");
   std::ifstream geo_in(geo_path);
   require(geo_in.good(),
-          "read_geo_dataset_files: cannot open '" + geo_path + "'");
+          "read_geo_dataset_files: cannot open '", geo_path, "'");
   return read_geo_dataset(countries_in, geo_in, g);
 }
 

@@ -39,9 +39,9 @@ void write_tree_dot(std::ostream& out, const CommunityTree& tree,
 void write_tree_dot_file(const std::string& path, const CommunityTree& tree,
                          std::size_t min_k_shown) {
   std::ofstream out(path);
-  require(out.good(), "write_tree_dot_file: cannot open '" + path + "'");
+  require(out.good(), "write_tree_dot_file: cannot open '", path, "'");
   write_tree_dot(out, tree, min_k_shown);
-  require(out.good(), "write_tree_dot_file: write failed for '" + path + "'");
+  require(out.good(), "write_tree_dot_file: write failed for '", path, "'");
 }
 
 void write_graph_dot(std::ostream& out, const Graph& g) {

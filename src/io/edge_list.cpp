@@ -4,7 +4,7 @@
 #include <charconv>
 #include <fstream>
 #include <map>
-#include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -12,19 +12,25 @@ namespace kcc {
 
 namespace {
 
+/// The characters operator>> skips in the C locale.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
 /// Parses one whitespace token as a node label. Anything that is not a
 /// plain decimal integer fitting in 64 bits — letters, signs, floats,
 /// overflow — is a hard error carrying the line number.
-std::uint64_t parse_label(const std::string& token, std::size_t line_no) {
+std::uint64_t parse_label(std::string_view token, std::size_t line_no) {
   std::uint64_t value = 0;
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
   require(ec != std::errc::result_out_of_range,
-          "read_edge_list: node id out of range on line " +
-              std::to_string(line_no) + ": '" + token + "'");
+          "read_edge_list: node id out of range on line ", line_no, ": '",
+          token, "'");
   require(ec == std::errc() && ptr == token.data() + token.size(),
-          "read_edge_list: non-numeric node id on line " +
-              std::to_string(line_no) + ": '" + token + "'");
+          "read_edge_list: non-numeric node id on line ", line_no, ": '", token,
+          "'");
   return value;
 }
 
@@ -43,20 +49,24 @@ LabeledGraph read_edge_list(std::istream& in) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    // Tokenize first, then parse: a line is either empty (after comment
+    // Tokenize in place, then parse: a line is either empty (after comment
     // stripping) or exactly "u v" with both tokens valid integers. Anything
     // else — one token, three tokens, letters, overflow — throws with the
     // line number instead of being silently skipped.
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    for (std::string token; ls >> token;) tokens.push_back(std::move(token));
-    if (tokens.empty()) continue;  // blank or comment-only line
-    require(tokens.size() == 2,
-            "read_edge_list: expected 'u v' on line " +
-                std::to_string(line_no) + ", got " +
-                std::to_string(tokens.size()) + " token(s)");
+    const std::string_view text =
+        std::string_view(line).substr(0, line.find('#'));
+    std::string_view tokens[2];
+    std::size_t num_tokens = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      if (is_space(text[i])) continue;
+      const std::size_t start = i;
+      while (i < text.size() && !is_space(text[i])) ++i;
+      if (num_tokens < 2) tokens[num_tokens] = text.substr(start, i - start);
+      ++num_tokens;
+    }
+    if (num_tokens == 0) continue;  // blank or comment-only line
+    require(num_tokens == 2, "read_edge_list: expected 'u v' on line ",
+            line_no, ", got ", num_tokens, " token(s)");
     const std::uint64_t u = parse_label(tokens[0], line_no);
     const std::uint64_t v = parse_label(tokens[1], line_no);
     if (u == v) continue;  // spurious self-loop: drop
@@ -86,7 +96,7 @@ LabeledGraph read_edge_list(std::istream& in) {
 
 LabeledGraph read_edge_list_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "read_edge_list_file: cannot open '" + path + "'");
+  require(in.good(), "read_edge_list_file: cannot open '", path, "'");
   return read_edge_list(in);
 }
 
@@ -100,9 +110,9 @@ void write_edge_list(std::ostream& out, const LabeledGraph& g) {
 
 void write_edge_list_file(const std::string& path, const LabeledGraph& g) {
   std::ofstream out(path);
-  require(out.good(), "write_edge_list_file: cannot open '" + path + "'");
+  require(out.good(), "write_edge_list_file: cannot open '", path, "'");
   write_edge_list(out, g);
-  require(out.good(), "write_edge_list_file: write failed for '" + path + "'");
+  require(out.good(), "write_edge_list_file: write failed for '", path, "'");
 }
 
 LabeledGraph with_identity_labels(Graph g) {

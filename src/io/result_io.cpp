@@ -47,9 +47,9 @@ void write_cpm_result(std::ostream& out, const CpmResult& result) {
 
 void write_cpm_result_file(const std::string& path, const CpmResult& result) {
   std::ofstream out(path);
-  require(out.good(), "write_cpm_result_file: cannot open '" + path + "'");
+  require(out.good(), "write_cpm_result_file: cannot open '", path, "'");
   write_cpm_result(out, result);
-  require(out.good(), "write_cpm_result_file: write failed for '" + path + "'");
+  require(out.good(), "write_cpm_result_file: write failed for '", path, "'");
 }
 
 CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
@@ -57,9 +57,9 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
   int version = 0;
   require(static_cast<bool>(in >> magic >> version),
           "read_cpm_result: missing header");
-  require(magic == kMagic, "read_cpm_result: bad magic '" + magic + "'");
+  require(magic == kMagic, "read_cpm_result: bad magic '", magic, "'");
   require(version == kVersion,
-          "read_cpm_result: unsupported version " + std::to_string(version));
+          "read_cpm_result: unsupported version ", version);
 
   std::string keyword;
   require(static_cast<bool>(in >> keyword) && keyword == "meta",
@@ -82,7 +82,7 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
     CliqueId id = 0;
     require(static_cast<bool>(ls >> keyword >> id) && keyword == "clique" &&
                 id == i,
-            "read_cpm_result: malformed clique line " + std::to_string(i));
+            "read_cpm_result: malformed clique line ", i);
     NodeSet nodes;
     NodeId v = 0;
     while (ls >> v) {
@@ -102,7 +102,7 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
     std::size_t file_k = 0, count = 0;
     require(static_cast<bool>(ls >> keyword >> file_k >> count) &&
                 keyword == "set" && file_k == k,
-            "read_cpm_result: malformed set line for k " + std::to_string(k));
+            "read_cpm_result: malformed set line for k ", k);
     CommunitySet& set = result.at(k);
     set.k = k;
     set.community_of_clique.assign(result.cliques.size(),
@@ -148,7 +148,7 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
 CpmResult read_cpm_result_file(const std::string& path,
                                std::size_t* num_nodes) {
   std::ifstream in(path);
-  require(in.good(), "read_cpm_result_file: cannot open '" + path + "'");
+  require(in.good(), "read_cpm_result_file: cannot open '", path, "'");
   return read_cpm_result(in, num_nodes);
 }
 

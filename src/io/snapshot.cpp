@@ -314,10 +314,10 @@ void write_snapshot(std::ostream& out, const cpm::Result& result,
 void write_snapshot_file(const std::string& path, const cpm::Result& result,
                          const std::string& manifest_json) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  require(out.good(), "write_snapshot_file: cannot open '" + path + "'");
+  require(out.good(), "write_snapshot_file: cannot open '", path, "'");
   write_snapshot(out, result, manifest_json);
   out.close();
-  require(out.good(), "write_snapshot_file: write failed for '" + path + "'");
+  require(out.good(), "write_snapshot_file: write failed for '", path, "'");
 }
 
 namespace {
@@ -345,8 +345,8 @@ struct Section {
 
 SnapshotView::SnapshotView(const std::string& path) {
   fd_ = ::open(path.c_str(), O_RDONLY);
-  require(fd_ >= 0, "snapshot: cannot open '" + path + "': " +
-                        std::string(std::strerror(errno)));
+  require(fd_ >= 0, "snapshot: cannot open '", path, "': ",
+          std::strerror(errno));
   struct stat st {};
   if (::fstat(fd_, &st) != 0) {
     ::close(fd_);
@@ -580,9 +580,8 @@ SnapshotView::SnapshotView(SnapshotView&& other) noexcept
 }
 
 std::size_t SnapshotView::level_index(std::size_t k) const {
-  require(has_k(k), "snapshot query: k=" + std::to_string(k) +
-                        " outside [" + std::to_string(min_k_) + ", " +
-                        std::to_string(max_k_) + "]");
+  require(has_k(k), "snapshot query: k=", k, " outside [", min_k_, ", ", max_k_,
+          "]");
   return k - min_k_;
 }
 
@@ -590,8 +589,7 @@ std::size_t SnapshotView::global_community(std::size_t k,
                                            std::uint32_t id) const {
   const std::size_t level = level_index(k);
   require(id < levels_[2 * level + 1],
-          "snapshot query: community id " + std::to_string(id) +
-              " out of range at k=" + std::to_string(k));
+          "snapshot query: community id ", id, " out of range at k=", k);
   return levels_[2 * level] + id;
 }
 
@@ -618,7 +616,7 @@ std::span<const std::uint32_t> SnapshotView::community_cliques(
 
 std::span<const std::uint32_t> SnapshotView::clique(std::uint32_t c) const {
   require(c < num_cliques_,
-          "snapshot query: clique id " + std::to_string(c) + " out of range");
+          "snapshot query: clique id ", c, " out of range");
   return {clique_nodes_ + clique_offsets_[c],
           static_cast<std::size_t>(clique_offsets_[c + 1] -
                                    clique_offsets_[c])};

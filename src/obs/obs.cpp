@@ -15,16 +15,14 @@ void write_artifact(const std::string& path, const char* what,
     write(std::cout);
     std::cout.flush();
     require(std::cout.good(),
-            std::string("obs: failed writing ") + what + " to stdout");
+            "obs: failed writing ", what, " to stdout");
     return;
   }
   std::ofstream out(path, binary ? std::ios::out | std::ios::binary
                                  : std::ios::out);
-  require(out.good(), std::string("obs: cannot write ") + what + " file " +
-                          path);
+  require(out.good(), "obs: cannot write ", what, " file ", path);
   write(out);
-  require(out.good(), std::string("obs: failed writing ") + what + " file " +
-                          path);
+  require(out.good(), "obs: failed writing ", what, " file ", path);
 }
 
 void configure(const ObsOptions& options) {

@@ -271,10 +271,10 @@ void write_run_report_file(const std::string& path,
     return;
   }
   std::ofstream out(path);
-  require(out.good(), "obs: cannot write run report " + path);
+  require(out.good(), "obs: cannot write run report ", path);
   write_run_report(out, manifest);
   out << "\n";
-  require(out.good(), "obs: failed writing run report " + path);
+  require(out.good(), "obs: failed writing run report ", path);
 }
 
 double FlatJson::number(const std::string& path, double fallback) const {
@@ -499,7 +499,7 @@ FlatJson parse_json_flat(const std::string& text) {
 
 FlatJson read_json_flat_file(const std::string& path) {
   std::ifstream in(path);
-  require(in.good(), "obs: cannot read JSON file " + path);
+  require(in.good(), "obs: cannot read JSON file ", path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return parse_json_flat(buffer.str());

@@ -16,8 +16,7 @@ namespace {
 
 int connect_once(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  require(fd >= 0, std::string("serve client: socket() failed: ") +
-                       std::strerror(errno));
+  require(fd >= 0, "serve client: socket() failed: ", std::strerror(errno));
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
@@ -32,7 +31,7 @@ int connect_once(const std::string& path) {
 
 Client::Client(const std::string& socket_path, double timeout_seconds) {
   require(socket_path.size() < sizeof(sockaddr_un{}.sun_path),
-          "serve client: socket path too long: '" + socket_path + "'");
+          "serve client: socket path too long: '", socket_path, "'");
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_seconds);
   while (true) {

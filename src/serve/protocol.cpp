@@ -59,8 +59,7 @@ bool read_frame(int fd, std::vector<std::uint8_t>& payload,
   std::uint32_t bytes = 0;
   std::memcpy(&bytes, prefix, 4);
   require(bytes <= max_bytes,
-          "serve: frame of " + std::to_string(bytes) +
-              " bytes exceeds the limit of " + std::to_string(max_bytes));
+          "serve: frame of ", bytes, " bytes exceeds the limit of ", max_bytes);
   payload.resize(bytes);
   if (bytes > 0) {
     if (!read_exact(fd, payload.data(), bytes)) {

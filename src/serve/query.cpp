@@ -39,7 +39,7 @@ void do_membership(const snapshot::SnapshotView& view, Reader& in,
   const std::uint32_t k = in.u32();
   require(in.remaining() == 0, "membership: trailing bytes");
   require(k == 0 || view.has_k(k),
-          "membership: k=" + std::to_string(k) + " outside the snapshot");
+          "membership: k=", k, " outside the snapshot");
   reply_ok(response);
   const auto postings = view.postings(node);
   std::uint32_t count = 0;

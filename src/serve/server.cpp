@@ -37,16 +37,15 @@ obs::Histogram& request_seconds() {
 int make_listen_socket(const std::string& path) {
   require(!path.empty(), "serve: --socket path is empty");
   require(path.size() < sizeof(sockaddr_un{}.sun_path),
-          "serve: socket path too long: '" + path + "'");
+          "serve: socket path too long: '", path, "'");
   struct stat st {};
   if (::lstat(path.c_str(), &st) == 0) {
     require(S_ISSOCK(st.st_mode),
-            "serve: '" + path + "' exists and is not a socket");
+            "serve: '", path, "' exists and is not a socket");
     ::unlink(path.c_str());  // stale socket from a previous daemon
   }
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  require(fd >= 0, std::string("serve: socket() failed: ") +
-                       std::strerror(errno));
+  require(fd >= 0, "serve: socket() failed: ", std::strerror(errno));
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
   std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);

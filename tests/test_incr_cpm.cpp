@@ -222,6 +222,35 @@ TEST(IncrCpm, RejectsInvalidBatchesAndLeavesStateUntouched) {
   expect_rejected(both_sides, "same pair on both sides");
 }
 
+TEST(IncrCpm, RejectionMessagesNameTheEdge) {
+  IncrementalCpm state(testing::complete_graph(4));
+  const auto error_of = [&](const EdgeBatch& batch) -> std::string {
+    try {
+      state.apply(batch);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EdgeBatch remove_absent;
+  remove_absent.remove.emplace_back(5, 0);
+  EXPECT_EQ(error_of(remove_absent),
+            "IncrementalCpm::apply: remove of absent edge (0, 5)");
+  EdgeBatch add_present;
+  add_present.add.emplace_back(3, 2);
+  EXPECT_EQ(error_of(add_present),
+            "IncrementalCpm::apply: add of already-present edge (2, 3)");
+  EdgeBatch self_loop;
+  self_loop.remove.emplace_back(7, 7);
+  EXPECT_EQ(error_of(self_loop),
+            "IncrementalCpm::apply: self-loop in remove (7, 7)");
+  EdgeBatch twice;
+  twice.add.emplace_back(0, 4);
+  twice.add.emplace_back(4, 0);
+  EXPECT_EQ(error_of(twice),
+            "IncrementalCpm::apply: edge (0, 4) listed twice in add");
+}
+
 TEST(IncrCpm, RestrictedKRangeMatchesSweepUnderChurn) {
   cpm::Options options;
   options.min_k = 3;

@@ -4,8 +4,13 @@
 // the sanitize label so the parsers also get exercised under TSan/ASan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <charconv>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "io/csv.h"
@@ -84,6 +89,116 @@ TEST(EdgeListMalformed, CommentsAndBlankLinesAreIgnored) {
 TEST(EdgeListMalformed, GarbageAfterCommentStripIsStillChecked) {
   const std::string message = error_of("1 oops # comment\n");
   EXPECT_NE(message.find("line 1"), std::string::npos) << message;
+}
+
+// The exact text of each rejection, line number included.
+TEST(EdgeListMalformed, RejectionMessagesAreExact) {
+  EXPECT_EQ(error_of("1 2\nas7018 3356\n"),
+            "read_edge_list: non-numeric node id on line 2: 'as7018'");
+  EXPECT_EQ(error_of("1 2\n\n3 99999999999999999999\n"),
+            "read_edge_list: node id out of range on line 3: "
+            "'99999999999999999999'");
+  EXPECT_EQ(error_of("# header\n1 2 3\n"),
+            "read_edge_list: expected 'u v' on line 2, got 3 token(s)");
+  EXPECT_EQ(error_of("7\n"),
+            "read_edge_list: expected 'u v' on line 1, got 1 token(s)");
+}
+
+// ------------------------------------------------ tokenizer parity
+
+/// The outcome of parsing one edge list: its edges as sorted label pairs,
+/// or the error message.
+struct Outcome {
+  std::set<std::pair<std::uint64_t, std::uint64_t>> edges;
+  std::string error;
+};
+
+Outcome outcome_of(const std::string& text) {
+  Outcome out;
+  try {
+    const LabeledGraph g = parse(text);
+    for (const auto& [u, v] : g.graph.edges()) {
+      out.edges.emplace(g.labels[u], g.labels[v]);
+    }
+  } catch (const Error& e) {
+    out.error = e.what();
+  }
+  return out;
+}
+
+/// The edge-list parser as it was before it tokenized lines in place: one
+/// std::istringstream and one vector of string tokens per line.
+Outcome istringstream_outcome(const std::string& text) {
+  Outcome out;
+  std::istringstream in(text);
+  std::string line;
+  std::size_t line_no = 0;
+  const auto label = [&](const std::string& token) {
+    std::uint64_t value = 0;
+    const auto [ptr, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (ec == std::errc::result_out_of_range) {
+      throw Error("read_edge_list: node id out of range on line " +
+                  std::to_string(line_no) + ": '" + token + "'");
+    }
+    if (ec != std::errc() || ptr != token.data() + token.size()) {
+      throw Error("read_edge_list: non-numeric node id on line " +
+                  std::to_string(line_no) + ": '" + token + "'");
+    }
+    return value;
+  };
+  try {
+    while (std::getline(in, line)) {
+      ++line_no;
+      const auto hash = line.find('#');
+      if (hash != std::string::npos) line.resize(hash);
+      std::istringstream ls(line);
+      std::vector<std::string> tokens;
+      for (std::string token; ls >> token;) tokens.push_back(token);
+      if (tokens.empty()) continue;
+      if (tokens.size() != 2) {
+        throw Error("read_edge_list: expected 'u v' on line " +
+                    std::to_string(line_no) + ", got " +
+                    std::to_string(tokens.size()) + " token(s)");
+      }
+      const std::uint64_t u = label(tokens[0]);
+      const std::uint64_t v = label(tokens[1]);
+      if (u != v) out.edges.emplace(std::min(u, v), std::max(u, v));
+    }
+  } catch (const Error& e) {
+    out.edges.clear();
+    out.error = e.what();
+  }
+  return out;
+}
+
+TEST(EdgeListTokenizer, MatchesTheIstringstreamParser) {
+  const std::string cases[] = {
+      "1 2\r\n3 4\r\n\r\n",               // CRLF line endings
+      "1\t2\n3\t\t4\n",                    // tab-separated
+      "1\v2\n3\f4\n5 \v\f\t6\n",          // vertical tab, form feed
+      "   1 2\n3 4   \n\t 5 6 \t\n",        // leading/trailing space
+      "1 2 # comment\n3 4# no space\n",      // trailing comment
+      "\n\n   \n# only a comment\n\t#\n1 2\n",  // blank/comment lines
+      "1 2\n2 1\n1 1\n",                    // duplicate and self-loop
+      "+5 6\n",                               // explicit plus sign
+      "-1 2\n",                               // negative id
+      "1 99999999999999999999\n",             // 20-digit overflow
+      "18446744073709551615 1\n",             // largest id
+      "1 2 3\n",                              // three tokens
+      "1\r\n",                                // one token before CR
+      "1 2\r 3\n",                            // CR between tokens
+      std::string("1\0 2\n", 5),             // NUL inside a token
+      "1 2\n3 x\n",                          // error on a later line
+      "",                                      // empty input
+      "1 2",                                   // no final newline
+  };
+  for (const std::string& text : cases) {
+    const Outcome expected = istringstream_outcome(text);
+    const Outcome actual = outcome_of(text);
+    EXPECT_EQ(actual.error, expected.error) << "input: " << text;
+    EXPECT_EQ(actual.edges, expected.edges) << "input: " << text;
+  }
 }
 
 TEST(EdgeListMalformed, MissingFileThrows) {

@@ -132,6 +132,25 @@ TEST(Snapshot, PostingsAndQueriesMatchResult) {
   EXPECT_TRUE(view.postings(1 << 20).empty());
 }
 
+TEST(Snapshot, OutOfRangeQueriesNameTheRange) {
+  const Graph g = testing::random_graph(50, 0.3, 3);
+  const cpm::Result result = run_engine("sweep", g);
+  ASSERT_GE(result.cpm.max_k, result.cpm.min_k);
+  TempFile file("ranges.snap");
+  snapshot::write_snapshot_file(file.path, result);
+  const snapshot::SnapshotView view(file.path);
+  const std::size_t k = result.cpm.max_k + 1;
+  try {
+    static_cast<void>(view.community_nodes(k, 0));
+    FAIL() << "k=" << k << " accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "snapshot query: k=" + std::to_string(k) + " outside [" +
+                  std::to_string(result.cpm.min_k) + ", " +
+                  std::to_string(result.cpm.max_k) + "]");
+  }
+}
+
 TEST(Snapshot, ManifestAndDigestExposed) {
   const Graph g = testing::overlapping_cliques(5, 4, 2);
   const cpm::Result result = run_engine("sweep", g);

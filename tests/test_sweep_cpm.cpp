@@ -111,6 +111,28 @@ TEST(SweepCpm, RejectsBadInput) {
       run_sweep_cpm_on_cliques(complete_graph(3), {{2, 0, 1}}, {}), Error);
 }
 
+TEST(SweepCpm, RejectionMessagesNameTheCaller) {
+  const auto error_of = [](const std::vector<NodeSet>& cliques,
+                           std::size_t min_k) -> std::string {
+    CpmOptions options;
+    options.min_k = min_k;
+    try {
+      run_sweep_cpm_on_cliques(complete_graph(3), cliques, options);
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(error_of({{0, 1, 2}}, 1),
+            "run_sweep_cpm_on_cliques: min_k must be >= 2");
+  EXPECT_EQ(error_of({{0, 1, 2}, {2, 0, 1}}, 2),
+            "run_sweep_cpm_on_cliques: cliques must be sorted and of size "
+            ">= 2");
+  EXPECT_EQ(error_of({{1}}, 2),
+            "run_sweep_cpm_on_cliques: cliques must be sorted and of size "
+            ">= 2");
+}
+
 // ------------------------------------------------------- engine facade
 
 TEST(CpmEngine, SweepAndPerKDispatchAgree) {

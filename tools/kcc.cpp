@@ -28,6 +28,8 @@
 //       the incremental CPM engine and write the refreshed snapshot
 //       atomically (tmp + rename) — the file a running `kcc serve` daemon
 //       can then reload without restarting.
+//   kcc <command> --help
+//       Print that subcommand's usage and exit 0.
 
 #include <csignal>
 #include <filesystem>
@@ -35,6 +37,7 @@
 #include <iostream>
 
 #include <sstream>
+#include <string_view>
 
 #include "analysis/pipeline.h"
 #include "analysis/report.h"
@@ -61,24 +64,68 @@ namespace {
 
 using namespace kcc;
 
+int cmd_generate(const CliArgs& args);
+int cmd_cpm(const CliArgs& args);
+int cmd_tree(const CliArgs& args);
+int cmd_analyze(const CliArgs& args);
+int cmd_info(const CliArgs& args);
+int cmd_serve(const CliArgs& args);
+int cmd_query(const CliArgs& args);
+int cmd_update(const CliArgs& args);
+
+// One entry per subcommand, in the order `kcc --help` lists them;
+// `kcc <command> --help` prints just that entry's synopsis.
+struct Command {
+  const char* name;
+  int (*run)(const CliArgs&);
+  const char* synopsis;
+};
+
+constexpr Command kCommands[] = {
+    {"generate", cmd_generate,
+     "  generate --out-dir=DIR [--scale=test|bench|paper] [--seed=N]\n"},
+    {"cpm", cmd_cpm,
+     "  cpm      --edges=FILE [--k-min=N] [--k-max=N] [--engine=ENGINE]\n"
+     "           [--threads=N] [--memory-budget=BYTES[K|M|G]] [--out=FILE]\n"
+     "           [--snapshot-out=FILE]\n"},
+    {"tree", cmd_tree,
+     "  tree     --edges=FILE [--dot=FILE] [--min-k-shown=N] "
+     "[--engine=ENGINE]\n"},
+    {"analyze", cmd_analyze,
+     "  analyze  --edges=FILE --ixps=FILE --countries=FILE --geo=FILE\n"
+     "           [--threads=N] [--engine=ENGINE]\n"},
+    {"info", cmd_info, "  info     --edges=FILE\n"},
+    {"serve", cmd_serve,
+     "  serve    --snapshot=FILE --socket=PATH [--no-remote-shutdown]\n"
+     "           [--no-remote-reload]\n"},
+    {"query", cmd_query,
+     "  query    --socket=PATH --op=info|membership|community|ancestry|\n"
+     "           lca|overlap|reload|shutdown [--node=N] [--k=N] [--id=N]\n"
+     "           [--k2=N] [--id2=N] [--u=N] [--v=N] [--timeout=SECONDS]\n"},
+    {"update", cmd_update,
+     "  update   --deltas=FILE --snapshot-out=FILE [--edges=FILE]\n"
+     "           [--k-min=N] [--k-max=N] [--threads=N]\n"},
+};
+
+const Command* find_command(const std::string& name) {
+  for (const Command& command : kCommands) {
+    if (name == command.name) return &command;
+  }
+  return nullptr;
+}
+
+/// `kcc <command> --help`: that command's synopsis on stdout, exit 0.
+int command_usage(const Command& command) {
+  std::cout << "usage: kcc " << command.name << " [flags]\n"
+            << command.synopsis
+            << "engine, serving and observability flags: kcc --help\n";
+  return 0;
+}
+
 int usage(std::ostream& out, int rc) {
+  out << "usage: kcc <command> [flags]\n";
+  for (const Command& command : kCommands) out << command.synopsis;
   out <<
-      "usage: kcc <command> [flags]\n"
-      "  generate --out-dir=DIR [--scale=test|bench|paper] [--seed=N]\n"
-      "  cpm      --edges=FILE [--k-min=N] [--k-max=N] [--engine=ENGINE]\n"
-      "           [--threads=N] [--memory-budget=BYTES[K|M|G]] [--out=FILE]\n"
-      "           [--snapshot-out=FILE]\n"
-      "  tree     --edges=FILE [--dot=FILE] [--min-k-shown=N] [--engine=ENGINE]\n"
-      "  analyze  --edges=FILE --ixps=FILE --countries=FILE --geo=FILE\n"
-      "           [--threads=N] [--engine=ENGINE]\n"
-      "  info     --edges=FILE\n"
-      "  serve    --snapshot=FILE --socket=PATH [--no-remote-shutdown]\n"
-      "           [--no-remote-reload]\n"
-      "  query    --socket=PATH --op=info|membership|community|ancestry|\n"
-      "           lca|overlap|reload|shutdown [--node=N] [--k=N] [--id=N]\n"
-      "           [--k2=N] [--id2=N] [--u=N] [--v=N] [--timeout=SECONDS]\n"
-      "  update   --deltas=FILE --snapshot-out=FILE [--edges=FILE]\n"
-      "           [--k-min=N] [--k-max=N] [--threads=N]\n"
       "  help | --help\n"
       "\n"
       "engine selection (cpm/tree/analyze):\n"
@@ -279,7 +326,7 @@ int cmd_query(const CliArgs& args) {
   require(!op.empty(), "query: --op is required");
   const double timeout = args.get_double("timeout", 5.0);
   auto u32 = [&args](const char* flag) {
-    require(args.has(flag), std::string("query: --") + flag + " is required");
+    require(args.has(flag), "query: --", flag, " is required");
     return static_cast<std::uint32_t>(args.get_int(flag, 0));
   };
 
@@ -350,7 +397,7 @@ int cmd_update(const CliArgs& args) {
                       "write is tmp + rename for atomic daemon reloads)");
 
   std::ifstream in(deltas_path);
-  require(in.good(), "update: cannot read '" + deltas_path + "'");
+  require(in.good(), "update: cannot read '", deltas_path, "'");
   std::ostringstream text;
   text << in.rdbuf();
   const check::DeltaStream stream = check::parse_delta_stream(text.str());
@@ -358,8 +405,8 @@ int cmd_update(const CliArgs& args) {
   Graph base;
   if (args.has("edges")) {
     require(stream.base.edges.empty(),
-            "update: --edges given but '" + deltas_path +
-                "' carries its own 'edge' lines — use one base, not both");
+            "update: --edges given but '", deltas_path,
+            "' carries its own 'edge' lines — use one base, not both");
     base = read_edge_list_file(args.get_string("edges", "")).graph;
   } else {
     base = stream.base.build();
@@ -419,7 +466,7 @@ int cmd_tree(const CliArgs& args) {
 int cmd_analyze(const CliArgs& args) {
   for (const char* flag : {"edges", "ixps", "countries", "geo"}) {
     require(args.has(flag),
-            std::string("analyze: --") + flag + " is required");
+            "analyze: --", flag, " is required");
   }
   AsEcosystem eco;
   eco.topology = read_edge_list_file(args.get_string("edges", ""));
@@ -477,6 +524,14 @@ int main(int argc, char** argv) {
     if (command == "help" || command == "--help") {
       return usage(std::cout, 0);
     }
+    const Command* known_command = find_command(command);
+    if (known_command != nullptr) {
+      for (int i = 2; i < argc; ++i) {
+        if (std::string_view(argv[i]) == "--help") {
+          return command_usage(*known_command);
+        }
+      }
+    }
     // CliArgs rejects flags outside this list, so typos (--thread=8) fail
     // loudly instead of silently running with defaults.
     std::vector<std::string> known{
@@ -497,27 +552,11 @@ int main(int argc, char** argv) {
     obs_options.tool = "kcc";
     obs::configure(obs_options);
 
-    int rc = 0;
-    if (command == "generate") {
-      rc = cmd_generate(args);
-    } else if (command == "cpm") {
-      rc = cmd_cpm(args);
-    } else if (command == "tree") {
-      rc = cmd_tree(args);
-    } else if (command == "analyze") {
-      rc = cmd_analyze(args);
-    } else if (command == "info") {
-      rc = cmd_info(args);
-    } else if (command == "serve") {
-      rc = cmd_serve(args);
-    } else if (command == "query") {
-      rc = cmd_query(args);
-    } else if (command == "update") {
-      rc = cmd_update(args);
-    } else {
+    if (known_command == nullptr) {
       std::cerr << "unknown command '" << command << "'\n";
       return usage(std::cerr, 2);
     }
+    const int rc = known_command->run(args);
     obs::finish(obs_options);
     return rc;
   } catch (const std::exception& e) {

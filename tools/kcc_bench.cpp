@@ -430,7 +430,7 @@ void write_report(std::ostream& out, const DriverOptions& o,
 void append_trajectory(const std::string& path, const DriverOptions& o,
                        const std::vector<ConfigResult>& results) {
   std::ofstream out(path, std::ios::app);
-  require(out.good(), "kcc_bench: cannot append to trajectory " + path);
+  require(out.good(), "kcc_bench: cannot append to trajectory ", path);
   const auto now = std::chrono::system_clock::now().time_since_epoch();
   const auto seconds =
       std::chrono::duration_cast<std::chrono::seconds>(now).count();
@@ -452,7 +452,7 @@ void append_trajectory(const std::string& path, const DriverOptions& o,
     out << "}";
   }
   out << "}}\n";
-  require(out.good(), "kcc_bench: failed appending to trajectory " + path);
+  require(out.good(), "kcc_bench: failed appending to trajectory ", path);
 }
 
 // -------------------------------------------------------------- execution
@@ -683,9 +683,9 @@ int run_driver(const DriverOptions& o) {
     fresh_text = report.str();
     if (!o.out.empty()) {
       std::ofstream out(o.out);
-      require(out.good(), "kcc_bench: cannot write " + o.out);
+      require(out.good(), "kcc_bench: cannot write ", o.out);
       out << fresh_text << "\n";
-      require(out.good(), "kcc_bench: failed writing " + o.out);
+      require(out.good(), "kcc_bench: failed writing ", o.out);
       std::cout << "kcc_bench: wrote " << o.out << "\n";
     }
     if (!o.trajectory.empty()) {
@@ -694,7 +694,7 @@ int run_driver(const DriverOptions& o) {
     }
   } else {
     std::ifstream in(o.in);
-    require(in.good(), "kcc_bench: cannot read --in report " + o.in);
+    require(in.good(), "kcc_bench: cannot read --in report ", o.in);
     std::ostringstream buffer;
     buffer << in.rdbuf();
     fresh_text = buffer.str();

@@ -1,6 +1,7 @@
 // kcc_doccheck — the mechanical docs-consistency gate (docs/TESTING.md).
 //
-// Two checks over README.md plus every docs/*.md file:
+// Two checks over README.md plus every docs/*.md file, and one over the
+// C++ sources under src/ and tools/:
 //
 //   1. Flags: every double-dash flag token mentioned anywhere in the docs
 //      must appear in the --help output of kcc, kcc_bench or kcc_fuzz, or
@@ -11,6 +12,11 @@
 //   2. Links: every relative markdown link must resolve to an existing
 //      file or directory (fragments stripped), so renames cannot leave
 //      dead links behind.
+//   3. Eager check messages: every require(...) call must pass its message
+//      as parts, never build it with std::to_string(, std::string( or a
+//      + next to a string literal. require is free when it passes only
+//      because the parts are concatenated on failure; an eagerly built
+//      message would allocate on every call, hot loops included.
 //
 // Findings print as file:line: message, one per line; exit is non-zero if
 // anything failed. Run by the `docs_consistency` ctest with the built
@@ -24,6 +30,8 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <regex>
 #include <set>
 #include <string>
 #include <vector>
@@ -92,15 +100,14 @@ std::vector<std::string> extract_flags(const std::string& text) {
 std::string help_text(const std::string& binary) {
   const std::string command = binary + " --help 2>&1";
   FILE* pipe = ::popen(command.c_str(), "r");
-  require(pipe != nullptr, "kcc_doccheck: cannot run " + command);
+  require(pipe != nullptr, "kcc_doccheck: cannot run ", command);
   std::string text;
   char buf[4096];
   std::size_t n = 0;
   while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) text.append(buf, n);
   const int rc = ::pclose(pipe);
-  require(rc == 0, "kcc_doccheck: '" + command + "' exited with status " +
-                       std::to_string(rc));
-  require(!text.empty(), "kcc_doccheck: '" + command + "' printed nothing");
+  require(rc == 0, "kcc_doccheck: '", command, "' exited with status ", rc);
+  require(!text.empty(), "kcc_doccheck: '", command, "' printed nothing");
   return text;
 }
 
@@ -141,7 +148,7 @@ std::vector<std::string> extract_links(const std::string& text) {
 void check_file(const fs::path& doc, const std::set<std::string>& known,
                 std::vector<Finding>& findings) {
   std::ifstream in(doc);
-  require(in.good(), "kcc_doccheck: cannot read " + doc.string());
+  require(in.good(), "kcc_doccheck: cannot read ", doc.native());
   std::string line;
   std::size_t line_number = 0;
   while (std::getline(in, line)) {
@@ -166,6 +173,119 @@ void check_file(const fs::path& doc, const std::set<std::string>& known,
   }
 }
 
+
+/// `source` with comments blanked and string/char literal bodies blanked
+/// (delimiters kept), newlines preserved, so a scan of the result sees only
+/// code and still counts lines. A ' after an alphanumeric is a digit
+/// separator (2'000'000), not a character literal.
+std::string mask_comments_and_literals(const std::string& source) {
+  std::string out = source;
+  enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
+  State state = State::kCode;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const char c = source[i];
+    const char next = i + 1 < source.size() ? source[i + 1] : '\0';
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && next == '/') {
+          state = State::kLineComment;
+          out[i] = ' ';
+        } else if (c == '/' && next == '*') {
+          state = State::kBlockComment;
+          out[i] = ' ';
+        } else if (c == '"') {
+          state = State::kString;
+        } else if (c == '\'' &&
+                   (i == 0 ||
+                    std::isalnum(static_cast<unsigned char>(source[i - 1])) ==
+                        0)) {
+          state = State::kChar;
+        }
+        break;
+      case State::kLineComment:
+        if (c == '\n') {
+          state = State::kCode;
+        } else {
+          out[i] = ' ';
+        }
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          out[i] = out[i + 1] = ' ';
+          ++i;
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kString:
+      case State::kChar:
+        if (c == '\\' && i + 1 < out.size()) {
+          out[i] = out[i + 1] = ' ';
+          ++i;
+        } else if (c == (state == State::kString ? '"' : '\'')) {
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+    }
+  }
+  return out;
+}
+
+/// True when the message arguments of one require call (masked text after
+/// the condition) build a std::string before the check runs. In masked
+/// text a quote is always a literal's delimiter, so a + next to a quote is
+/// a concatenation with a string literal.
+bool builds_message_eagerly(const std::string& args) {
+  static const std::regex eager(
+      "std::to_string\\(|std::string\\(|\"\\s*\\+|\\+\\s*\"");
+  return std::regex_search(args, eager);
+}
+
+/// Check 3 over one C++ source file: every require(...) whose message
+/// arguments build a string eagerly is a finding at the call's line.
+void lint_source(const fs::path& file, std::vector<Finding>& findings) {
+  std::ifstream in(file, std::ios::binary);
+  require(in.good(), "kcc_doccheck: cannot read ", file.native());
+  const std::string source((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  const std::string code = mask_comments_and_literals(source);
+  const std::string call = "require(";
+  for (std::size_t at = code.find(call); at != std::string::npos;
+       at = code.find(call, at + 1)) {
+    const char before = at > 0 ? code[at - 1] : ' ';
+    if (std::isalnum(static_cast<unsigned char>(before)) != 0 ||
+        before == '_') {
+      continue;
+    }
+    // The call's arguments up to its closing paren; the message starts
+    // after the first top-level comma.
+    std::size_t depth = 1;
+    std::size_t message_start = std::string::npos;
+    std::size_t end = at + call.size();
+    for (; end < code.size() && depth > 0; ++end) {
+      const char c = code[end];
+      if (c == '(' || c == '[' || c == '{') ++depth;
+      if (c == ')' || c == ']' || c == '}') --depth;
+      if (c == ',' && depth == 1 && message_start == std::string::npos) {
+        message_start = end + 1;
+      }
+    }
+    if (message_start == std::string::npos || message_start >= end) continue;
+    if (builds_message_eagerly(
+            code.substr(message_start, end - 1 - message_start))) {
+      const auto line = 1 + std::count(code.begin(), code.begin() + at, '\n');
+      findings.push_back(
+          {file.string(), static_cast<std::size_t>(line),
+           "require() builds its message eagerly; pass the parts instead "
+           "(require(ok, \"text \", value)) so a passing check allocates "
+           "nothing"});
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,14 +300,14 @@ int main(int argc, char** argv) {
     const fs::path root = args.get_string("root", ".");
     require(fs::exists(root / "README.md"),
             "kcc_doccheck: --root does not look like the repo root (no "
-            "README.md under '" +
-                root.string() + "')");
+            "README.md under '",
+            root.native(), "')");
 
     std::set<std::string> known;
     for (const char* flag : {"kcc", "kcc-bench", "kcc-fuzz"}) {
       const std::string binary = args.get_string(flag, "");
       require(!binary.empty(),
-              std::string("kcc_doccheck: --") + flag + " is required");
+              "kcc_doccheck: --", flag, " is required");
       for (const std::string& token : extract_flags(help_text(binary))) {
         known.insert(token);
       }
@@ -203,16 +323,32 @@ int main(int argc, char** argv) {
     std::vector<Finding> findings;
     for (const fs::path& doc : docs) check_file(doc, known, findings);
 
+    std::vector<fs::path> sources;
+    for (const char* dir : {"src", "tools"}) {
+      if (!fs::is_directory(root / dir)) continue;
+      for (const fs::directory_entry& entry :
+           fs::recursive_directory_iterator(root / dir)) {
+        const fs::path ext = entry.path().extension();
+        if (entry.is_regular_file() && (ext == ".cpp" || ext == ".h")) {
+          sources.push_back(entry.path());
+        }
+      }
+    }
+    std::sort(sources.begin(), sources.end());
+    for (const fs::path& source : sources) lint_source(source, findings);
+
     for (const Finding& f : findings) {
       std::cerr << f.file << ":" << f.line << ": " << f.message << "\n";
     }
     if (!findings.empty()) {
       std::cerr << "kcc_doccheck: " << findings.size() << " finding(s) in "
-                << docs.size() << " docs\n";
+                << docs.size() << " docs and " << sources.size()
+                << " sources\n";
       return 1;
     }
     std::cout << "kcc_doccheck: " << docs.size() << " docs consistent ("
-              << known.size() << " known flags)\n";
+              << known.size() << " known flags), " << sources.size()
+              << " sources pass the require lint\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "kcc_doccheck: error: " << e.what() << "\n";

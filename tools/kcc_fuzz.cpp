@@ -93,7 +93,7 @@ check::TestGraph load_corpus_file(const std::filesystem::path& path) {
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream in(path);
   require(static_cast<bool>(in),
-          "kcc_fuzz: cannot read " + path.string());
+          "kcc_fuzz: cannot read ", path.native());
   std::stringstream text;
   text << in.rdbuf();
   return text.str();
@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
               .string();
       std::ofstream out(artifact_path);
       require(static_cast<bool>(out),
-              "kcc_fuzz: cannot write artifact " + artifact_path);
+              "kcc_fuzz: cannot write artifact ", artifact_path);
       out << shrunk.graph.to_edge_list();
       out.close();
       std::cerr << "minimized to " << shrunk.graph.edges.size()
@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
               .string();
       std::ofstream out(artifact_path);
       require(static_cast<bool>(out),
-              "kcc_fuzz: cannot write artifact " + artifact_path);
+              "kcc_fuzz: cannot write artifact ", artifact_path);
       out << churn_failure->repro;
       out.close();
       std::cerr << "delta-stream reproducer ("
