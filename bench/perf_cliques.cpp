@@ -5,8 +5,8 @@
 //
 // Special modes:
 //   perf_cliques --bench-json[=FILE]
-// times the three enumerators (sequential, parallel, streaming) on the
-// test-scale ecosystem graph, checks they produce the same clique list, and
+// times the two enumerators (sequential, parallel) on the test-scale
+// ecosystem graph, checks they produce the same clique list, and
 // writes the machine-readable BENCH_cliques.json snapshot (schema in
 // docs/FORMATS.md) instead of running the registered benchmarks.
 //
@@ -31,7 +31,6 @@
 
 #include "bench_json.h"
 #include "clique/bron_kerbosch.h"
-#include "clique/clique_stream.h"
 #include "clique/enumerator.h"
 #include "clique/parallel_cliques.h"
 #include "common/rng.h"
@@ -145,7 +144,7 @@ int bench_json(const std::string& json_path) {
     double best_ms = 1e100;
     std::size_t cliques = 0;
   };
-  Entry entries[] = {{"sequential"}, {"parallel"}, {"stream"}};
+  Entry entries[] = {{"sequential"}, {"parallel"}};
 
   std::vector<NodeSet> expected;
   for (int round = 0; round < kRounds; ++round) {
@@ -164,22 +163,6 @@ int bench_json(const std::string& json_path) {
       entries[1].cliques = cliques.size();
       if (cliques != expected) {
         std::cerr << "bench-json: FAIL — parallel enumeration differs\n";
-        return 1;
-      }
-    }
-    {
-      ThreadPool pool(0);
-      CliqueStreamOptions options;
-      options.min_size = 2;
-      std::vector<NodeSet> cliques;
-      Timer t;
-      stream_maximal_cliques(g, pool, options, [&](NodeSet&& c) {
-        cliques.push_back(std::move(c));
-      });
-      entries[2].best_ms = std::min(entries[2].best_ms, t.seconds() * 1e3);
-      entries[2].cliques = cliques.size();
-      if (cliques != expected) {
-        std::cerr << "bench-json: FAIL — streaming enumeration differs\n";
         return 1;
       }
     }
@@ -362,8 +345,7 @@ int scaling(const ScalingConfig& config) {
             e.for_each(sink);
           } else {
             ThreadPool pool(t);
-            DigestSink& into = sink;
-            e.stream(pool, into);
+            for (const NodeSet& clique : e.collect(pool)) sink(clique);
           }
           best_ms = std::min(best_ms, timer.seconds() * 1e3);
           cliques = sink.cliques;

@@ -12,13 +12,13 @@
 // is identical to the per-k oracle for every k (communities, clique ids and
 // the nesting tree), prints the all-k extraction speedup, and exits without
 // running the registered benchmarks.
-//   perf_cpm --verify-stream [--json=FILE]
-// runs per_k, sweep, the streaming engine (unbudgeted and under a 1 MiB
-// budget that forces spilling) and almost_exact each in its own forked
-// child, compares an FNV-1a digest of the full structural output (gate: all
-// exact engines must agree; almost_exact is measured but exempt), measures
-// per-engine wall time and peak-RSS growth, and writes the machine-readable
-// BENCH_cpm.json snapshot (schema in docs/FORMATS.md).
+//   perf_cpm --verify-budget [--json=FILE]
+// runs per_k, sweep (unbudgeted and under a 1 MiB --memory-budget that
+// forces spilling) and almost_exact each in its own forked child, compares
+// an FNV-1a digest of the full structural output (gate: all exact runs
+// must agree; almost_exact is measured but exempt), measures per-run wall
+// time and peak-RSS growth, and writes the machine-readable BENCH_cpm.json
+// snapshot (schema in docs/FORMATS.md).
 //   perf_cpm --verify-almost [--json=FILE]
 // scores the almost_exact engine against the exact sweep per graph family:
 // per-k community F1 curves (gate: worst F1 >= 0.99 on every family),
@@ -43,7 +43,6 @@
 #include "cpm/compare.h"
 #include "cpm/engine.h"
 #include "cpm/reference_cpm.h"
-#include "cpm/stream_cpm.h"
 #include "cpm/sweep_cpm.h"
 #include "obs/metrics.h"
 #include "synth/as_topology.h"
@@ -258,7 +257,7 @@ int verify_sweep() {
   return 0;
 }
 
-// -------------------------------------------------------- --verify-stream
+// -------------------------------------------------------- --verify-budget
 
 // FNV-1a over the full structural output, so engine-identity across process
 // boundaries reduces to one integer comparison.
@@ -311,7 +310,7 @@ std::uint64_t digest_result(const CpmResult& cpm, const CommunityTree& tree) {
 // engine name plus the options that distinguish the run.
 struct EngineRun {
   const char* name;                 // registry name, see cpm::engine_registry()
-  std::uint64_t memory_budget = 0;  // stream only
+  std::uint64_t memory_budget = 0;  // sweep only
   std::size_t min_k = 2;            // raised for the high-k comparisons
   bool exact = true;                // exempt from the digest gate when false
 };
@@ -323,8 +322,8 @@ struct ChildReport {
   std::uint64_t peak_rss_delta = 0;  // VmHWM growth during the run
   std::uint64_t digest = 0;
   std::uint64_t communities = 0;
-  std::uint64_t pairs_total = 0;    // stream only, else 0
-  std::uint64_t spilled_pairs = 0;  // stream only, else 0
+  std::uint64_t pairs_total = 0;    // sweep only, else 0
+  std::uint64_t spilled_pairs = 0;  // sweep only, else 0
 };
 
 // Runs one engine end to end (enumeration included) in a forked child and
@@ -352,15 +351,15 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
     std::uint64_t communities = 0;
     std::uint64_t pairs_total = 0;
     std::uint64_t spilled_pairs = 0;
-    if (std::strcmp(config.name, "stream") == 0) {
+    if (std::strcmp(config.name, "sweep") == 0) {
       // Direct call: the facade does not surface the spill statistics.
-      StreamCpmOptions options;
+      CpmOptions options;
       options.memory_budget = config.memory_budget;
       options.min_k = config.min_k;
-      const StreamCpmResult result = run_stream_cpm(g, options);
+      const SweepCpmResult result = run_sweep_cpm(g, options);
       digest = digest_result(result.cpm, result.tree);
       communities = result.cpm.total_communities();
-      pairs_total = result.stats.pairs_total;
+      pairs_total = result.stats.pairs;
       spilled_pairs = result.stats.spilled_pairs;
     } else {
       cpm::Options options;
@@ -396,34 +395,33 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
   return report;
 }
 
-// Compares per_k / sweep / stream / stream-under-budget end to end (plus an
-// almost_exact measurement row): digest identity across the exact engines
+// Compares per_k / sweep / sweep-under-budget end to end (plus an
+// almost_exact measurement row): digest identity across the exact runs
 // gates the exit code; wall and peak-RSS numbers are printed and written to
 // `json_path`. Timing/memory never fail the check (CI machines are noisy) —
 // the committed snapshot is what documents the expectation.
-int verify_stream(const std::string& json_path) {
+int verify_budget(const std::string& json_path) {
   // Small enough that the bench graph's overlap pairs overflow it and the
   // spill path is actually exercised (resident pairs stay under ~1 MiB).
   const std::uint64_t budget = 1024 * 1024;
   const Graph& g = bench_graph();
-  std::cout << "verify-stream: " << g.num_nodes() << " nodes, "
+  std::cout << "verify-budget: " << g.num_nodes() << " nodes, "
             << g.num_edges() << " edges\n";
 
   const EngineRun configs[] = {
       {"per_k"},
       {"sweep"},
-      {"stream"},
-      {"stream", budget},
+      {"sweep", budget},
       {"almost_exact", 0, 2, /*exact=*/false},
   };
-  constexpr int kConfigs = 5;
+  constexpr int kConfigs = 4;
   constexpr int kRounds = 2;
   ChildReport best[kConfigs];
   for (int i = 0; i < kConfigs; ++i) {
     for (int round = 0; round < kRounds; ++round) {
       const ChildReport report = run_engine_in_child(g, configs[i]);
       if (!report.ok) {
-        std::cerr << "verify-stream: FAIL — " << configs[i].name
+        std::cerr << "verify-budget: FAIL — " << configs[i].name
                   << " child did not report\n";
         return 1;
       }
@@ -435,7 +433,7 @@ int verify_stream(const std::string& json_path) {
             std::min(best[i].peak_rss_delta, report.peak_rss_delta);
       }
     }
-    std::cout << "verify-stream: " << configs[i].name;
+    std::cout << "verify-budget: " << configs[i].name;
     if (configs[i].memory_budget > 0) {
       std::cout << " (budget " << configs[i].memory_budget / (1024 * 1024)
                 << "M, " << best[i].spilled_pairs << " pairs spilled)";
@@ -448,14 +446,14 @@ int verify_stream(const std::string& json_path) {
   for (int i = 1; i < kConfigs; ++i) {
     if (!configs[i].exact) continue;  // almost_exact: measured, not gated
     if (best[i].digest != best[0].digest) {
-      std::cerr << "verify-stream: FAIL — " << configs[i].name
+      std::cerr << "verify-budget: FAIL — " << configs[i].name
                 << (configs[i].memory_budget ? " (budgeted)" : "")
                 << " output digest differs from the per-k oracle\n";
       return 1;
     }
   }
-  if (best[3].spilled_pairs == 0) {
-    std::cerr << "verify-stream: FAIL — the budgeted run never spilled; the "
+  if (best[2].spilled_pairs == 0) {
+    std::cerr << "verify-budget: FAIL — the budgeted run never spilled; the "
                  "budget is not exercising the spill path at this scale\n";
     return 1;
   }
@@ -467,19 +465,19 @@ int verify_stream(const std::string& json_path) {
   const double wall_ratio = best[1].wall_ms == 0.0
                                 ? 0.0
                                 : best[2].wall_ms / best[1].wall_ms;
-  std::cout << "verify-stream: OK — identical digests across all exact "
-               "engines\n";
-  std::cout << "verify-stream: stream peak is " << fixed(peak_ratio, 2)
-            << "x below sweep; stream wall is " << fixed(wall_ratio, 2)
-            << "x sweep\n";
+  std::cout << "verify-budget: OK — identical digests across all exact "
+               "runs\n";
+  std::cout << "verify-budget: budgeted peak is " << fixed(peak_ratio, 2)
+            << "x below unbudgeted; budgeted wall is " << fixed(wall_ratio, 2)
+            << "x unbudgeted\n";
 
   std::vector<bench::Json> runs;
   for (int i = 0; i < kConfigs; ++i) {
-    const bool is_stream = std::strcmp(configs[i].name, "stream") == 0;
+    const bool is_sweep = std::strcmp(configs[i].name, "sweep") == 0;
     bench::Json run;
     run.add("engine", configs[i].name);
     run.add("exact", configs[i].exact);
-    if (is_stream) {
+    if (is_sweep) {
       run.add("memory_budget_bytes", configs[i].memory_budget);
     }
     run.add("wall_ms", best[i].wall_ms);
@@ -489,7 +487,7 @@ int verify_stream(const std::string& json_path) {
     std::snprintf(digest, sizeof(digest), "%016llx",
                   static_cast<unsigned long long>(best[i].digest));
     run.add("digest", digest);
-    if (is_stream) {
+    if (is_sweep) {
       run.add("pairs_total", best[i].pairs_total);
       run.add("spilled_pairs", best[i].spilled_pairs);
     }
@@ -500,10 +498,10 @@ int verify_stream(const std::string& json_path) {
   graph.add("nodes", g.num_nodes());
   graph.add("edges", g.num_edges());
   bench::Json derived;
-  derived.add("sweep_over_stream_peak_ratio", peak_ratio);
-  derived.add("stream_over_sweep_wall_ratio", wall_ratio);
+  derived.add("unbudgeted_over_budgeted_peak_ratio", peak_ratio);
+  derived.add("budgeted_over_unbudgeted_wall_ratio", wall_ratio);
   bench::Json doc;
-  doc.add("bench", "perf_cpm --verify-stream");
+  doc.add("bench", "perf_cpm --verify-budget");
   doc.add("manifest", bench::manifest_json(obs::collect_manifest("perf_cpm")));
   doc.add("rounds", static_cast<std::uint64_t>(kRounds));
   doc.add("graph", graph);
@@ -512,11 +510,11 @@ int verify_stream(const std::string& json_path) {
 
   std::ofstream out(json_path);
   if (!out.good()) {
-    std::cerr << "verify-stream: cannot write " << json_path << "\n";
+    std::cerr << "verify-budget: cannot write " << json_path << "\n";
     return 1;
   }
   out << doc.str() << "\n";
-  std::cout << "verify-stream: wrote " << json_path << "\n";
+  std::cout << "verify-budget: wrote " << json_path << "\n";
   return 0;
 }
 
@@ -695,21 +693,21 @@ int verify_almost(const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool verify_stream_mode = false;
+  bool verify_budget_mode = false;
   bool verify_almost_mode = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--verify-sweep") == 0) return verify_sweep();
-    if (std::strcmp(argv[i], "--verify-stream") == 0) {
-      verify_stream_mode = true;
+    if (std::strcmp(argv[i], "--verify-budget") == 0) {
+      verify_budget_mode = true;
     } else if (std::strcmp(argv[i], "--verify-almost") == 0) {
       verify_almost_mode = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     }
   }
-  if (verify_stream_mode) {
-    return verify_stream(json_path.empty() ? "BENCH_cpm.json" : json_path);
+  if (verify_budget_mode) {
+    return verify_budget(json_path.empty() ? "BENCH_cpm.json" : json_path);
   }
   if (verify_almost_mode) {
     return verify_almost(json_path.empty() ? "BENCH_cpm_almost.json"

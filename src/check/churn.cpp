@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
-#include <sstream>
 #include <utility>
 
 #include "check/differential.h"
 #include "clique/enumerator.h"
 #include "common/error.h"
 #include "cpm/engine.h"
+#include "io/delta_stream.h"
 #include "obs/metrics.h"
 
 namespace kcc::check {
@@ -125,7 +125,8 @@ ChurnOutcome run_schedule(
     outcome.failure = outcome.label + " batch " +
                       std::to_string(batch_index + 1) + "/" +
                       std::to_string(num_batches) + ": " + std::move(what);
-    outcome.repro = to_delta_stream(base, schedule);
+    outcome.repro = write_delta_stream(
+        DeltaStream{base.name, base.num_nodes, base.edges, schedule});
   };
 
   for (std::size_t b = 0; b < num_batches && outcome.ok(); ++b) {
@@ -195,86 +196,6 @@ ChurnOutcome run_schedule(
 
 }  // namespace
 
-std::string to_delta_stream(const TestGraph& base,
-                            const std::vector<EdgeBatch>& schedule) {
-  std::ostringstream out;
-  out << "# " << base.name << '\n';
-  out << "nodes " << base.num_nodes << '\n';
-  for (const Edge& e : base.edges) {
-    out << "edge " << e.first << ' ' << e.second << '\n';
-  }
-  for (const EdgeBatch& batch : schedule) {
-    for (const auto& e : batch.remove) {
-      out << "remove " << e.first << ' ' << e.second << '\n';
-    }
-    for (const auto& e : batch.add) {
-      out << "add " << e.first << ' ' << e.second << '\n';
-    }
-    out << "commit\n";
-  }
-  return out.str();
-}
-
-DeltaStream parse_delta_stream(const std::string& text) {
-  DeltaStream stream;
-  EdgeBatch batch;
-  bool batch_open = false;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      if (stream.base.name.empty()) {
-        // The first comment doubles as the provenance label.
-        std::istringstream words(line.substr(hash + 1));
-        std::string word, joined;
-        while (words >> word) {
-          if (!joined.empty()) joined += ' ';
-          joined += word;
-        }
-        stream.base.name = joined;
-      }
-      line.erase(hash);
-    }
-    std::istringstream tokens(line);
-    std::string op;
-    if (!(tokens >> op)) continue;
-    const std::string where = "delta stream line " + std::to_string(line_no);
-    auto parse_pair = [&]() {
-      std::uint64_t u = 0, v = 0;
-      require(static_cast<bool>(tokens >> u >> v),
-              where, ": '", op, "' needs two node ids");
-      return Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)};
-    };
-    if (op == "nodes") {
-      std::uint64_t n = 0;
-      require(static_cast<bool>(tokens >> n), where, ": 'nodes' needs a count");
-      stream.base.num_nodes = n;
-    } else if (op == "edge") {
-      require(!batch_open && stream.batches.empty(),
-              where, ": 'edge' must precede the first batch op");
-      stream.base.edges.push_back(parse_pair());
-    } else if (op == "add") {
-      batch.add.push_back(parse_pair());
-      batch_open = true;
-    } else if (op == "remove") {
-      batch.remove.push_back(parse_pair());
-      batch_open = true;
-    } else if (op == "commit") {
-      stream.batches.push_back(std::move(batch));
-      batch = {};
-      batch_open = false;
-    } else {
-      throw Error(where + ": unknown op '" + op +
-                  "' (nodes|edge|add|remove|commit)");
-    }
-  }
-  if (batch_open) stream.batches.push_back(std::move(batch));
-  if (stream.base.name.empty()) stream.base.name = "delta";
-  return stream;
-}
-
 ChurnOutcome run_churn_differential(std::uint64_t seed, std::size_t index,
                                     const ChurnOptions& options) {
   const TestGraph base = generate_graph(seed, index);
@@ -314,9 +235,10 @@ ChurnOutcome replay_churn_delta(const std::string& text,
   cpm::Options engine_options;
   engine_options.threads = options.threads;
   return run_schedule(
-      stream.base, stream.batches.size(),
+      TestGraph{stream.name, stream.num_nodes, stream.edges},
+      stream.batches.size(),
       [&](const TestGraph&, std::size_t b) { return stream.batches[b]; },
-      engine_options, "churn-replay:" + stream.base.name, options);
+      engine_options, "churn-replay:" + stream.name, options);
 }
 
 }  // namespace kcc::check

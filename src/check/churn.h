@@ -23,8 +23,9 @@
 // deterministically. On failure the whole run is captured as a *delta
 // stream* — initial graph plus the batch schedule truncated to the failing
 // batch — the committed-reproducer format under tests/corpus/*.delta
-// (grammar in docs/FORMATS.md#delta-streams), replayable byte-for-byte
-// with replay_churn_delta (kcc_fuzz does this for every committed .delta).
+// (grammar in docs/FORMATS.md#delta-streams, reader and writer in
+// io/delta_stream.h), replayable byte-for-byte with replay_churn_delta
+// (kcc_fuzz does this for every committed .delta).
 //
 // The KCC_CHECK_INJECT_FAULT hook (differential.h) applies here too: the
 // first batch whose incremental result has a corruptible record gets one
@@ -72,23 +73,6 @@ struct ChurnOutcome {
 
   bool ok() const { return failure.empty(); }
 };
-
-/// A parsed delta stream: initial graph plus the batch schedule.
-struct DeltaStream {
-  TestGraph base;
-  std::vector<cpm::EdgeBatch> batches;
-};
-
-/// Serializes an initial graph and batch schedule as a delta stream
-/// ("# name", "nodes N", "edge u v"..., then per batch "remove u v" /
-/// "add u v" lines closed by "commit").
-std::string to_delta_stream(const TestGraph& base,
-                            const std::vector<cpm::EdgeBatch>& schedule);
-
-/// Parses a delta stream; throws kcc::Error on malformed input. Trailing
-/// ops without a closing "commit" form a final batch; the first comment
-/// line doubles as the provenance label.
-DeltaStream parse_delta_stream(const std::string& text);
 
 /// Runs schedule `index` for `seed`: base graph generate_graph(seed, index),
 /// batch size / threads / backend / k range derived from `index`,

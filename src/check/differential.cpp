@@ -8,7 +8,7 @@
 #include "clique/enumerator.h"
 #include "common/error.h"
 #include "cpm/compare.h"
-#include "cpm/stream_cpm.h"
+#include "cpm/sweep_cpm.h"
 #include "obs/metrics.h"
 
 namespace kcc::check {
@@ -66,7 +66,7 @@ std::vector<Variant> build_matrix(std::size_t min_k, std::size_t max_k,
       // Forced spill: the smallest budget the engine accepts, so overlap
       // pairs round-trip through the spill files.
       Variant v = make(info.name + "/t1/spill", info.name, 1, sparse);
-      v.options.memory_budget = stream_min_memory_budget();
+      v.options.memory_budget = sweep_min_memory_budget();
       matrix.push_back(v);
       matrix.push_back(make(info.name + "/tN/auto", info.name, diff.threads,
                             clique::Backend::kAuto));

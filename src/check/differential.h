@@ -64,7 +64,7 @@ struct DiffOptions {
 };
 
 struct DiffOutcome {
-  /// Variant labels that were executed, e.g. "sweep/t1", "stream/t1/spill".
+  /// Variant labels that were executed, e.g. "sweep/t1", "sweep/t1/spill".
   std::size_t variants_run = 0;
   std::uint64_t invariants_checked = 0;
   /// Worst per-k community F1 any approximate engine scored against the

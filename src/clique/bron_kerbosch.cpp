@@ -344,22 +344,7 @@ void enumerate_sequential(const EnumContext& ctx, const CliqueSinkRef& sink) {
 }  // namespace clique
 
 // ---------------------------------------------------------------------------
-// Deprecated std::function wrappers (see bron_kerbosch.h). New code should
-// construct a clique::Enumerator directly.
-
-void for_each_maximal_clique(const Graph& g, const CliqueVisitor& visit,
-                             std::size_t min_size) {
-  clique::Options options;
-  options.min_size = min_size;
-  const clique::Enumerator e(g, options);
-  // One reusable buffer bridges the span-based sink to the NodeSet-based
-  // legacy visitor without a per-clique allocation.
-  NodeSet buf;
-  e.for_each([&](std::span<const NodeId> clique) {
-    buf.assign(clique.begin(), clique.end());
-    visit(buf);
-  });
-}
+// Conveniences over clique::Enumerator (see bron_kerbosch.h).
 
 std::vector<NodeSet> maximal_cliques(const Graph& g, std::size_t min_size) {
   clique::Options options;

@@ -6,16 +6,13 @@
 // [18:28]; all k-clique communities are derived from the maximal-clique set
 // (see cpm/cpm.h for why that is sound).
 //
-// DEPRECATED INTERFACE. The std::function-based entry points below are thin
-// wrappers kept for source compatibility; the enumeration itself lives
-// behind clique::Enumerator (clique/enumerator.h), which adds the
-// sparse/bitset backend knob and the allocation-free CliqueSink reporting
-// path. New code should construct an Enumerator; see docs/ALGORITHMS.md for
-// the migration recipe.
+// The enumeration itself lives behind clique::Enumerator
+// (clique/enumerator.h), which adds the sparse/bitset backend knob and the
+// allocation-free CliqueSink reporting path; the functions below are
+// one-line conveniences over it.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "common/types.h"
@@ -23,20 +20,9 @@
 
 namespace kcc {
 
-/// Visitor invoked once per maximal clique. The referenced set is sorted and
-/// only valid for the duration of the call.
-/// Deprecated: prefer a CliqueSink callable taking std::span<const NodeId>
-/// (clique/enumerator.h) — no std::function indirection on the hot path.
-using CliqueVisitor = std::function<void(const NodeSet&)>;
-
-/// Enumerates every maximal clique of `g` with at least `min_size` nodes.
-/// Isolated nodes are size-1 maximal cliques. The visit order is
-/// deterministic (outer loop follows the degeneracy ordering).
-void for_each_maximal_clique(const Graph& g, const CliqueVisitor& visit,
-                             std::size_t min_size = 1);
-
-/// Convenience wrapper collecting the cliques. Each clique is sorted; the
-/// list order is deterministic.
+/// Every maximal clique of `g` with at least `min_size` nodes (isolated
+/// nodes are size-1 maximal cliques). Each clique is sorted; the list order
+/// is deterministic (it follows the degeneracy ordering).
 std::vector<NodeSet> maximal_cliques(const Graph& g, std::size_t min_size = 1);
 
 /// Size of the largest clique in `g` (0 for the empty graph). Runs the

@@ -1,9 +1,8 @@
 // Internal: the shared enumeration core behind clique::Enumerator. The
-// sequential (bron_kerbosch.cpp), parallel (parallel_cliques.cpp) and
-// streaming (clique_stream.cpp) drivers all funnel through
-// enumerate_vertex_subproblem, which dispatches each degeneracy-ordered
-// vertex subproblem to the bitset or sparse kernel. Not part of the public
-// API.
+// sequential (bron_kerbosch.cpp) and parallel (parallel_cliques.cpp)
+// drivers both funnel through enumerate_vertex_subproblem, which
+// dispatches each degeneracy-ordered vertex subproblem to the bitset or
+// sparse kernel. Not part of the public API.
 #pragma once
 
 #include <cstddef>
@@ -72,13 +71,5 @@ void enumerate_sequential(const EnumContext& ctx, const CliqueSinkRef& sink);
 /// per-position batches merged in degeneracy-position order.
 std::vector<NodeSet> collect_parallel(const EnumContext& ctx,
                                       ThreadPool& pool);
-
-/// Windowed streaming enumeration (see clique/clique_stream.h for the
-/// double-buffer protocol). `sink` runs on the calling thread. Returns the
-/// number of windows processed. `window_positions` must be >= 1.
-std::size_t stream_enumerate(const EnumContext& ctx, ThreadPool& pool,
-                             std::size_t window_positions,
-                             const CliqueSinkRef& sink,
-                             const WindowFn& window_done);
 
 }  // namespace kcc::clique::detail

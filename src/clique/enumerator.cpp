@@ -1,7 +1,5 @@
 #include "clique/enumerator.h"
 
-#include <algorithm>
-
 #include "clique/bron_kerbosch_internal.h"
 #include "common/error.h"
 
@@ -85,20 +83,6 @@ std::vector<NodeSet> Enumerator::collect() const {
 std::vector<NodeSet> Enumerator::collect(ThreadPool& pool) const {
   return detail::collect_parallel(
       make_context(g_, deg_, bits_.get(), options_), pool);
-}
-
-std::size_t Enumerator::stream_ref(ThreadPool& pool, const CliqueSinkRef& sink,
-                                   const WindowFn& window_done) const {
-  std::size_t window = options_.window_positions;
-  if (window == 0) {
-    // Enough positions that every worker gets several chunks per window,
-    // small enough that two windows of slots stay a modest fraction of the
-    // full clique table on large graphs.
-    window = std::clamp<std::size_t>(pool.thread_count() * 256, 1024, 16384);
-  }
-  return detail::stream_enumerate(
-      make_context(g_, deg_, bits_.get(), options_), pool, window, sink,
-      window_done);
 }
 
 }  // namespace kcc::clique

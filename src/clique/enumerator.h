@@ -1,17 +1,15 @@
 // clique::Enumerator — the one front door to maximal-clique enumeration.
 //
-// Historically the clique layer exposed three free functions
-// (maximal_cliques, parallel_maximal_cliques, stream_maximal_cliques), each
-// reporting cliques through a type-erased std::function visitor — one heap
-// allocation to build and an indirect, non-inlinable call per clique. The
-// Enumerator facade replaces that with:
+// Historically the clique layer reported cliques through a type-erased
+// std::function visitor — one heap allocation to build and an indirect,
+// non-inlinable call per clique. The Enumerator facade replaces that with:
 //
 //  * a CliqueSink concept: any callable taking std::span<const NodeId>.
 //    The templated entry points erase the sink into a CliqueSinkRef (a raw
 //    context + function-pointer pair — no allocation, trivially copyable)
 //    exactly once per enumeration, and the hot kernels emit through it;
-//  * batch emission: the parallel and streaming drivers buffer cliques in
-//    flat CliqueBatch arenas (one node array + offsets per degeneracy slot)
+//  * batch emission: the parallel driver buffers cliques in flat
+//    CliqueBatch arenas (one node array + offsets per degeneracy slot)
 //    instead of one heap NodeSet per clique;
 //  * a backend knob: the same degeneracy-ordered Bron–Kerbosch/Tomita
 //    recursion runs either over sorted-id merge intersections (`sparse`,
@@ -19,12 +17,12 @@
 //    (`bitset`, with popcount pivot scoring and a sparse fallback for hub
 //    subproblems whose universe exceeds Options::bitset_max_universe).
 //    `auto` resolves per graph. All backends visit the same cliques in the
-//    same deterministic order, for any thread count and window size —
+//    same deterministic order, for any thread count —
 //    cpm::canonical_digest is backend-independent, and check::differential
 //    crosses backends to prove it on every graph family.
 //
-// The legacy free functions remain as thin deprecated wrappers; new code
-// should construct an Enumerator:
+// maximal_cliques / parallel_maximal_cliques remain as one-line
+// conveniences over it; new code should construct an Enumerator:
 //
 //   clique::Options o;
 //   o.min_size = 2;
@@ -32,13 +30,11 @@
 //   clique::Enumerator e(g, o);
 //   e.for_each([&](std::span<const NodeId> q) { use(q); });   // sequential
 //   auto cliques = e.collect(pool);                            // parallel
-//   e.stream(pool, sink, on_window);                           // windowed
 #pragma once
 
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -72,7 +68,7 @@ concept CliqueSink = std::invocable<S&, std::span<const NodeId>>;
 /// Non-owning type-erased view of a CliqueSink: a context pointer plus a
 /// function pointer. Built once per enumeration at the templated API
 /// boundary, so the compiled kernels pay one indirect call per clique and
-/// zero allocations — unlike std::function, which the legacy visitors used.
+/// zero allocations — unlike a std::function visitor.
 class CliqueSinkRef {
  public:
   template <typename S>
@@ -90,8 +86,8 @@ class CliqueSinkRef {
 };
 
 /// Flat clique buffer: one contiguous node array plus offsets. The parallel
-/// and streaming drivers fill one batch per degeneracy slot (two vector
-/// appends per clique instead of a heap NodeSet each) and replay them in
+/// driver fills one batch per degeneracy slot (two vector appends per
+/// clique instead of a heap NodeSet each) and replays them in
 /// deterministic slot order.
 class CliqueBatch {
  public:
@@ -123,9 +119,6 @@ class CliqueBatch {
   std::vector<std::uint64_t> offsets_{0};
 };
 
-/// Called after each streaming window has been fully drained.
-using WindowFn = std::function<void(std::size_t windows_done)>;
-
 struct Options {
   /// Cliques smaller than this are not reported (>= 1). Isolated nodes are
   /// size-1 maximal cliques.
@@ -139,11 +132,6 @@ struct Options {
   /// ~max_universe^2/8 bytes. 0 picks the default (2048, i.e. <= 512 KiB of
   /// row blocks). Only meaningful for the bitset backend.
   std::size_t bitset_max_universe = 0;
-
-  /// stream() only: degeneracy positions per enumeration window; 0 picks a
-  /// default sized to keep every pool worker busy while bounding resident
-  /// slots.
-  std::size_t window_positions = 0;
 };
 
 class Enumerator {
@@ -179,21 +167,9 @@ class Enumerator {
   /// order — output is identical to collect() for any thread count.
   std::vector<NodeSet> collect(ThreadPool& pool) const;
 
-  /// Windowed streaming enumeration: while `sink` drains window w on the
-  /// calling thread, `pool` enumerates window w+1. At most two windows of
-  /// batches are resident. Returns the number of windows processed.
-  template <CliqueSink S>
-  std::size_t stream(ThreadPool& pool, S&& sink,
-                     const WindowFn& window_done = {}) const {
-    CliqueSinkRef ref(sink);
-    return stream_ref(pool, ref, window_done);
-  }
-
-  /// Type-erased cores behind the templated entry points. Usable directly
-  /// when a CliqueSinkRef is already at hand.
+  /// Type-erased core behind for_each. Usable directly when a CliqueSinkRef
+  /// is already at hand.
   void for_each_ref(const CliqueSinkRef& sink) const;
-  std::size_t stream_ref(ThreadPool& pool, const CliqueSinkRef& sink,
-                         const WindowFn& window_done) const;
 
  private:
   const Graph& g_;

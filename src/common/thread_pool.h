@@ -53,9 +53,9 @@ class ThreadPool {
 
 /// Tracks a subset of jobs submitted to a pool so a caller can wait for
 /// *its* jobs only. ThreadPool::wait_idle() drains the whole queue, which
-/// serialises pipelines that keep more than one batch in flight (the
-/// streaming CPM engine enumerates window w+1 while window w is being
-/// joined); a TaskGroup waits for exactly the jobs routed through it.
+/// serialises pipelines that keep more than one batch in flight; a
+/// TaskGroup waits for exactly the jobs routed through it
+/// (parallel_for_dynamic runs on one).
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}

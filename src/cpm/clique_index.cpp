@@ -69,21 +69,37 @@ std::size_t overlaps_for_clique(const std::vector<NodeSet>& cliques,
 
 }  // namespace
 
+void for_each_clique_overlaps(
+    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
+    std::size_t min_overlap,
+    const std::function<void(std::span<const CliqueOverlap>)>& sink) {
+  require(min_overlap >= 1, "compute_clique_overlaps: min_overlap must be >= 1");
+  KCC_SPAN("cpm/overlap_join");
+  const auto index = build_node_clique_index(cliques, num_nodes);
+  std::vector<std::uint32_t> hit_count(cliques.size(), 0);
+  std::vector<CliqueId> touched;
+  std::vector<CliqueOverlap> pairs;
+  std::uint64_t candidates = 0;
+  std::uint64_t emitted = 0;
+  for (CliqueId b = 0; b < cliques.size(); ++b) {
+    pairs.clear();
+    candidates += overlaps_for_clique(cliques, index, b, min_overlap,
+                                      hit_count, touched, pairs);
+    emitted += pairs.size();
+    sink(pairs);
+  }
+  overlap_metrics().candidates.inc(candidates);
+  overlap_metrics().pairs.inc(emitted);
+}
+
 std::vector<CliqueOverlap> compute_clique_overlaps_sequential(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
     std::size_t min_overlap) {
-  require(min_overlap >= 1, "compute_clique_overlaps: min_overlap must be >= 1");
-  const auto index = build_node_clique_index(cliques, num_nodes);
   std::vector<CliqueOverlap> out;
-  std::vector<std::uint32_t> hit_count(cliques.size(), 0);
-  std::vector<CliqueId> touched;
-  std::uint64_t candidates = 0;
-  for (CliqueId b = 0; b < cliques.size(); ++b) {
-    candidates += overlaps_for_clique(cliques, index, b, min_overlap,
-                                      hit_count, touched, out);
-  }
-  overlap_metrics().candidates.inc(candidates);
-  overlap_metrics().pairs.inc(out.size());
+  for_each_clique_overlaps(cliques, num_nodes, min_overlap,
+                           [&](std::span<const CliqueOverlap> pairs) {
+                             out.insert(out.end(), pairs.begin(), pairs.end());
+                           });
   std::sort(out.begin(), out.end(), [](const CliqueOverlap& x, const CliqueOverlap& y) {
     return x.a != y.a ? x.a < y.a : x.b < y.b;
   });

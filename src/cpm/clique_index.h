@@ -11,6 +11,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -37,11 +39,21 @@ std::vector<CliqueOverlap> compute_clique_overlaps(
 /// Same pair set without the final (a, b) sort — the pair ORDER depends on
 /// the shard count (i.e. on `pool.thread_count()`), only the set is
 /// deterministic. For consumers that impose their own order anyway (the
-/// sweep engine counting-sorts by overlap) this skips the dominant
+/// incremental engine's overlap lists) this skips the dominant
 /// O(P log P) step of the join.
 std::vector<CliqueOverlap> compute_clique_overlaps_unsorted(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
     std::size_t min_overlap, ThreadPool& pool);
+
+/// The sequential join, one clique at a time in id order: after clique b is
+/// counted against the index of every earlier clique, `sink` receives b's
+/// pairs (a < b, overlap >= min_overlap; the span is only valid during the
+/// call). The sweep engine buckets pairs as they arrive instead of holding
+/// a flat pair list.
+void for_each_clique_overlaps(
+    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
+    std::size_t min_overlap,
+    const std::function<void(std::span<const CliqueOverlap>)>& sink);
 
 /// Sequential variant (used by tests and the single-thread ablation bench).
 std::vector<CliqueOverlap> compute_clique_overlaps_sequential(

@@ -91,11 +91,11 @@ struct EngineInfo {
 };
 
 /// All registered engines, built-ins first, in registration order. The
-/// built-ins: sweep (default; single descending-k union-find sweep over the
-/// sorted overlap list, tree in the same pass), stream (same sweep but
-/// cliques stream through a bounded windowed channel with optional
-/// spill-to-disk under --memory-budget), per_k (one independent percolation
-/// per k; the original LP-CPM structure, kept as the reference oracle),
+/// built-ins: sweep (default; single descending-k union-find sweep over
+/// overlap pairs born into per-overlap buckets, tree in the same pass,
+/// optional spill-to-disk under --memory-budget), per_k (one independent
+/// percolation per k; the original LP-CPM structure, kept as the reference
+/// oracle),
 /// incremental (live clique/overlap state patched under edge batches —
 /// cpm/incr_cpm.h — materialized through the sweep tail; exact,
 /// lexicographic clique order), almost_exact (Baudin et al. 2021
@@ -116,21 +116,9 @@ const EngineInfo& engine_info(const std::string& name);
 /// for out-of-tree experiments; the built-ins are always present.
 void register_engine(EngineInfo info);
 
-/// "sweep|stream|per_k|almost_exact|reference" — the registered names
+/// "sweep|per_k|incremental|almost_exact|reference" — the registered names
 /// joined with `sep`, for help/error text.
 std::string engine_names_joined(char sep = '|');
-
-/// DEPRECATED closed enum kept as a compatibility shim over the registry;
-/// new code should use the string names / EngineInfo directly. Engines
-/// registered at runtime have no EngineKind.
-enum class EngineKind { kSweep, kStream, kPerK, kAlmostExact, kReference };
-
-/// DEPRECATED: registry-backed name of a built-in engine kind.
-const char* engine_name(EngineKind kind);
-
-/// DEPRECATED: parses a built-in engine name to the legacy enum; throws
-/// kcc::Error otherwise. Prefer engine_info(name).
-EngineKind parse_engine(const std::string& name);
 
 struct Options {
   /// Smallest community order to extract (>= 2).
@@ -162,15 +150,14 @@ struct Options {
   /// clique::Options::bitset_max_universe).
   std::size_t bitset_max_universe = 0;
 
-  /// Streaming engine only: cap on resident overlap-pair bytes; 0 means
-  /// unlimited. Non-zero budgets below stream_min_memory_budget() are
-  /// rejected. Other engines ignore it.
+  /// Engines with caps.supports_memory_budget (sweep) only: cap on
+  /// resident overlap-pair bytes; 0 means unlimited. Non-zero budgets below
+  /// sweep_min_memory_budget() are rejected. Other engines ignore it.
   std::uint64_t memory_budget = 0;
 
-  /// Streaming engine only: directory for spill files (empty = system
-  /// temp directory). Must exist and be writable — validated at
-  /// Engine::run entry so a bad path fails before any work, not at the
-  /// first spill.
+  /// Same engines only: directory for spill files (empty = system temp
+  /// directory). Must exist and be writable — validated at Engine::run
+  /// entry so a bad path fails before any work, not at the first spill.
   std::string spill_dir;
 
   /// Weighted runs (Engine::run_weighted) keep only k-cliques whose
@@ -184,7 +171,8 @@ struct Options {
   /// Skip tree assembly (Result::has_tree stays false).
   bool build_tree = true;
 
-  /// Projection onto the legacy per-engine option struct.
+  /// Projection onto the legacy per-engine option struct (k range and
+  /// threads; the sweep engine adds the budget fields itself).
   CpmOptions cpm_options() const;
 };
 

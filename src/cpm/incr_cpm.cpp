@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -131,6 +132,12 @@ void IncrementalCpm::validate(const EdgeBatch& batch) const {
             "IncrementalCpm::apply: self-loop in add (", e.first, ", ",
             e.second, ")");
     e = canon(e);
+    // The per-node arrays grow to the largest id + 1, which the largest
+    // NodeId cannot have.
+    require(e.second < std::numeric_limits<NodeId>::max(),
+            "IncrementalCpm::apply: node id out of range in add (", e.first,
+            ", ", e.second, "); ids must be below ",
+            std::numeric_limits<NodeId>::max());
     require(!adjacent(e.first, e.second),
             "IncrementalCpm::apply: add of already-present edge (", e.first,
             ", ", e.second, ")");

@@ -1,6 +1,6 @@
 // Internals shared by the CPM engines (per-k percolation in cpm.cpp, the
-// single-sweep engine in sweep_cpm.cpp and the streaming engine in
-// stream_cpm.cpp): canonical community ordering, the k = 2
+// single-sweep engine in sweep_cpm.cpp and the almost-exact engine in
+// almost_cpm.cpp): canonical community ordering, the k = 2
 // connected-components special case, option validation, the descending-k
 // level emitter / snapshotter shared by the sweep-style engines, and the
 // common metrics hooks. Not part of the public API — include cpm/cpm.h or
@@ -49,7 +49,7 @@ std::size_t resolve_max_k(std::size_t min_k, std::size_t max_k,
 /// Groups live cliques by union-find root into one level-k CommunitySet.
 /// The root → community-slot scratch map is epoch-stamped, so each snapshot
 /// is O(|live|) with no per-level clearing; the union-find itself is never
-/// copied or rolled back. Shared by the sweep and stream engines.
+/// copied or rolled back. Shared by the sweep-style engines.
 class SweepSnapshotter {
  public:
   explicit SweepSnapshotter(std::size_t num_cliques);
@@ -71,9 +71,10 @@ class SweepSnapshotter {
 /// result.max_k down to max(3, result.min_k), then optionally the k = 2
 /// level — canonicalises each, wires the nesting parents of the level
 /// above through its representative cliques, and assembles the community
-/// tree. Both the single-sweep and the streaming engine emit through this
-/// class, which is what keeps their output byte-identical to each other
-/// (and, by the sweep-vs-oracle tests, to the per-k engine).
+/// tree. The single-sweep engine (and through it the incremental engine)
+/// and the almost-exact engine emit through this class, which is what
+/// keeps the exact ones byte-identical to each other (and, by the
+/// sweep-vs-oracle tests, to the per-k engine).
 /// `result.min_k`, `result.max_k` and `result.by_k` must be sized before
 /// construction; `result.cliques` must hold the full clique table.
 class DescendingLevelEmitter {

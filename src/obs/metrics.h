@@ -164,9 +164,9 @@ MetricsRegistry& metrics();
 std::uint64_t peak_rss_bytes();
 
 /// Current resident set size in bytes (Linux VmRSS; 0 where unsupported).
-/// The streaming CPM engine samples this into the `cpm_stream_rss_bytes`
-/// gauge at window boundaries, so the gauge's max tracks the peak footprint
-/// of the run itself rather than of the whole process lifetime.
+/// The sweep samples this into the `cpm_sweep_rss_bytes` gauge when its
+/// pair store peaks, so the gauge's max tracks the peak footprint of the
+/// run itself rather than of the whole process lifetime.
 std::uint64_t current_rss_bytes();
 
 }  // namespace kcc::obs

@@ -129,7 +129,7 @@ TEST(EngineRegistry, RegisterEngineRejectsDuplicates) {
 
 TEST(EngineOptionsSpill, BadSpillDirFailsAtRunEntry) {
   cpm::Options options;
-  options.engine = "stream";
+  options.engine = "sweep";
   options.spill_dir = "/nonexistent/kcc-spill-dir";
   const cpm::Engine engine(options);
   const Graph g = complete_graph(4);
@@ -145,10 +145,10 @@ TEST(EngineOptionsSpill, BadSpillDirFailsAtRunEntry) {
 }
 
 TEST(EngineOptionsSpill, EnginesWithoutBudgetSupportIgnoreSpillDir) {
-  // The flag is a stream-only knob; engines that never spill must not
+  // The flag is a sweep-only knob; engines that never spill must not
   // reject an unrelated path.
   cpm::Options options;
-  options.engine = "sweep";
+  options.engine = "per_k";
   options.spill_dir = "/nonexistent/kcc-spill-dir";
   const cpm::Result result = cpm::Engine(options).run(complete_graph(4));
   EXPECT_EQ(result.cpm.max_k, 4u);

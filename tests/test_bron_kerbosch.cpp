@@ -223,15 +223,12 @@ TEST(Enumerator, ForEachMatchesCollect) {
   EXPECT_EQ(seen, e.collect());
 }
 
-TEST(Enumerator, LegacyWrappersMatchFacade) {
+TEST(Enumerator, ConveniencesMatchFacade) {
   const Graph g = random_graph(45, 0.2, 17);
   EXPECT_EQ(maximal_cliques(g), clique::Enumerator(g).collect());
   clique::Options opts;
   opts.min_size = 3;
   EXPECT_EQ(maximal_cliques(g, 3), clique::Enumerator(g, opts).collect());
-  std::vector<NodeSet> visited;
-  for_each_maximal_clique(g, [&](const NodeSet& c) { visited.push_back(c); });
-  EXPECT_EQ(visited, clique::Enumerator(g).collect());
 }
 
 TEST(ReferenceEnumerator, AllKCliquesOnCompleteGraph) {

@@ -51,11 +51,12 @@ cpm::Result run(const std::string& engine, const Graph& g,
 TEST(EngineOptions, RegistryListsTheBuiltins) {
   const std::vector<std::string> names = all_engines();
   for (const char* expected :
-       {"sweep", "stream", "per_k", "almost_exact", "reference"}) {
+       {"sweep", "per_k", "incremental", "almost_exact", "reference"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;
   }
   EXPECT_EQ(cpm::find_engine("bogus"), nullptr);
+  EXPECT_EQ(cpm::find_engine("stream"), nullptr);  // folded into sweep
   EXPECT_THROW(cpm::engine_info("bogus"), Error);
   cpm::Options options;
   options.engine = "bogus";

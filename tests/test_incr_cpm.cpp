@@ -304,6 +304,26 @@ TEST(IncrCpm, RegistryEngineIsExactAndCoversThePatchPath) {
   EXPECT_EQ(cpm::canonical_text(run), sweep_digest(g));
 }
 
+TEST(IncrCpm, RejectsTheLargestNodeIdInsteadOfWrapping) {
+  // Growing the per-node arrays to id + 1 wraps to 0 for the largest
+  // NodeId; the batch must be rejected before anything is touched.
+  IncrementalCpm state(testing::complete_graph(4));
+  const std::string before = digest(state);
+  EdgeBatch batch;
+  batch.add.emplace_back(0xFFFFFFFFu, 2);
+  try {
+    state.apply(batch);
+    FAIL() << "expected kcc::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "IncrementalCpm::apply: node id out of range in add (2, "
+              "4294967295); ids must be below 4294967295");
+  }
+  EXPECT_EQ(state.num_nodes(), 4u);
+  EXPECT_EQ(state.num_edges(), 6u);
+  EXPECT_EQ(digest(state), before);
+}
+
 TEST(IncrCpm, NodeUniverseGrowsWithAddedEdges) {
   IncrementalCpm state(Graph::from_edges(0, {}));
   EdgeBatch batch;

@@ -1,6 +1,7 @@
 // Malformed-input hardening for the loaders: every bad line in an edge
-// list must fail loudly with the offending line number (never be silently
-// skipped), and the CSV writer must reject structural misuse. Runs under
+// list or a delta stream must fail loudly with the offending line number
+// (never be silently skipped or narrowed), and the CSV writer must reject
+// structural misuse. Runs under
 // the sanitize label so the parsers also get exercised under TSan/ASan.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "common/error.h"
 #include "io/csv.h"
+#include "io/delta_stream.h"
 #include "io/edge_list.h"
 
 namespace kcc {
@@ -203,6 +205,81 @@ TEST(EdgeListTokenizer, MatchesTheIstringstreamParser) {
 
 TEST(EdgeListMalformed, MissingFileThrows) {
   EXPECT_THROW(read_edge_list_file("/nonexistent/nope.txt"), Error);
+}
+
+// ---------------------------------------------------------- delta streams
+
+std::string delta_error_of(const std::string& text) {
+  try {
+    parse_delta_stream(text);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected parse_delta_stream to throw on: " << text;
+  return "";
+}
+
+TEST(DeltaStreamMalformed, NegativeIdIsRejectedNotWrapped) {
+  EXPECT_EQ(delta_error_of("nodes 4\nadd -1 2\n"),
+            "delta stream line 2: node id '-1' is not a non-negative "
+            "integer");
+}
+
+TEST(DeltaStreamMalformed, IdBeyondNodeIdIsRejectedNotNarrowed) {
+  EXPECT_EQ(delta_error_of("add 4294967297 2\n"),
+            "delta stream line 1: node id '4294967297' is larger than "
+            "4294967295");
+  EXPECT_EQ(delta_error_of("add 1 99999999999999999999\n"),
+            "delta stream line 1: node id '99999999999999999999' is larger "
+            "than 4294967295");
+  EXPECT_EQ(delta_error_of("nodes 4294967297\n"),
+            "delta stream line 1: node count '4294967297' is larger than "
+            "4294967296");
+}
+
+TEST(DeltaStreamMalformed, TrailingTokenIsRejectedNotIgnored) {
+  EXPECT_EQ(delta_error_of("# x\nadd 2 3 99\n"),
+            "delta stream line 2: unexpected trailing token '99' after 'add'");
+  EXPECT_EQ(delta_error_of("edge 0 1 # ok\nedge 1 2 3 4 5\n"),
+            "delta stream line 2: unexpected trailing token '3' after 'edge'");
+  EXPECT_EQ(delta_error_of("nodes 3 4\n"),
+            "delta stream line 1: unexpected trailing token '4' after 'nodes'");
+  EXPECT_EQ(delta_error_of("add 0 1\ncommit now\n"),
+            "delta stream line 2: unexpected trailing token 'now' after "
+            "'commit'");
+}
+
+TEST(DeltaStreamMalformed, MissingTokensAndUnknownOps) {
+  EXPECT_EQ(delta_error_of("remove 3\n"),
+            "delta stream line 1: 'remove' needs two node ids");
+  EXPECT_EQ(delta_error_of("nodes\n"),
+            "delta stream line 1: 'nodes' needs a count");
+  EXPECT_EQ(delta_error_of("add x 2\n"),
+            "delta stream line 1: node id 'x' is not a non-negative integer");
+  EXPECT_EQ(delta_error_of("add +1 2\n"),
+            "delta stream line 1: node id '+1' is not a non-negative integer");
+  EXPECT_EQ(delta_error_of("flap 1 2\n"),
+            "delta stream line 1: unknown op 'flap' "
+            "(nodes|edge|add|remove|commit)");
+  EXPECT_EQ(delta_error_of("add 0 1\nedge 1 2\n"),
+            "delta stream line 2: 'edge' must precede the first batch op");
+}
+
+TEST(DeltaStream, RoundTripsThroughTheWriter) {
+  const DeltaStream stream = parse_delta_stream(
+      "#   nightly   AS feed\nnodes 8\nedge 0 1\nedge 1 2\n"
+      "remove 0 1\nadd 2 3\ncommit\n\ncommit\nadd 4294967295 5\n");
+  EXPECT_EQ(stream.name, "nightly AS feed");
+  EXPECT_EQ(stream.num_nodes, 8u);
+  ASSERT_EQ(stream.edges.size(), 2u);
+  ASSERT_EQ(stream.batches.size(), 3u);  // trailing ops form a final batch
+  EXPECT_TRUE(stream.batches[1].empty());
+  EXPECT_EQ(stream.batches[2].add[0].first, 4294967295u);
+  EXPECT_EQ(stream.base_graph().num_nodes(), 8u);
+  EXPECT_EQ(parse_delta_stream(write_delta_stream(stream)).batches.size(), 3u);
+  EXPECT_EQ(write_delta_stream(parse_delta_stream(write_delta_stream(stream))),
+            write_delta_stream(stream));
+  EXPECT_EQ(parse_delta_stream("").name, "delta");
 }
 
 // ------------------------------------------------------------------- csv

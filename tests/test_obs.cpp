@@ -532,8 +532,7 @@ TEST(ObsPipelineSmoke, InstrumentationFiresEndToEnd) {
   // The pipeline runs the sweep engine: one snapshot span per emitted k >= 3,
   // plus the k=2 component pass and the in-pass tree assembly.
   for (const char* stage :
-       {"cpm_engine/sweep", "sweep_cpm/clique_overlaps",
-        "sweep_cpm/sort_overlaps", "sweep_cpm/sweep",
+       {"cpm_engine/sweep", "sweep_cpm/clique_overlaps", "sweep_cpm/sweep",
         "sweep_cpm/percolate_k2", "sweep_cpm/tree"}) {
     EXPECT_EQ(span_count[stage], 1) << stage;
   }

@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "clique/bron_kerbosch.h"
-#include "clique/clique_stream.h"
 #include "clique/enumerator.h"
 #include "test_helpers.h"
 
@@ -55,68 +54,6 @@ TEST(ParallelCliques, RepeatedRunsIdentical) {
   }
 }
 
-// Streaming enumerator: same cliques in the same order as the batch
-// enumerator, for any window size and thread count.
-std::vector<NodeSet> collect_stream(const Graph& g, std::size_t threads,
-                                    std::size_t window,
-                                    std::size_t min_size = 1) {
-  ThreadPool pool(threads);
-  CliqueStreamOptions options;
-  options.min_size = min_size;
-  options.window_positions = window;
-  std::vector<NodeSet> out;
-  stream_maximal_cliques(g, pool, options,
-                         [&](NodeSet&& c) { out.push_back(std::move(c)); });
-  return out;
-}
-
-TEST(CliqueStream, MatchesBatchEnumeratorAcrossWindowSizes) {
-  ThreadPool pool(4);
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    const Graph g = random_graph(60, 0.15, seed);
-    const auto batch = parallel_maximal_cliques(g, pool);
-    for (std::size_t window : {1u, 3u, 16u, 1000u}) {
-      EXPECT_EQ(collect_stream(g, 4, window), batch)
-          << "seed " << seed << " window " << window;
-    }
-  }
-}
-
-TEST(CliqueStream, MatchesAcrossThreadCounts) {
-  const Graph g = random_graph(50, 0.25, 8);
-  const auto expected = collect_stream(g, 1, 7);
-  for (std::size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(collect_stream(g, threads, 7), expected)
-        << "threads " << threads;
-  }
-}
-
-TEST(CliqueStream, MinSizeRespected) {
-  ThreadPool pool(4);
-  const Graph g = random_graph(50, 0.2, 3);
-  EXPECT_EQ(collect_stream(g, 4, 16, 3), maximal_cliques(g, 3));
-}
-
-TEST(CliqueStream, ReportsWindowBoundariesInOrder) {
-  const Graph g = random_graph(40, 0.2, 1);
-  ThreadPool pool(2);
-  CliqueStreamOptions options;
-  options.window_positions = 7;  // 40 positions -> 6 windows
-  std::vector<std::size_t> boundaries;
-  const std::size_t windows = stream_maximal_cliques(
-      g, pool, options, [](NodeSet&&) {},
-      [&](std::size_t done) { boundaries.push_back(done); });
-  EXPECT_EQ(windows, 6u);
-  ASSERT_EQ(boundaries.size(), 6u);
-  for (std::size_t i = 0; i < boundaries.size(); ++i) {
-    EXPECT_EQ(boundaries[i], i + 1);
-  }
-}
-
-TEST(CliqueStream, EmptyGraph) {
-  EXPECT_TRUE(collect_stream(Graph{}, 2, 8).empty());
-}
-
 // ------------------------------------------- backend x thread-count matrix
 
 class CliqueBackendMatrix
@@ -141,14 +78,6 @@ TEST_P(CliqueBackendMatrix, MatchesSequentialSparseExactly) {
     EXPECT_EQ(e.collect(pool), expected)
         << clique::backend_name(backend) << " threads " << threads
         << " seed " << seed;
-    // And through the streaming driver, window smaller than the graph.
-    std::vector<NodeSet> streamed;
-    e.stream(pool, [&](std::span<const NodeId> c) {
-      streamed.emplace_back(c.begin(), c.end());
-    });
-    EXPECT_EQ(streamed, expected)
-        << clique::backend_name(backend) << " threads " << threads
-        << " seed " << seed << " (stream)";
   }
 }
 

@@ -1,14 +1,21 @@
 // The single-sweep engine against the per-k oracle: set-identical
 // communities for every k on a spread of graph families and seeds, the
-// nesting invariant of the in-pass community tree, and the cpm::Engine
-// facade that fronts both.
+// nesting invariant of the in-pass community tree, the memory budget
+// (spill-to-disk must not change a byte), and the cpm::Engine facade that
+// fronts both.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
 
+#include "clique/parallel_cliques.h"
 #include "common/error.h"
 #include "common/set_ops.h"
+#include "common/thread_pool.h"
+#include "cpm/clique_index.h"
 #include "cpm/cpm.h"
 #include "cpm/engine.h"
 #include "cpm/sweep_cpm.h"
@@ -111,6 +118,38 @@ TEST(SweepCpm, RejectsBadInput) {
       run_sweep_cpm_on_cliques(complete_graph(3), {{2, 0, 1}}, {}), Error);
 }
 
+TEST(SweepCpm, PrejoinedPairsRunTheSameLoop) {
+  // The flat pairs of the batch join, in any order, dropped into the
+  // buckets: same communities, ids and tree as the sweep's own join.
+  const Graph g = random_graph(50, 0.3, 23);
+  ThreadPool pool(2);
+  const std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
+  const SweepCpmResult joined = run_sweep_cpm_on_cliques(g, cliques, {});
+  std::vector<CliqueOverlap> pairs =
+      compute_clique_overlaps(cliques, g.num_nodes(), 2, pool);
+  std::reverse(pairs.begin(), pairs.end());
+  const SweepCpmResult prejoined =
+      run_sweep_cpm_prejoined(g, cliques, std::move(pairs), {});
+  expect_same_cpm(joined.cpm, prejoined.cpm, "prejoined");
+  expect_same_tree(joined.tree, prejoined.tree, "prejoined");
+  EXPECT_EQ(joined.stats.pairs, prejoined.stats.pairs);
+}
+
+TEST(SweepCpm, PrejoinedRejectsAnOverlapNoCliquePairCanHave) {
+  // Two distinct maximal cliques of size 3 share at most 2 nodes.
+  CpmOptions options;
+  options.min_k = 3;
+  try {
+    run_sweep_cpm_prejoined(complete_graph(4), {{0, 1, 2}, {1, 2, 3}},
+                            {{0, 1, 3}}, options);
+    FAIL() << "expected kcc::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_sweep_cpm_prejoined: overlap 3 exceeds the clique-size "
+              "bound");
+  }
+}
+
 TEST(SweepCpm, RejectionMessagesNameTheCaller) {
   const auto error_of = [](const std::vector<NodeSet>& cliques,
                            std::size_t min_k) -> std::string {
@@ -131,6 +170,136 @@ TEST(SweepCpm, RejectionMessagesNameTheCaller) {
   EXPECT_EQ(error_of({{1}}, 2),
             "run_sweep_cpm_on_cliques: cliques must be sorted and of size "
             ">= 2");
+}
+
+// ------------------------------------------------- memory budget + spill
+
+TEST(SweepCpmBudget, ParsesMemoryBudgetUnits) {
+  EXPECT_EQ(parse_memory_budget("0"), 0u);
+  EXPECT_EQ(parse_memory_budget("65536"), 65536u);
+  EXPECT_EQ(parse_memory_budget("64K"), 64u * 1024);
+  EXPECT_EQ(parse_memory_budget("64k"), 64u * 1024);
+  EXPECT_EQ(parse_memory_budget("200M"), 200u * 1024 * 1024);
+  EXPECT_EQ(parse_memory_budget("1G"), 1024ull * 1024 * 1024);
+  EXPECT_EQ(parse_memory_budget("3g"), 3ull * 1024 * 1024 * 1024);
+}
+
+TEST(SweepCpmBudget, RejectsMalformedMemoryBudgets) {
+  EXPECT_THROW(parse_memory_budget(""), Error);
+  EXPECT_THROW(parse_memory_budget("K"), Error);
+  EXPECT_THROW(parse_memory_budget("12X"), Error);
+  EXPECT_THROW(parse_memory_budget("64KB"), Error);
+  EXPECT_THROW(parse_memory_budget("1.5G"), Error);
+  EXPECT_THROW(parse_memory_budget("-1M"), Error);
+  EXPECT_THROW(parse_memory_budget("99999999999999999999"), Error);
+  EXPECT_THROW(parse_memory_budget("17179869184G"), Error);
+}
+
+TEST(SweepCpmBudget, RejectsBudgetSmallerThanTheSpillChunk) {
+  // A budget that cannot stage even one reload chunk must fail loudly at
+  // entry, not thrash or silently ignore the cap.
+  CpmOptions options;
+  options.memory_budget = sweep_min_memory_budget() - 1;
+  EXPECT_THROW(run_sweep_cpm(complete_graph(4), options), Error);
+  options.memory_budget = 1024;
+  try {
+    run_sweep_cpm(complete_graph(4), options);
+    FAIL() << "expected kcc::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_sweep_cpm_on_cliques: --memory-budget 1024 is smaller "
+              "than the spill chunk (65536 bytes); raise the budget or use 0 "
+              "for unlimited");
+  }
+  // The floor itself is accepted.
+  options.memory_budget = sweep_min_memory_budget();
+  EXPECT_NO_THROW(run_sweep_cpm(complete_graph(4), options));
+}
+
+TEST(SweepCpmBudget, SpillingEveryBucketLeavesTheOutputByteIdentical) {
+  // Dense enough that the pair store far exceeds one spill chunk, with
+  // every overlap value present before the last spill.
+  const Graph g = random_graph(80, 0.5, 5);
+  cpm::Options options;
+  const cpm::Result unlimited = cpm::Engine(options).run(g);
+  options.memory_budget = sweep_min_memory_budget();
+  const cpm::Result budgeted = cpm::Engine(options).run(g);
+  EXPECT_EQ(cpm::canonical_text(unlimited), cpm::canonical_text(budgeted));
+  const CpmResult oracle = run_cpm(g, {});
+  expect_same_cpm(oracle, budgeted.cpm, "spilling run");
+
+  CpmOptions direct;
+  const SweepCpmResult free_run = run_sweep_cpm(g, direct);
+  EXPECT_EQ(free_run.stats.spilled_pairs, 0u);
+  EXPECT_EQ(free_run.stats.spilled_buckets, 0u);
+  direct.memory_budget = sweep_min_memory_budget();
+  const SweepCpmResult spilled = run_sweep_cpm(g, direct);
+  EXPECT_EQ(spilled.stats.pairs, free_run.stats.pairs);
+  EXPECT_GT(spilled.stats.buckets, 1u);
+  EXPECT_EQ(spilled.stats.spilled_buckets, spilled.stats.buckets);
+  EXPECT_GT(spilled.stats.spilled_pairs, 0u);
+  EXPECT_LE(spilled.stats.spilled_pairs, spilled.stats.pairs);
+  EXPECT_EQ(spilled.stats.spill_bytes, spilled.stats.spilled_pairs * 8);
+  EXPECT_LE(spilled.stats.resident_pair_bytes_peak,
+            sweep_min_memory_budget() + 8);
+  EXPECT_EQ(free_run.stats.resident_pair_bytes_peak, free_run.stats.pairs * 8);
+}
+
+TEST(SweepCpmBudget, PrejoinedPairsHonorTheBudget) {
+  const Graph g = random_graph(80, 0.5, 5);
+  ThreadPool pool(2);
+  const std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
+  CpmOptions options;
+  const SweepCpmResult free_run = run_sweep_cpm_prejoined(
+      g, cliques, compute_clique_overlaps(cliques, g.num_nodes(), 2, pool),
+      options);
+  options.memory_budget = sweep_min_memory_budget();
+  const SweepCpmResult spilled = run_sweep_cpm_prejoined(
+      g, cliques, compute_clique_overlaps(cliques, g.num_nodes(), 2, pool),
+      options);
+  EXPECT_GT(spilled.stats.spilled_pairs, 0u);
+  expect_same_cpm(free_run.cpm, spilled.cpm, "prejoined spill");
+  expect_same_tree(free_run.tree, spilled.tree, "prejoined spill");
+}
+
+TEST(SweepCpmBudget, StatsReportPairsAndPeak) {
+  const Graph g = overlapping_cliques(6, 5, 3);
+  const SweepCpmResult sweep = run_sweep_cpm(g, {});
+  // Two overlapping maximal cliques -> exactly one overlap pair.
+  EXPECT_EQ(sweep.stats.pairs, 1u);
+  EXPECT_EQ(sweep.stats.buckets, 1u);
+  EXPECT_EQ(sweep.stats.resident_pair_bytes_peak, 8u);
+  EXPECT_EQ(sweep.stats.spilled_pairs, 0u);
+}
+
+TEST(SweepCpmBudget, SpillDirIsUsedAndCleanedUp) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("kcc-sweep-test-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  CpmOptions options;
+  options.memory_budget = sweep_min_memory_budget();
+  options.spill_dir = dir.string();
+  const SweepCpmResult spilled =
+      run_sweep_cpm(random_graph(80, 0.5, 5), options);
+  EXPECT_GT(spilled.stats.spilled_pairs, 0u);
+  // The per-run subdirectory and its spill files are gone.
+  EXPECT_TRUE(fs::is_empty(dir));
+
+  // A spill directory that cannot be created (its parent is a regular
+  // file) fails with kcc::Error naming it, not a filesystem exception.
+  const fs::path file = dir / "not-a-directory";
+  std::ofstream(file) << "x";
+  options.spill_dir = file.string();
+  try {
+    run_sweep_cpm(random_graph(80, 0.5, 5), options);
+    ADD_FAILURE() << "expected kcc::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(file.string()), std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
 }
 
 // ------------------------------------------------------- engine facade
@@ -225,18 +394,35 @@ TEST(CpmEngine, ValidatesOptions) {
   EXPECT_THROW(cpm::Engine{options}, Error);
 }
 
-TEST(CpmEngine, ParsesEngineNames) {
-  // The deprecated EngineKind shim must stay wired to the registry names.
-  EXPECT_EQ(cpm::parse_engine("sweep"), cpm::EngineKind::kSweep);
-  EXPECT_EQ(cpm::parse_engine("per_k"), cpm::EngineKind::kPerK);
-  EXPECT_EQ(cpm::parse_engine("almost_exact"), cpm::EngineKind::kAlmostExact);
-  EXPECT_EQ(cpm::parse_engine("reference"), cpm::EngineKind::kReference);
-  EXPECT_THROW(cpm::parse_engine("bogus"), Error);
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kSweep), "sweep");
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kPerK), "per_k");
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kAlmostExact),
-               "almost_exact");
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kReference), "reference");
+TEST(CpmEngine, UnknownEngineNamesListTheRegisteredOnes) {
+  // The retired stream engine is an unknown name like any other; the
+  // error lists what is registered.
+  try {
+    cpm::engine_info("stream");
+    FAIL() << "expected kcc::Error for the retired stream engine";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "unknown engine 'stream' (" + cpm::engine_names_joined() + ")");
+  }
+  EXPECT_EQ(cpm::engine_names_joined(),
+            "sweep|per_k|incremental|almost_exact|reference");
+}
+
+TEST(CpmEngine, OptionsFromCliAppliesTheBudgetFlag) {
+  EXPECT_TRUE(cpm::engine_info("sweep").caps.supports_memory_budget);
+  const char* argv[] = {"prog", "--engine=sweep", "--memory-budget=64M"};
+  const CliArgs args(3, argv, cpm::engine_cli_flags());
+  const cpm::Options options = cpm::options_from_cli(args);
+  EXPECT_EQ(options.engine, "sweep");
+  EXPECT_EQ(options.memory_budget, 64ull * 1024 * 1024);
+
+  const char* bad[] = {"prog", "--memory-budget=12X"};
+  EXPECT_THROW(
+      cpm::options_from_cli(CliArgs(2, bad, cpm::engine_cli_flags())), Error);
+  const char* stream[] = {"prog", "--engine=stream"};
+  EXPECT_THROW(
+      cpm::options_from_cli(CliArgs(2, stream, cpm::engine_cli_flags())),
+      Error);
 }
 
 TEST(CpmEngine, OptionsFromCliAppliesSharedFlags) {

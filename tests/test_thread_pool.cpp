@@ -101,8 +101,8 @@ TEST(TaskGroup, WaitsForItsOwnJobsOnly) {
 }
 
 TEST(TaskGroup, TwoGroupsOverlapInFlight) {
-  // The double-buffered pattern of the streaming enumerator: wait on group
-  // a while group b still has unscheduled work, then swap.
+  // A double-buffered pipeline: wait on group a while group b still has
+  // unscheduled work, then swap.
   ThreadPool pool(2);
   TaskGroup a(pool);
   TaskGroup b(pool);

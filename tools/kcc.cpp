@@ -41,7 +41,6 @@
 
 #include "analysis/pipeline.h"
 #include "analysis/report.h"
-#include "check/churn.h"
 #include "common/cli.h"
 #include "common/error.h"
 #include "common/table.h"
@@ -52,6 +51,7 @@
 #include "graph/degree_distribution.h"
 #include "graph/graph_algorithms.h"
 #include "io/dataset_io.h"
+#include "io/delta_stream.h"
 #include "io/dot_export.h"
 #include "io/edge_list.h"
 #include "io/result_io.h"
@@ -141,8 +141,9 @@ int usage(std::ostream& out, int rc) {
       "  --k-min=N/--k-max=N bound the community order (aliases\n"
       "           --min-k/--max-k are accepted for compatibility)\n"
       "  --memory-budget=BYTES[K|M|G]\n"
-      "           stream engine only: cap resident overlap-pair bytes,\n"
-      "           spilling buckets to temp files past the cap (0 = off)\n"
+      "           sweep engine only: cap resident overlap-pair bytes,\n"
+      "           spilling whole buckets to temp files past the cap\n"
+      "           (0 = off; output is identical either way)\n"
       "  --clique-backend=auto|sparse|bitset\n"
       "           maximal-clique kernel: bitset packs each degeneracy\n"
       "           subproblem into 64-bit rows (word-parallel, the fast\n"
@@ -400,16 +401,16 @@ int cmd_update(const CliArgs& args) {
   require(in.good(), "update: cannot read '", deltas_path, "'");
   std::ostringstream text;
   text << in.rdbuf();
-  const check::DeltaStream stream = check::parse_delta_stream(text.str());
+  const DeltaStream stream = parse_delta_stream(text.str());
 
   Graph base;
   if (args.has("edges")) {
-    require(stream.base.edges.empty(),
+    require(stream.edges.empty(),
             "update: --edges given but '", deltas_path,
             "' carries its own 'edge' lines — use one base, not both");
     base = read_edge_list_file(args.get_string("edges", "")).graph;
   } else {
-    base = stream.base.build();
+    base = stream.base_graph();
   }
 
   Timer timer;

@@ -9,7 +9,7 @@
 // significant regressions.
 //
 //   kcc_bench [--scale=test|bench|paper] [--seed=N] [--reps=5] [--threads=0]
-//             [--engines=sweep,stream,per_k,almost_exact,reference]
+//             [--engines=sweep,per_k,incremental,almost_exact,reference]
 //             [--backends=sparse,bitset] [--no-budgeted]
 //             [--out=REPORT.json] [--trajectory=FILE.jsonl]
 //             [--compare=BASELINE.json] [--in=REPORT.json]
@@ -53,7 +53,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "cpm/engine.h"
-#include "cpm/stream_cpm.h"
+#include "cpm/sweep_cpm.h"
 #include "graph/graph.h"
 #include "obs/obs.h"
 #include "synth/as_topology.h"
@@ -65,7 +65,7 @@ using namespace kcc;
 // ------------------------------------------------------------- matrix setup
 
 struct BenchConfig {
-  std::string label;           // "sweep/sparse", "stream-budget/sparse", ...
+  std::string label;           // "sweep/sparse", "sweep-budget/sparse", ...
   std::string engine;          // registry name
   clique::Backend backend;
   std::uint64_t memory_budget = 0;
@@ -185,16 +185,16 @@ std::vector<BenchConfig> build_matrix(const DriverOptions& o) {
       matrix.push_back(config);
     }
   }
-  if (o.budgeted &&
-      std::find(o.engines.begin(), o.engines.end(), "stream") !=
-          o.engines.end()) {
+  for (const std::string& engine_name : o.engines) {
+    const cpm::EngineInfo& info = cpm::engine_info(engine_name);
+    if (!o.budgeted || !info.caps.supports_memory_budget) continue;
     BenchConfig config;
-    config.engine = "stream";
+    config.engine = engine_name;
     config.backend = clique::Backend::kSparse;
     // Small enough to force spilling at test scale and above.
-    config.memory_budget = o.scale == "test" ? stream_min_memory_budget()
+    config.memory_budget = o.scale == "test" ? sweep_min_memory_budget()
                                              : 1024 * 1024;
-    config.label = "stream-budget/sparse";
+    config.label = engine_name + "-budget/sparse";
     matrix.push_back(config);
   }
   return matrix;

@@ -54,7 +54,7 @@ const std::set<std::string>& allowlisted_flags() {
       "--test-dir",           // ctest
       "--output-on-failure",  // ctest
       "--verify-sweep",       // bench/perf_cpm
-      "--verify-stream",      // bench/perf_cpm
+      "--verify-budget",      // bench/perf_cpm
       "--verify-almost",      // bench/perf_cpm
       "--json",               // bench/perf_cpm, bench/perf_serve
       "--bench-json",         // bench/perf_cliques
