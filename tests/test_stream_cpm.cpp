@@ -1,19 +1,23 @@
-// The streaming engine against the per-k oracle: structural identity
-// (communities, ids, clique maps, tree) on the same graph/seed matrix the
-// sweep engine is held to, plus the stream-only surface — memory-budget
-// parsing, the budget/spill machinery, window-size independence and the
-// cpm::Engine dispatch.
+// The budgeted sweep: under CpmOptions::memory_budget the overlap buckets
+// spill to disk whole and are streamed back one level at a time. Holds it
+// to the per-k oracle on the graph/seed matrix the unbudgeted sweep is
+// held to, and pins the budget surface — unit parsing, the spill-chunk
+// floor, byte-identity with the unbudgeted run, the prejoined path, stats
+// and the spill directory.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "clique/parallel_cliques.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
+#include "cpm/clique_index.h"
 #include "cpm/cpm.h"
 #include "cpm/engine.h"
-#include "cpm/stream_cpm.h"
 #include "cpm/sweep_cpm.h"
 #include "synth/as_topology.h"
 #include "test_helpers.h"
@@ -22,125 +26,76 @@ namespace kcc {
 namespace {
 
 using testing::complete_graph;
-using testing::expect_differential_ok;
+using testing::expect_nesting;
 using testing::expect_same_cpm;
 using testing::expect_same_tree;
-using testing::make_graph;
 using testing::overlapping_cliques;
 using testing::preferential_attachment_graph;
 using testing::random_graph;
 
-// Oracle identity + tree identity with the sweep engine, under the given
-// stream options. Default-option graphs additionally go through the check::
-// differential matrix (see tests/test_helpers.h).
-void check_graph(const Graph& g, const std::string& label,
-                 StreamCpmOptions options = {}) {
-  CpmOptions shared;
-  shared.min_k = options.min_k;
-  shared.max_k = options.max_k;
-  shared.threads = options.threads;
-  const CpmResult oracle = run_cpm(g, shared);
-  const StreamCpmResult stream = run_stream_cpm(g, options);
-  expect_same_cpm(oracle, stream.cpm, label);
-  if (options.min_k == 2 && options.max_k == 0 &&
-      options.memory_budget == 0) {
-    expect_differential_ok(g, label);
+// The sweep under the smallest accepted budget against the per-k oracle
+// and the unbudgeted sweep (communities, ids, clique maps and tree).
+// Returns how many pairs the budgeted run spilled.
+std::uint64_t check_budgeted(const Graph& g, const std::string& label,
+                             CpmOptions options = {}) {
+  const CpmResult oracle = run_cpm(g, options);
+  const SweepCpmResult free_run = run_sweep_cpm(g, options);
+  options.memory_budget = sweep_min_memory_budget();
+  const SweepCpmResult budgeted = run_sweep_cpm(g, options);
+  expect_same_cpm(oracle, budgeted.cpm, label);
+  expect_same_tree(free_run.tree, budgeted.tree, label);
+  EXPECT_EQ(free_run.stats.pairs, budgeted.stats.pairs) << label;
+  if (budgeted.cpm.max_k >= budgeted.cpm.min_k) {
+    expect_nesting(budgeted.cpm, budgeted.tree, label);
   }
-  if (stream.cpm.max_k < stream.cpm.min_k) return;
-  const SweepCpmResult sweep = run_sweep_cpm(g, shared);
-  expect_same_tree(sweep.tree, stream.tree, label);
+  return budgeted.stats.spilled_pairs;
 }
 
-// ----------------------------------------------- stream vs per-k oracle
+// ------------------------------------------ budgeted sweep vs per-k oracle
 
-TEST(StreamCpm, MatchesOracleOnRandomGraphs) {
-  // >= 12 independent seeds across two densities.
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    check_graph(random_graph(60, 0.2, seed),
-                "random n=60 p=0.2 seed=" + std::to_string(seed));
+TEST(SweepCpmBudget, MatchesOracleOnRandomGraphs) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    check_budgeted(random_graph(60, 0.2, seed),
+                   "random n=60 p=0.2 seed=" + std::to_string(seed));
   }
-  for (std::uint64_t seed = 7; seed <= 12; ++seed) {
-    check_graph(random_graph(40, 0.4, seed),
-                "random n=40 p=0.4 seed=" + std::to_string(seed));
-  }
-}
-
-TEST(StreamCpm, MatchesOracleOnScaleFreeGraphs) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    check_graph(preferential_attachment_graph(150, 4, seed),
-                "pa n=150 m=4 seed=" + std::to_string(seed));
+  // Dense enough that the pair store outgrows the budget and spills.
+  for (std::uint64_t seed = 5; seed <= 6; ++seed) {
+    EXPECT_GT(check_budgeted(random_graph(80, 0.5, seed),
+                             "random n=80 p=0.5 seed=" + std::to_string(seed)),
+              0u);
   }
 }
 
-TEST(StreamCpm, MatchesOracleOnSyntheticEcosystem) {
+TEST(SweepCpmBudget, MatchesOracleOnScaleFreeGraphs) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    check_budgeted(preferential_attachment_graph(150, 4, seed),
+                   "pa n=150 m=4 seed=" + std::to_string(seed));
+  }
+}
+
+TEST(SweepCpmBudget, MatchesOracleOnSyntheticEcosystem) {
   SynthParams params = SynthParams::test_scale();
   for (std::uint64_t seed : {7u, 42u}) {
     params.seed = seed;
     const Graph g = generate_ecosystem(params).topology.graph;
-    check_graph(g, "synth seed=" + std::to_string(seed));
+    check_budgeted(g, "synth seed=" + std::to_string(seed));
   }
 }
 
-TEST(StreamCpm, MatchesOracleOnStructuredGraphs) {
-  check_graph(complete_graph(8), "K8");
-  check_graph(overlapping_cliques(5, 5, 3), "two 5-cliques sharing 3");
-  check_graph(overlapping_cliques(6, 4, 2), "6-clique and 4-clique sharing 2");
-  check_graph(make_graph(4, {{0, 1}, {2, 3}}), "two disjoint edges");
-}
-
-TEST(StreamCpm, MatchesOracleWithRestrictedKRange) {
-  const Graph g = random_graph(50, 0.3, 99);
-  for (std::size_t min_k : {2u, 3u, 4u, 6u}) {
-    StreamCpmOptions options;
+TEST(SweepCpmBudget, MatchesOracleWithRestrictedKRange) {
+  const Graph g = random_graph(80, 0.5, 9);
+  for (std::size_t min_k : {3u, 6u}) {
+    CpmOptions options;
     options.min_k = min_k;
-    check_graph(g, "min_k=" + std::to_string(min_k), options);
+    check_budgeted(g, "min_k=" + std::to_string(min_k), options);
     options.max_k = min_k + 2;
-    check_graph(g, "k in [" + std::to_string(min_k) + ", +2]", options);
+    check_budgeted(g, "k in [" + std::to_string(min_k) + ", +2]", options);
   }
 }
 
-TEST(StreamCpm, WindowSizeDoesNotChangeTheOutput) {
-  // Tiny windows force many enumerate/join hand-offs on a graph whose
-  // default run fits one window; the output must not notice.
-  const Graph g = random_graph(60, 0.25, 17);
-  for (std::size_t window : {1u, 7u, 64u}) {
-    StreamCpmOptions options;
-    options.window_positions = window;
-    check_graph(g, "window=" + std::to_string(window), options);
-  }
-}
+// ------------------------------------------------- budget surface + spill
 
-TEST(StreamCpm, MatchesSweepOnPreEnumeratedCliques) {
-  const Graph g = random_graph(50, 0.3, 23);
-  ThreadPool pool(2);
-  std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
-  const SweepCpmResult sweep = run_sweep_cpm_on_cliques(g, cliques, {});
-  const StreamCpmResult stream = run_stream_cpm_on_cliques(g, cliques, {});
-  expect_same_cpm(sweep.cpm, stream.cpm, "pre-enumerated");
-  expect_same_tree(sweep.tree, stream.tree, "pre-enumerated");
-}
-
-TEST(StreamCpm, EmptyGraphAndEmptyRange) {
-  EXPECT_TRUE(run_stream_cpm(Graph{}).cpm.by_k.empty());
-  StreamCpmOptions options;
-  options.min_k = 9;
-  const StreamCpmResult stream = run_stream_cpm(complete_graph(5), options);
-  EXPECT_LT(stream.cpm.max_k, stream.cpm.min_k);
-  EXPECT_TRUE(stream.cpm.by_k.empty());
-  EXPECT_TRUE(stream.tree.nodes().empty());
-}
-
-TEST(StreamCpm, RejectsBadInput) {
-  StreamCpmOptions options;
-  options.min_k = 1;
-  EXPECT_THROW(run_stream_cpm(complete_graph(3), options), Error);
-  EXPECT_THROW(
-      run_stream_cpm_on_cliques(complete_graph(3), {{2, 0, 1}}, {}), Error);
-}
-
-// ------------------------------------------------- memory budget + spill
-
-TEST(StreamCpm, ParsesMemoryBudgetUnits) {
+TEST(SweepCpmBudget, ParsesMemoryBudgetUnits) {
   EXPECT_EQ(parse_memory_budget("0"), 0u);
   EXPECT_EQ(parse_memory_budget("65536"), 65536u);
   EXPECT_EQ(parse_memory_budget("64K"), 64u * 1024);
@@ -150,7 +105,7 @@ TEST(StreamCpm, ParsesMemoryBudgetUnits) {
   EXPECT_EQ(parse_memory_budget("3g"), 3ull * 1024 * 1024 * 1024);
 }
 
-TEST(StreamCpm, RejectsMalformedMemoryBudgets) {
+TEST(SweepCpmBudget, RejectsMalformedMemoryBudgets) {
   EXPECT_THROW(parse_memory_budget(""), Error);
   EXPECT_THROW(parse_memory_budget("K"), Error);
   EXPECT_THROW(parse_memory_budget("12X"), Error);
@@ -158,104 +113,114 @@ TEST(StreamCpm, RejectsMalformedMemoryBudgets) {
   EXPECT_THROW(parse_memory_budget("1.5G"), Error);
   EXPECT_THROW(parse_memory_budget("-1M"), Error);
   EXPECT_THROW(parse_memory_budget("99999999999999999999"), Error);
+  EXPECT_THROW(parse_memory_budget("17179869184G"), Error);
 }
 
-TEST(StreamCpm, RejectsBudgetSmallerThanTheSpillChunk) {
+TEST(SweepCpmBudget, RejectsBudgetSmallerThanTheSpillChunk) {
   // A budget that cannot stage even one reload chunk must fail loudly at
   // entry, not thrash or silently ignore the cap.
-  StreamCpmOptions options;
-  options.memory_budget = stream_min_memory_budget() - 1;
-  EXPECT_THROW(run_stream_cpm(complete_graph(4), options), Error);
+  CpmOptions options;
+  options.memory_budget = sweep_min_memory_budget() - 1;
+  EXPECT_THROW(run_sweep_cpm(complete_graph(4), options), Error);
   options.memory_budget = 1024;
-  EXPECT_THROW(run_stream_cpm(complete_graph(4), options), Error);
+  try {
+    run_sweep_cpm(complete_graph(4), options);
+    FAIL() << "expected kcc::Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "run_sweep_cpm_on_cliques: --memory-budget 1024 is smaller "
+              "than the spill chunk (65536 bytes); raise the budget or use 0 "
+              "for unlimited");
+  }
   // The floor itself is accepted.
-  options.memory_budget = stream_min_memory_budget();
-  EXPECT_NO_THROW(run_stream_cpm(complete_graph(4), options));
+  options.memory_budget = sweep_min_memory_budget();
+  EXPECT_NO_THROW(run_sweep_cpm(complete_graph(4), options));
 }
 
-TEST(StreamCpm, SpillsUnderAMinimalBudgetAndStaysExact) {
-  // Dense enough that the pair store far exceeds one spill chunk.
+TEST(SweepCpmBudget, SpillingEveryBucketLeavesTheOutputByteIdentical) {
+  // Dense enough that the pair store far exceeds one spill chunk, with
+  // every overlap value present before the last spill.
   const Graph g = random_graph(80, 0.5, 5);
-  StreamCpmOptions options;
-  options.memory_budget = stream_min_memory_budget();
-  const StreamCpmResult budgeted = run_stream_cpm(g, options);
-  EXPECT_GT(budgeted.stats.spilled_pairs, 0u);
-  EXPECT_GT(budgeted.stats.spill_bytes, 0u);
-  EXPECT_LE(budgeted.stats.spilled_pairs, budgeted.stats.pairs_total)
-      << "spilled pairs are a subset of stored pairs";
-
+  cpm::Options options;
+  const cpm::Result unlimited = cpm::Engine(options).run(g);
+  options.memory_budget = sweep_min_memory_budget();
+  const cpm::Result budgeted = cpm::Engine(options).run(g);
+  EXPECT_EQ(cpm::canonical_text(unlimited), cpm::canonical_text(budgeted));
   const CpmResult oracle = run_cpm(g, {});
   expect_same_cpm(oracle, budgeted.cpm, "spilling run");
-  const SweepCpmResult sweep = run_sweep_cpm(g, {});
-  expect_same_tree(sweep.tree, budgeted.tree, "spilling run");
 
-  // Unlimited run on the same graph: same output, nothing spilled.
-  const StreamCpmResult unlimited = run_stream_cpm(g, {});
-  EXPECT_EQ(unlimited.stats.spilled_pairs, 0u);
-  EXPECT_EQ(unlimited.stats.pairs_total, budgeted.stats.pairs_total);
-  expect_same_cpm(oracle, unlimited.cpm, "unlimited run");
+  CpmOptions direct;
+  const SweepCpmResult free_run = run_sweep_cpm(g, direct);
+  EXPECT_EQ(free_run.stats.spilled_pairs, 0u);
+  EXPECT_EQ(free_run.stats.spilled_buckets, 0u);
+  direct.memory_budget = sweep_min_memory_budget();
+  const SweepCpmResult spilled = run_sweep_cpm(g, direct);
+  EXPECT_EQ(spilled.stats.pairs, free_run.stats.pairs);
+  EXPECT_GT(spilled.stats.buckets, 1u);
+  EXPECT_EQ(spilled.stats.spilled_buckets, spilled.stats.buckets);
+  EXPECT_GT(spilled.stats.spilled_pairs, 0u);
+  EXPECT_LE(spilled.stats.spilled_pairs, spilled.stats.pairs);
+  EXPECT_EQ(spilled.stats.spill_bytes, spilled.stats.spilled_pairs * 8);
+  EXPECT_LE(spilled.stats.resident_pair_bytes_peak,
+            sweep_min_memory_budget() + 8);
+  EXPECT_EQ(free_run.stats.resident_pair_bytes_peak, free_run.stats.pairs * 8);
 }
 
-TEST(StreamCpm, StatsReportPairsAndPeak) {
-  const Graph g = overlapping_cliques(6, 5, 3);
-  const StreamCpmResult stream = run_stream_cpm(g, {});
-  // Two overlapping maximal cliques -> exactly one overlap pair.
-  EXPECT_EQ(stream.stats.pairs_total, 1u);
-  EXPECT_EQ(stream.stats.resident_pair_bytes_peak, 8u);
-  EXPECT_EQ(stream.stats.spilled_pairs, 0u);
-  EXPECT_GE(stream.stats.windows, 1u);
-}
-
-// ------------------------------------------------------- engine facade
-
-TEST(CpmEngineStream, DispatchMatchesSweep) {
-  const Graph g = random_graph(50, 0.3, 5);
-  cpm::Options options;
-  options.engine = "sweep";
-  const cpm::Result sweep = cpm::Engine(options).run(g);
-  options.engine = "stream";
-  const cpm::Result stream = cpm::Engine(options).run(g);
-
-  expect_same_cpm(sweep.cpm, stream.cpm, "engine dispatch");
-  ASSERT_TRUE(stream.has_tree);
-  expect_same_tree(sweep.tree, stream.tree, "engine dispatch");
-  EXPECT_EQ(stream.engine_name, "stream");
-  EXPECT_EQ(stream.exactness, cpm::Exactness::kExact);
-  // The fused pass has no separate clique stage.
-  EXPECT_EQ(stream.timings.cliques_seconds, 0.0);
-  EXPECT_GT(stream.timings.percolate_seconds, 0.0);
-  EXPECT_GT(stream.timings.total_seconds, 0.0);
-}
-
-TEST(CpmEngineStream, RunOnCliquesDispatch) {
-  const Graph g = random_graph(40, 0.35, 9);
+TEST(SweepCpmBudget, PrejoinedPairsHonorTheBudget) {
+  const Graph g = random_graph(80, 0.5, 5);
   ThreadPool pool(2);
-  std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
-  cpm::Options options;
-  options.engine = "stream";
-  const cpm::Result stream =
-      cpm::Engine(options).run_on_cliques(g, cliques);
-  options.engine = "sweep";
-  const cpm::Result sweep =
-      cpm::Engine(options).run_on_cliques(g, std::move(cliques));
-  expect_same_cpm(sweep.cpm, stream.cpm, "run_on_cliques dispatch");
-  expect_same_tree(sweep.tree, stream.tree, "run_on_cliques dispatch");
+  const std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
+  CpmOptions options;
+  const SweepCpmResult free_run = run_sweep_cpm_prejoined(
+      g, cliques, compute_clique_overlaps(cliques, g.num_nodes(), 2, pool),
+      options);
+  options.memory_budget = sweep_min_memory_budget();
+  const SweepCpmResult spilled = run_sweep_cpm_prejoined(
+      g, cliques, compute_clique_overlaps(cliques, g.num_nodes(), 2, pool),
+      options);
+  EXPECT_GT(spilled.stats.spilled_pairs, 0u);
+  expect_same_cpm(free_run.cpm, spilled.cpm, "prejoined spill");
+  expect_same_tree(free_run.tree, spilled.tree, "prejoined spill");
 }
 
-TEST(CpmEngineStream, ParsesEngineNameAndBudgetFlag) {
-  EXPECT_EQ(cpm::parse_engine("stream"), cpm::EngineKind::kStream);
-  EXPECT_STREQ(cpm::engine_name(cpm::EngineKind::kStream), "stream");
-  EXPECT_TRUE(cpm::engine_info("stream").caps.supports_memory_budget);
+TEST(SweepCpmBudget, StatsReportPairsAndPeak) {
+  const Graph g = overlapping_cliques(6, 5, 3);
+  const SweepCpmResult sweep = run_sweep_cpm(g, {});
+  // Two overlapping maximal cliques -> exactly one overlap pair.
+  EXPECT_EQ(sweep.stats.pairs, 1u);
+  EXPECT_EQ(sweep.stats.buckets, 1u);
+  EXPECT_EQ(sweep.stats.resident_pair_bytes_peak, 8u);
+  EXPECT_EQ(sweep.stats.spilled_pairs, 0u);
+}
 
-  const char* argv[] = {"prog", "--engine=stream", "--memory-budget=64M"};
-  const CliArgs args(3, argv, cpm::engine_cli_flags());
-  const cpm::Options options = cpm::options_from_cli(args);
-  EXPECT_EQ(options.engine, "stream");
-  EXPECT_EQ(options.memory_budget, 64ull * 1024 * 1024);
+TEST(SweepCpmBudget, SpillDirIsUsedAndCleanedUp) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("kcc-sweep-test-" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  CpmOptions options;
+  options.memory_budget = sweep_min_memory_budget();
+  options.spill_dir = dir.string();
+  const SweepCpmResult spilled =
+      run_sweep_cpm(random_graph(80, 0.5, 5), options);
+  EXPECT_GT(spilled.stats.spilled_pairs, 0u);
+  // The per-run subdirectory and its spill files are gone.
+  EXPECT_TRUE(fs::is_empty(dir));
 
-  const char* bad[] = {"prog", "--memory-budget=12X"};
-  EXPECT_THROW(
-      cpm::options_from_cli(CliArgs(2, bad, cpm::engine_cli_flags())), Error);
+  // A spill directory that cannot be created (its parent is a regular
+  // file) fails with kcc::Error naming it, not a filesystem exception.
+  const fs::path file = dir / "not-a-directory";
+  std::ofstream(file) << "x";
+  options.spill_dir = file.string();
+  try {
+    run_sweep_cpm(random_graph(80, 0.5, 5), options);
+    ADD_FAILURE() << "expected kcc::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(file.string()), std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace
