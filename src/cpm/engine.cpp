@@ -292,6 +292,13 @@ Engine::Engine(Options options)
   require(options_.min_k >= 2, "cpm::Engine: min_k must be >= 2");
   require(options_.min_clique_size >= 2,
           "cpm::Engine: min_clique_size must be >= 2");
+  // A budget the sweep would reject must fail here, not after the whole
+  // clique enumeration has run.
+  require(!info_->caps.supports_memory_budget || options_.memory_budget == 0 ||
+              options_.memory_budget >= sweep_min_memory_budget(),
+          "cpm::Engine: --memory-budget ", options_.memory_budget,
+          " is smaller than the spill chunk (", sweep_min_memory_budget(),
+          " bytes); raise the budget or use 0 for unlimited");
 }
 
 Result Engine::run(const Graph& g) const {

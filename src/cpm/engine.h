@@ -152,7 +152,8 @@ struct Options {
 
   /// Engines with caps.supports_memory_budget (sweep) only: cap on
   /// resident overlap-pair bytes; 0 means unlimited. Non-zero budgets below
-  /// sweep_min_memory_budget() are rejected. Other engines ignore it.
+  /// sweep_min_memory_budget() are rejected by the Engine constructor,
+  /// before any work. Other engines ignore it.
   std::uint64_t memory_budget = 0;
 
   /// Same engines only: directory for spill files (empty = system temp

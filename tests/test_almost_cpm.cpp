@@ -19,6 +19,7 @@
 #include "cpm/almost_cpm.h"
 #include "cpm/compare.h"
 #include "cpm/engine.h"
+#include "cpm/sweep_cpm.h"
 #include "test_helpers.h"
 
 namespace kcc {
@@ -142,6 +143,28 @@ TEST(EngineOptionsSpill, BadSpillDirFailsAtRunEntry) {
         << e.what();
   }
   EXPECT_THROW(engine.run_on_cliques(g, {{0, 1, 2, 3}}), Error);
+}
+
+TEST(EngineOptionsSpill, BudgetBelowTheSpillChunkFailsAtConstruction) {
+  // Rejected by the Engine itself, before run() enumerates a single clique
+  // (the sweep's own check would name run_sweep_cpm_on_cliques instead).
+  cpm::Options options;
+  options.engine = "sweep";
+  options.memory_budget = 1024;
+  try {
+    const cpm::Engine engine(options);
+    FAIL() << "expected kcc::Error for a budget below the spill chunk";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "cpm::Engine: --memory-budget 1024 is smaller than the spill "
+              "chunk (65536 bytes); raise the budget or use 0 for unlimited");
+  }
+  options.memory_budget = sweep_min_memory_budget();
+  EXPECT_NO_THROW(cpm::Engine(options).run(complete_graph(4)));
+  // Engines that ignore the budget do not reject it either.
+  options.engine = "per_k";
+  options.memory_budget = 1024;
+  EXPECT_NO_THROW(cpm::Engine(options).run(complete_graph(4)));
 }
 
 TEST(EngineOptionsSpill, EnginesWithoutBudgetSupportIgnoreSpillDir) {

@@ -237,8 +237,10 @@ int cmd_generate(const CliArgs& args) {
 int cmd_cpm(const CliArgs& args) {
   const std::string edges = args.get_string("edges", "");
   require(!edges.empty(), "cpm: --edges is required");
+  // Built first so bad engine options fail before the edge list is read.
+  const cpm::Engine engine(cpm_options_from_args(args));
   const LabeledGraph g = read_edge_list_file(edges);
-  const cpm::Result run = cpm::Engine(cpm_options_from_args(args)).run(g.graph);
+  const cpm::Result run = engine.run(g.graph);
   const CpmResult& result = run.cpm;
   std::cout << "Graph: " << g.graph.num_nodes() << " nodes, "
             << g.graph.num_edges() << " edges\n";
@@ -442,8 +444,10 @@ int cmd_update(const CliArgs& args) {
 int cmd_tree(const CliArgs& args) {
   const std::string edges = args.get_string("edges", "");
   require(!edges.empty(), "tree: --edges is required");
+  // Built first so bad engine options fail before the edge list is read.
+  const cpm::Engine engine(cpm_options_from_args(args));
   const LabeledGraph g = read_edge_list_file(edges);
-  const cpm::Result run = cpm::Engine(cpm_options_from_args(args)).run(g.graph);
+  const cpm::Result run = engine.run(g.graph);
   require(run.has_tree, "tree: the graph has no communities to arrange");
   const CommunityTree& tree = run.tree;
   std::cout << "Community tree: " << tree.nodes().size() << " communities ("
