@@ -25,6 +25,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,6 @@
 #include "bench_json.h"
 #include "clique/bron_kerbosch.h"
 #include "clique/enumerator.h"
-#include "clique/parallel_cliques.h"
 #include "common/rng.h"
 #include "common/set_ops.h"
 #include "common/timer.h"
@@ -90,8 +90,11 @@ BENCHMARK(BM_BronKerbosch_AsTopology)->Unit(benchmark::kMillisecond);
 void BM_ParallelCliques_Threads(benchmark::State& state) {
   const Graph& g = ecosystem_graph();
   ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  clique::Options options;
+  options.min_size = 2;
+  const clique::Enumerator enumerator(g, options);
   for (auto _ : state) {
-    auto cliques = parallel_maximal_cliques(g, pool, 2);
+    auto cliques = enumerator.collect(pool);
     benchmark::DoNotOptimize(cliques.data());
   }
 }
@@ -106,9 +109,12 @@ void BM_OverlapIndex_Inverted(benchmark::State& state) {
   const Graph& g = ecosystem_graph();
   const auto cliques = maximal_cliques(g, 3);
   for (auto _ : state) {
-    auto overlaps =
-        compute_clique_overlaps_sequential(cliques, g.num_nodes(), 2);
-    benchmark::DoNotOptimize(overlaps.data());
+    std::size_t pairs = 0;
+    for_each_clique_overlaps(cliques, g.num_nodes(), 2,
+                             [&](std::span<const CliqueOverlap> batch) {
+                               pairs += batch.size();
+                             });
+    benchmark::DoNotOptimize(pairs);
   }
   state.counters["cliques"] = static_cast<double>(cliques.size());
 }
@@ -157,8 +163,10 @@ int bench_json(const std::string& json_path) {
     }
     {
       ThreadPool pool(0);
+      clique::Options options;
+      options.min_size = 2;
       Timer t;
-      auto cliques = parallel_maximal_cliques(g, pool, 2);
+      auto cliques = clique::Enumerator(g, options).collect(pool);
       entries[1].best_ms = std::min(entries[1].best_ms, t.seconds() * 1e3);
       entries[1].cliques = cliques.size();
       if (cliques != expected) {

@@ -35,7 +35,7 @@
 #include <sstream>
 
 #include "bench_json.h"
-#include "clique/parallel_cliques.h"
+#include "clique/enumerator.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -84,7 +84,9 @@ const Graph& bench_graph() {
 const std::vector<NodeSet>& bench_cliques() {
   static const std::vector<NodeSet> cliques = [] {
     ThreadPool pool(0);
-    return parallel_maximal_cliques(bench_graph(), pool, 2);
+    clique::Options options;
+    options.min_size = 2;
+    return clique::Enumerator(bench_graph(), options).collect(pool);
   }();
   return cliques;
 }
@@ -356,7 +358,11 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
       CpmOptions options;
       options.memory_budget = config.memory_budget;
       options.min_k = config.min_k;
-      const SweepCpmResult result = run_sweep_cpm(g, options);
+      ThreadPool pool(0);
+      clique::Options copt;
+      copt.min_size = 2;
+      const SweepCpmResult result = run_sweep_cpm_on_cliques(
+          g, clique::Enumerator(g, copt).collect(pool), options);
       digest = digest_result(result.cpm, result.tree);
       communities = result.cpm.total_communities();
       pairs_total = result.stats.pairs;

@@ -21,8 +21,8 @@
 //    cpm::canonical_digest is backend-independent, and check::differential
 //    crosses backends to prove it on every graph family.
 //
-// maximal_cliques / parallel_maximal_cliques remain as one-line
-// conveniences over it; new code should construct an Enumerator:
+// maximal_cliques remains as a one-line sequential convenience over it;
+// new code should construct an Enumerator:
 //
 //   clique::Options o;
 //   o.min_size = 2;

@@ -2,14 +2,10 @@
 
 #include <algorithm>
 
-#include "clique/enumerator.h"
-#include "common/error.h"
-#include "common/thread_pool.h"
 #include "common/union_find.h"
 #include "cpm/percolate_detail.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace kcc {
 namespace {
@@ -41,206 +37,190 @@ AlmostMetrics& almost_metrics() {
 // the index size instead of the O(C^2) overlap join.
 constexpr std::size_t kVerifyBudgetPerNode = 512;
 
+// One level's merges without the overlap join. Per level, each node
+// carries the list of cliques (resolving to communities via the union-find)
+// it appeared in so far this level; a community sharing >= k-1 distinct
+// nodes with a clique is a merge candidate, and candidates are verified
+// against the per-node clique index under a work budget before they merge.
+// As k decreases the partition only coarsens, so the levels nest.
+class FilterVerifyJoin {
+ public:
+  FilterVerifyJoin(std::size_t num_nodes, AlmostCpmStats& stats)
+      : num_nodes_(num_nodes), stats_(stats) {}
+
+  void prepare(const std::vector<NodeSet>& cliques) {
+    cliques_ = &cliques;
+    const std::size_t num_cliques = cliques.size();
+    // Per-node clique index for witness verification; ascending ids, so a
+    // scan can stop at the first id >= the clique being processed (later
+    // ids are not yet published at this level).
+    cliques_of_node_.assign(num_nodes_, {});
+    for (CliqueId c = 0; c < num_cliques; ++c) {
+      for (NodeId v : cliques[c]) cliques_of_node_[v].push_back(c);
+    }
+    memberships_.assign(num_nodes_, {});
+    cand_stamp_.assign(num_cliques, 0);
+    node_stamp_.assign(num_cliques, 0);
+    cand_count_.assign(num_cliques, 0);
+    verify_stamp_.assign(num_cliques, 0);
+    verify_count_.assign(num_cliques, 0);
+  }
+
+  // `live` is processed in ascending id order, the order the witness scan's
+  // early stop relies on.
+  void unite_level(std::size_t k, UnionFind& uf,
+                   const std::vector<CliqueId>& live) {
+    const std::vector<NodeSet>& cliques = *cliques_;
+    for (auto& list : memberships_) list.clear();
+    std::uint64_t entries_this_level = 0;
+
+    for (CliqueId c : live) {
+      const NodeSet& members = cliques[c];
+      ++clique_serial_;
+      cand_order_.clear();
+      for (NodeId v : members) {
+        ++node_serial_;
+        for (CliqueId entry : memberships_[v]) {
+          const std::uint32_t root = uf.find(entry);
+          if (node_stamp_[root] == node_serial_) continue;  // node counted
+          node_stamp_[root] = node_serial_;
+          if (cand_stamp_[root] != clique_serial_) {
+            cand_stamp_[root] = clique_serial_;
+            cand_count_[root] = 0;
+            cand_order_.push_back(root);
+          }
+          ++cand_count_[root];
+          ++stats_.candidate_checks;
+        }
+      }
+      // Every community sharing >= k-1 distinct nodes with c is a merge
+      // candidate. The count is against the community's node union, not
+      // any single clique of it, so it never misses a true merge but can
+      // admit false ones — those are weeded out by exact witness
+      // verification below, as long as the work budget holds.
+      bool any_candidate = false;
+      for (CliqueId root : cand_order_) {
+        if (cand_count_[root] + 1 >= k) {
+          any_candidate = true;
+          break;
+        }
+      }
+      if (any_candidate) {
+        // Scan the processed prefix of c's nodes' clique lists, counting
+        // shared nodes per individual live clique b; |c ∩ b| >= k-1 is an
+        // exact CPM merge. Each live overlapping pair is examined once
+        // per level (when its later clique processes), so within budget
+        // the level's partition is exactly sweep_cpm's.
+        const std::size_t budget = kVerifyBudgetPerNode * members.size();
+        std::size_t scanned = 0;
+        bool exhausted = false;
+        ++verify_serial_;
+        for (NodeId v : members) {
+          for (CliqueId b : cliques_of_node_[v]) {
+            if (b >= c) break;  // ascending: not yet published this level
+            if (++scanned > budget) {
+              exhausted = true;
+              break;
+            }
+            if (cliques[b].size() < k) continue;  // not live
+            if (verify_stamp_[b] != verify_serial_) {
+              verify_stamp_[b] = verify_serial_;
+              verify_count_[b] = 0;
+            }
+            if (++verify_count_[b] + 1 >= k && uf.unite(c, b)) {
+              ++stats_.unions;
+            }
+          }
+          if (exhausted) break;
+        }
+        if (exhausted) {
+          // Budget gone: fall back to the filter's answer (a coarsening,
+          // never a split — this is the only place exactness is lost).
+          ++stats_.verify_budget_exhausted;
+          for (CliqueId root : cand_order_) {
+            if (cand_count_[root] + 1 >= k && uf.unite(c, root)) {
+              ++stats_.unions;
+            }
+          }
+        } else {
+          ++stats_.verifications;
+          const std::uint32_t verified_root = uf.find(c);
+          for (CliqueId root : cand_order_) {
+            if (cand_count_[root] + 1 >= k &&
+                uf.find(root) != verified_root) {
+              ++stats_.filter_rejections;
+            }
+          }
+        }
+      }
+      // Publish c to its nodes; skip nodes whose latest entry already
+      // resolves to c's community (bounds list growth).
+      const std::uint32_t root_c = uf.find(c);
+      for (NodeId v : members) {
+        if (!memberships_[v].empty() &&
+            uf.find(memberships_[v].back()) == root_c) {
+          continue;
+        }
+        memberships_[v].push_back(c);
+        ++entries_this_level;
+      }
+    }
+    stats_.membership_entries_peak =
+        std::max(stats_.membership_entries_peak, entries_this_level);
+  }
+
+ private:
+  std::size_t num_nodes_;
+  AlmostCpmStats& stats_;
+  const std::vector<NodeSet>* cliques_ = nullptr;
+  std::vector<std::vector<CliqueId>> cliques_of_node_;
+  // Per-node membership lists, rebuilt each level; entries are clique ids
+  // whose current union-find root identifies the community.
+  std::vector<std::vector<CliqueId>> memberships_;
+  // Epoch-stamped scratch (indexed by union-find root): distinct-node count
+  // per candidate community, plus dedup stamps so each (node, community)
+  // pair counts once. No per-clique clearing.
+  std::vector<std::uint64_t> cand_stamp_;
+  std::vector<std::uint64_t> node_stamp_;
+  std::vector<std::uint32_t> cand_count_;
+  std::vector<CliqueId> cand_order_;
+  std::uint64_t clique_serial_ = 0;
+  std::uint64_t node_serial_ = 0;
+  // Epoch-stamped per-witness-clique overlap counts for verification.
+  std::vector<std::uint64_t> verify_stamp_;
+  std::vector<std::uint32_t> verify_count_;
+  std::uint64_t verify_serial_ = 0;
+};
+
 }  // namespace
 
 AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
                                           std::vector<NodeSet> cliques,
                                           const CpmOptions& options) {
-  cpm_detail::validate_cpm_input(options.min_k, cliques,
-                                 "run_almost_cpm_on_cliques");
   AlmostCpmResult out;
-  CpmResult& result = out.cpm;
-  result.cliques = std::move(cliques);
-  result.min_k = options.min_k;
-  result.max_k =
-      cpm_detail::resolve_max_k(options.min_k, options.max_k, result.cliques);
-  if (result.max_k < result.min_k) return out;
-
-  const std::size_t num_cliques = result.cliques.size();
-  std::size_t max_size = 0;
-  for (const auto& c : result.cliques) max_size = std::max(max_size, c.size());
-
-  result.by_k.resize(result.max_k - result.min_k + 1);
-  cpm_detail::DescendingLevelEmitter emitter(g, result);
-
-  // ---- the k >= 3 descending pass ----
-  //
-  // One persistent union-find over all cliques, exactly like sweep_cpm: as
-  // k decreases the partition only coarsens, so the per-level snapshots
-  // nest and the emitter can wire the tree. What differs is the join: no
-  // overlap pairs exist anywhere. Per level, each node carries the list of
-  // cliques (resolving to communities via the union-find) it appeared in
-  // so far this level; a community sharing >= k-1 distinct nodes with a
-  // clique is a merge candidate, and candidates are verified against the
-  // per-node clique index under a work budget before they merge.
-  if (result.max_k >= 3) {
-    std::vector<std::vector<CliqueId>> cliques_of_size(max_size + 1);
-    for (CliqueId c = 0; c < num_cliques; ++c) {
-      cliques_of_size[result.cliques[c].size()].push_back(c);
-    }
-
-    // Per-node clique index for witness verification; ascending ids, so a
-    // scan can stop at the first id >= the clique being processed (later
-    // ids are not yet published at this level).
-    std::vector<std::vector<CliqueId>> cliques_of_node(g.num_nodes());
-    for (CliqueId c = 0; c < num_cliques; ++c) {
-      for (NodeId v : result.cliques[c]) cliques_of_node[v].push_back(c);
-    }
-
-    KCC_SPAN("almost_cpm/sweep");
-    UnionFind uf(num_cliques);
-    cpm_detail::SweepSnapshotter snapshotter(num_cliques);
-    std::vector<CliqueId> live;  // cliques of size >= current level, ascending
-
-    // Per-node membership lists, rebuilt each level; entries are clique
-    // ids whose current union-find root identifies the community.
-    std::vector<std::vector<CliqueId>> memberships(g.num_nodes());
-    // Epoch-stamped scratch (indexed by union-find root): distinct-node
-    // count per candidate community, plus dedup stamps so each (node,
-    // community) pair counts once. No per-clique clearing.
-    std::vector<std::uint64_t> cand_stamp(num_cliques, 0);
-    std::vector<std::uint64_t> node_stamp(num_cliques, 0);
-    std::vector<std::uint32_t> cand_count(num_cliques, 0);
-    std::vector<CliqueId> cand_order;
-    std::uint64_t clique_serial = 0;
-    std::uint64_t node_serial = 0;
-    // Epoch-stamped per-witness-clique overlap counts for verification.
-    std::vector<std::uint64_t> verify_stamp(num_cliques, 0);
-    std::vector<std::uint32_t> verify_count(num_cliques, 0);
-    std::uint64_t verify_serial = 0;
-
-    const std::size_t lowest = std::max<std::size_t>(3, result.min_k);
-    for (std::size_t k = max_size; k >= lowest; --k) {
-      // Activate the cliques of size k; both ranges are ascending, so one
-      // in-place merge keeps `live` in the deterministic processing order.
-      const std::size_t old_live = live.size();
-      live.insert(live.end(), cliques_of_size[k].begin(),
-                  cliques_of_size[k].end());
-      std::inplace_merge(live.begin(), live.begin() + old_live, live.end());
-
-      for (auto& list : memberships) list.clear();
-      std::uint64_t entries_this_level = 0;
-
-      for (CliqueId c : live) {
-        const NodeSet& members = result.cliques[c];
-        ++clique_serial;
-        cand_order.clear();
-        for (NodeId v : members) {
-          ++node_serial;
-          for (CliqueId entry : memberships[v]) {
-            const std::uint32_t root = uf.find(entry);
-            if (node_stamp[root] == node_serial) continue;  // node counted
-            node_stamp[root] = node_serial;
-            if (cand_stamp[root] != clique_serial) {
-              cand_stamp[root] = clique_serial;
-              cand_count[root] = 0;
-              cand_order.push_back(root);
-            }
-            ++cand_count[root];
-            ++out.stats.candidate_checks;
-          }
-        }
-        // Every community sharing >= k-1 distinct nodes with c is a merge
-        // candidate. The count is against the community's node union, not
-        // any single clique of it, so it never misses a true merge but can
-        // admit false ones — those are weeded out by exact witness
-        // verification below, as long as the work budget holds.
-        bool any_candidate = false;
-        for (CliqueId root : cand_order) {
-          if (cand_count[root] + 1 >= k) {
-            any_candidate = true;
-            break;
-          }
-        }
-        if (any_candidate) {
-          // Scan the processed prefix of c's nodes' clique lists, counting
-          // shared nodes per individual live clique b; |c ∩ b| >= k-1 is an
-          // exact CPM merge. Each live overlapping pair is examined once
-          // per level (when its later clique processes), so within budget
-          // the level's partition is exactly sweep_cpm's.
-          const std::size_t budget = kVerifyBudgetPerNode * members.size();
-          std::size_t scanned = 0;
-          bool exhausted = false;
-          ++verify_serial;
-          for (NodeId v : members) {
-            for (CliqueId b : cliques_of_node[v]) {
-              if (b >= c) break;  // ascending: not yet published this level
-              if (++scanned > budget) {
-                exhausted = true;
-                break;
-              }
-              if (result.cliques[b].size() < k) continue;  // not live
-              if (verify_stamp[b] != verify_serial) {
-                verify_stamp[b] = verify_serial;
-                verify_count[b] = 0;
-              }
-              if (++verify_count[b] + 1 >= k && uf.unite(c, b)) {
-                ++out.stats.unions;
-              }
-            }
-            if (exhausted) break;
-          }
-          if (exhausted) {
-            // Budget gone: fall back to the filter's answer (a coarsening,
-            // never a split — this is the only place exactness is lost).
-            ++out.stats.verify_budget_exhausted;
-            for (CliqueId root : cand_order) {
-              if (cand_count[root] + 1 >= k && uf.unite(c, root)) {
-                ++out.stats.unions;
-              }
-            }
-          } else {
-            ++out.stats.verifications;
-            const std::uint32_t verified_root = uf.find(c);
-            for (CliqueId root : cand_order) {
-              if (cand_count[root] + 1 >= k &&
-                  uf.find(root) != verified_root) {
-                ++out.stats.filter_rejections;
-              }
-            }
-          }
-        }
-        // Publish c to its nodes; skip nodes whose latest entry already
-        // resolves to c's community (bounds list growth).
-        const std::uint32_t root_c = uf.find(c);
-        for (NodeId v : members) {
-          if (!memberships[v].empty() &&
-              uf.find(memberships[v].back()) == root_c) {
-            continue;
-          }
-          memberships[v].push_back(c);
-          ++entries_this_level;
-        }
-      }
-      out.stats.membership_entries_peak =
-          std::max(out.stats.membership_entries_peak, entries_this_level);
-
-      if (k > result.max_k) continue;  // above the requested range
-
-      const obs::ScopedSpan span("almost_cpm/emit_k=" + std::to_string(k));
-      emitter.emit(snapshotter.snapshot(k, uf, live, result.cliques));
-    }
-    KCC_LOG(kDebug) << "run_almost_cpm: " << num_cliques << " cliques, "
-                    << out.stats.candidate_checks << " candidate checks, "
-                    << out.stats.unions << " unions, "
-                    << out.stats.verifications << " verified, "
-                    << out.stats.filter_rejections << " rejected, "
-                    << out.stats.verify_budget_exhausted
-                    << " budget-exhausted, membership peak "
-                    << out.stats.membership_entries_peak << ", k in ["
-                    << result.min_k << ", " << result.max_k << "]";
-  }
-
-  // ---- the k = 2 level: connected components (exact) ----
-  if (result.min_k == 2) {
-    KCC_SPAN("almost_cpm/percolate_k2");
-    emitter.emit_k2();
-  }
-
-  {
-    KCC_SPAN("almost_cpm/tree");
-    out.tree = emitter.finish();
-  }
+  FilterVerifyJoin filter(g.num_nodes(), out.stats);
+  cpm_detail::LevelJoin join;
+  join.prepare = [&](const std::vector<NodeSet>& table, std::size_t) {
+    filter.prepare(table);
+  };
+  join.unite_level = [&](std::size_t k, UnionFind& uf,
+                         const std::vector<CliqueId>& live) {
+    filter.unite_level(k, uf, live);
+  };
+  cpm_detail::LevelSweep levels =
+      cpm_detail::descend_levels(g, std::move(cliques), options,
+                                 "run_almost_cpm_on_cliques", "almost_cpm",
+                                 join);
+  out.cpm = std::move(levels.cpm);
+  out.tree = std::move(levels.tree);
+  KCC_LOG(kDebug) << "run_almost_cpm_on_cliques: " << out.cpm.cliques.size()
+                  << " cliques, " << out.stats.candidate_checks
+                  << " candidate checks, " << out.stats.unions << " unions, "
+                  << out.stats.verifications << " verified, "
+                  << out.stats.filter_rejections << " rejected, "
+                  << out.stats.verify_budget_exhausted
+                  << " budget-exhausted, membership peak "
+                  << out.stats.membership_entries_peak;
 
   AlmostMetrics& m = almost_metrics();
   m.candidate_checks.inc(out.stats.candidate_checks);
@@ -251,15 +231,6 @@ AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
   m.membership_peak.set(
       static_cast<std::int64_t>(out.stats.membership_entries_peak));
   return out;
-}
-
-AlmostCpmResult run_almost_cpm(const Graph& g, const CpmOptions& options) {
-  require(options.min_k >= 2, "run_almost_cpm: min_k must be >= 2");
-  ThreadPool pool(options.threads);
-  clique::Options copt;
-  copt.min_size = 2;
-  std::vector<NodeSet> cliques = clique::Enumerator(g, copt).collect(pool);
-  return run_almost_cpm_on_cliques(g, std::move(cliques), options);
 }
 
 }  // namespace kcc

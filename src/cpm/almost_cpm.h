@@ -24,11 +24,12 @@
 // (O(sum of clique sizes)) instead of the pair list. Within budget the
 // output is exact; beyond it communities can merge that exact CPM keeps
 // apart. Either way the output is a coarsening of the exact partition at
-// every k — never a split — which keeps the nesting theorem intact: one
-// persistent union-find is swept from k = k_max down to 3 (the same
-// descending-k structure as sweep_cpm), so each level coarsens the one
-// above and the Fig. 4.2 community tree is valid by construction. The
-// k = 2 level (connected components) is computed exactly.
+// every k — never a split — which keeps the nesting theorem intact: the
+// filter and verify pass is this engine's join in the descending-k level
+// loop it shares with sweep_cpm (cpm_detail::descend_levels), so each
+// level coarsens the one above and the Fig. 4.2 community tree is valid by
+// construction. The k = 2 level (connected components) is computed
+// exactly.
 //
 // The gap is measured, not trusted: cpm/compare.h scores almost-exact
 // results against an exact engine per k (best-match Jaccard / community
@@ -76,14 +77,11 @@ struct AlmostCpmResult {
   AlmostCpmStats stats;
 };
 
-/// Extracts almost-exact k-clique communities and the community tree of `g`
-/// in one descending-k pass. Options are shared with the exact engines;
-/// `options.threads` only parallelizes clique enumeration — percolation is
-/// sequential and its output is independent of the thread count.
-AlmostCpmResult run_almost_cpm(const Graph& g, const CpmOptions& options = {});
-
-/// Same, over a pre-enumerated maximal-clique set (each clique sorted, size
-/// >= 2). `g` is still needed for the exact k = 2 special case.
+/// Extracts almost-exact k-clique communities and the community tree over
+/// a pre-enumerated maximal-clique set (each clique sorted, size >= 2,
+/// nodes < g.num_nodes()) in one descending-k pass. Options are shared
+/// with the exact engines; percolation is sequential, so `options.threads`
+/// is unused. `g` is still needed for the exact k = 2 special case.
 AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
                                           std::vector<NodeSet> cliques,
                                           const CpmOptions& options = {});

@@ -73,7 +73,8 @@ void for_each_clique_overlaps(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
     std::size_t min_overlap,
     const std::function<void(std::span<const CliqueOverlap>)>& sink) {
-  require(min_overlap >= 1, "compute_clique_overlaps: min_overlap must be >= 1");
+  require(min_overlap >= 1,
+          "for_each_clique_overlaps: min_overlap must be >= 1");
   KCC_SPAN("cpm/overlap_join");
   const auto index = build_node_clique_index(cliques, num_nodes);
   std::vector<std::uint32_t> hit_count(cliques.size(), 0);
@@ -92,29 +93,13 @@ void for_each_clique_overlaps(
   overlap_metrics().pairs.inc(emitted);
 }
 
-std::vector<CliqueOverlap> compute_clique_overlaps_sequential(
+// The merged pair list is ordered by shard, i.e. by b-ranges of equal
+// clique count, with no global sort.
+std::vector<CliqueOverlap> compute_clique_overlaps_unsorted(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
-    std::size_t min_overlap) {
-  std::vector<CliqueOverlap> out;
-  for_each_clique_overlaps(cliques, num_nodes, min_overlap,
-                           [&](std::span<const CliqueOverlap> pairs) {
-                             out.insert(out.end(), pairs.begin(), pairs.end());
-                           });
-  std::sort(out.begin(), out.end(), [](const CliqueOverlap& x, const CliqueOverlap& y) {
-    return x.a != y.a ? x.a < y.a : x.b < y.b;
-  });
-  return out;
-}
-
-namespace {
-
-// Shared body of the parallel join; the merged pair list is ordered by
-// shard, i.e. by b-ranges of equal clique count, with no global sort.
-std::vector<CliqueOverlap> overlap_join(const std::vector<NodeSet>& cliques,
-                                        std::size_t num_nodes,
-                                        std::size_t min_overlap,
-                                        ThreadPool& pool) {
-  require(min_overlap >= 1, "compute_clique_overlaps: min_overlap must be >= 1");
+    std::size_t min_overlap, ThreadPool& pool) {
+  require(min_overlap >= 1,
+          "compute_clique_overlaps_unsorted: min_overlap must be >= 1");
   KCC_SPAN("cpm/overlap_join");
   const auto index = build_node_clique_index(cliques, num_nodes);
 
@@ -148,27 +133,6 @@ std::vector<CliqueOverlap> overlap_join(const std::vector<NodeSet>& cliques,
   for (auto& slot : slots) {
     out.insert(out.end(), slot.begin(), slot.end());
   }
-  return out;
-}
-
-}  // namespace
-
-std::vector<CliqueOverlap> compute_clique_overlaps_unsorted(
-    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
-    std::size_t min_overlap, ThreadPool& pool) {
-  return overlap_join(cliques, num_nodes, min_overlap, pool);
-}
-
-std::vector<CliqueOverlap> compute_clique_overlaps(
-    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
-    std::size_t min_overlap, ThreadPool& pool) {
-  std::vector<CliqueOverlap> out =
-      overlap_join(cliques, num_nodes, min_overlap, pool);
-  KCC_SPAN("cpm/overlap_sort");
-  std::sort(out.begin(), out.end(),
-            [](const CliqueOverlap& x, const CliqueOverlap& y) {
-              return x.a != y.a ? x.a < y.a : x.b < y.b;
-            });
   return out;
 }
 

@@ -31,16 +31,10 @@ std::vector<std::vector<CliqueId>> build_node_clique_index(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes);
 
 /// Computes all clique pairs with |A ∩ B| >= min_overlap, in parallel over
-/// `pool`. Pairs are returned sorted by (a, b); the result is deterministic.
-std::vector<CliqueOverlap> compute_clique_overlaps(
-    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
-    std::size_t min_overlap, ThreadPool& pool);
-
-/// Same pair set without the final (a, b) sort — the pair ORDER depends on
-/// the shard count (i.e. on `pool.thread_count()`), only the set is
-/// deterministic. For consumers that impose their own order anyway (the
-/// incremental engine's overlap lists) this skips the dominant
-/// O(P log P) step of the join.
+/// `pool`. The pair SET is deterministic; the pair ORDER depends on the
+/// shard count (i.e. on `pool.thread_count()`). Every consumer is
+/// order-independent: the per-k engine's union-find groups, the sweep's
+/// buckets and the incremental engine's overlap lists.
 std::vector<CliqueOverlap> compute_clique_overlaps_unsorted(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
     std::size_t min_overlap, ThreadPool& pool);
@@ -54,10 +48,5 @@ void for_each_clique_overlaps(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
     std::size_t min_overlap,
     const std::function<void(std::span<const CliqueOverlap>)>& sink);
-
-/// Sequential variant (used by tests and the single-thread ablation bench).
-std::vector<CliqueOverlap> compute_clique_overlaps_sequential(
-    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
-    std::size_t min_overlap);
 
 }  // namespace kcc

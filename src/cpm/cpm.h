@@ -19,10 +19,11 @@
 // parallel over cliques, and the per-k percolations — which are mutually
 // independent — run in parallel across k.
 //
-// Compatibility note: the free functions below are the per-k engine, kept
-// verbatim as the reference oracle. New code should go through the
-// cpm::Engine facade (cpm/engine.h), whose default sweep engine produces
-// the same communities for all k plus the nesting tree in a single pass.
+// The free functions below are the per-k engine (registry name per_k),
+// whose independent per-k loop is the oracle the other exact engines are
+// tested against. Other callers should go through the cpm::Engine facade
+// (cpm/engine.h), whose default sweep engine produces the same communities
+// for all k plus the nesting tree in a single pass.
 #pragma once
 
 #include <cstddef>

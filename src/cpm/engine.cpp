@@ -156,8 +156,26 @@ Result run_almost_cliques(const Options& options, const Graph& g,
   return adopt_sweep_result(options, std::move(almost), total);
 }
 
-std::vector<EngineInfo>& mutable_registry() {
-  static std::vector<EngineInfo> registry = [] {
+// Fails fast on a spill directory that would only explode at the first
+// spill deep inside the sweep.
+void validate_spill_dir(const std::string& spill_dir) {
+  if (spill_dir.empty()) return;
+  std::error_code ec;
+  const std::filesystem::path dir(spill_dir);
+  if (!std::filesystem::is_directory(dir, ec)) {
+    throw Error("cpm::Engine: spill_dir '" + spill_dir +
+                "' does not exist or is not a directory");
+  }
+  if (::access(spill_dir.c_str(), W_OK | X_OK) != 0) {
+    throw Error("cpm::Engine: spill_dir '" + spill_dir +
+                "' is not writable");
+  }
+}
+
+}  // namespace
+
+const std::vector<EngineInfo>& engine_registry() {
+  static const std::vector<EngineInfo> registry = [] {
     std::vector<EngineInfo> built_in;
     {
       EngineInfo sweep;
@@ -217,24 +235,6 @@ std::vector<EngineInfo>& mutable_registry() {
   return registry;
 }
 
-// Fails fast on a spill directory that would only explode at the first
-// spill deep inside the sweep.
-void validate_spill_dir(const std::string& spill_dir) {
-  if (spill_dir.empty()) return;
-  std::error_code ec;
-  const std::filesystem::path dir(spill_dir);
-  if (!std::filesystem::is_directory(dir, ec)) {
-    throw Error("cpm::Engine: spill_dir '" + spill_dir +
-                "' does not exist or is not a directory");
-  }
-  if (::access(spill_dir.c_str(), W_OK | X_OK) != 0) {
-    throw Error("cpm::Engine: spill_dir '" + spill_dir +
-                "' is not writable");
-  }
-}
-
-}  // namespace
-
 const char* exactness_name(Exactness exactness) {
   switch (exactness) {
     case Exactness::kExact:
@@ -244,8 +244,6 @@ const char* exactness_name(Exactness exactness) {
   }
   return "?";
 }
-
-const std::vector<EngineInfo>& engine_registry() { return mutable_registry(); }
 
 const EngineInfo* find_engine(const std::string& name) {
   for (const EngineInfo& info : engine_registry()) {
@@ -258,16 +256,6 @@ const EngineInfo& engine_info(const std::string& name) {
   if (const EngineInfo* info = find_engine(name)) return *info;
   throw Error("unknown engine '" + name + "' (" + engine_names_joined() +
               ")");
-}
-
-void register_engine(EngineInfo info) {
-  require(!info.name.empty(), "register_engine: name must be non-empty");
-  require(find_engine(info.name) == nullptr,
-          "register_engine: duplicate engine name '", info.name, "'");
-  require(info.run != nullptr || info.run_on_cliques != nullptr,
-          "register_engine: engine '", info.name,
-          "' needs at least one run hook");
-  mutable_registry().push_back(std::move(info));
 }
 
 std::string engine_names_joined(char sep) {

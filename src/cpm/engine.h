@@ -8,8 +8,9 @@
 // facade unifies them: one Options struct selects the k range, the clique
 // floor, the intensity threshold and the engine; one Result carries
 // communities-by-k, the nesting tree, per-stage timings and exactness
-// provenance. The old free functions remain as thin compatibility wrappers —
-// new code should construct an Engine.
+// provenance. The free functions that remain are each engine's own entry
+// over a pre-enumerated clique table (run_cpm_on_cliques is also the per-k
+// oracle); enumeration from a graph goes through the Engine.
 //
 //   cpm::Options options;
 //   options.max_k = 12;
@@ -17,10 +18,11 @@
 //   use(result.cpm.at(5), result.tree);
 //
 // Engines are looked up by name in a string-keyed registry
-// (engine_registry()) instead of a closed enum, so backends can be added —
-// including approximate ones — without touching every dispatch site. Each
-// EngineInfo carries capability flags; CLI help text, the kcc_bench matrix
-// and the check::differential axis are all generated from the registry.
+// (engine_registry(), a fixed table of the built-ins) instead of a closed
+// enum, so adding a backend — approximate ones included — touches only the
+// table, not every dispatch site. Each EngineInfo carries capability flags;
+// CLI help text, the kcc_bench matrix and the check::differential axis are
+// all generated from the registry.
 #pragma once
 
 #include <cstddef>
@@ -90,17 +92,16 @@ struct EngineInfo {
                            std::vector<NodeSet>) = nullptr;
 };
 
-/// All registered engines, built-ins first, in registration order. The
-/// built-ins: sweep (default; single descending-k union-find sweep over
-/// overlap pairs born into per-overlap buckets, tree in the same pass,
-/// optional spill-to-disk under --memory-budget), per_k (one independent
-/// percolation per k; the original LP-CPM structure, kept as the reference
-/// oracle),
-/// incremental (live clique/overlap state patched under edge batches —
-/// cpm/incr_cpm.h — materialized through the sweep tail; exact,
-/// lexicographic clique order), almost_exact (Baudin et al. 2021
-/// bounded-memory percolation over per-node community candidates — no
-/// overlap join; approximate) and reference (the literal k-clique-graph
+/// The built-in engines, in a fixed order: sweep (default; one
+/// descending-k union-find sweep over overlap pairs born into per-overlap
+/// buckets, tree in the same pass, optional spill-to-disk under
+/// --memory-budget), per_k (one independent percolation per k; the
+/// original LP-CPM structure, kept as the reference oracle), incremental
+/// (live clique/overlap state patched under edge batches — cpm/incr_cpm.h
+/// — materialized through the sweep tail; exact, lexicographic clique
+/// order), almost_exact (Baudin et al. 2021 bounded-memory percolation over
+/// per-node community candidates — no overlap join; approximate; the same
+/// level loop as sweep) and reference (the literal k-clique-graph
 /// definition; exponential). docs/ALGORITHMS.md compares them with
 /// measured numbers.
 const std::vector<EngineInfo>& engine_registry();
@@ -111,10 +112,6 @@ const EngineInfo* find_engine(const std::string& name);
 /// Registry lookup; throws kcc::Error listing the registered names when
 /// `name` is unknown.
 const EngineInfo& engine_info(const std::string& name);
-
-/// Adds an engine to the registry (throws on a duplicate name). Intended
-/// for out-of-tree experiments; the built-ins are always present.
-void register_engine(EngineInfo info);
 
 /// "sweep|per_k|incremental|almost_exact|reference" — the registered names
 /// joined with `sep`, for help/error text.

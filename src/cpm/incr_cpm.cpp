@@ -12,6 +12,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "cpm/clique_index.h"
+#include "cpm/percolate_detail.h"
 #include "cpm/sweep_cpm.h"
 #include "obs/obs.h"
 #include "obs/report.h"
@@ -55,9 +56,11 @@ IncrementalCpm::IncrementalCpm(const Graph& g, Options options)
 IncrementalCpm::IncrementalCpm(FromCliquesTag, const Graph& g,
                                std::vector<NodeSet> cliques, Options options)
     : options_(std::move(options)) {
-  require(options_.min_k >= 2, "IncrementalCpm: min_k must be >= 2");
   require(options_.min_clique_size >= 2,
           "IncrementalCpm: min_clique_size must be >= 2");
+  // The bootstrap indexes every clique's nodes before any sweep runs.
+  cpm_detail::validate_cpm_input(g.num_nodes(), options_.min_k, cliques,
+                                 "IncrementalCpm");
   cliques_ = std::move(cliques);
   materialize_only_ = options_.min_clique_size > 2;
   bootstrap(g);

@@ -1,18 +1,20 @@
 // Internals shared by the CPM engines (per-k percolation in cpm.cpp, the
 // single-sweep engine in sweep_cpm.cpp and the almost-exact engine in
 // almost_cpm.cpp): canonical community ordering, the k = 2
-// connected-components special case, option validation, the descending-k
-// level emitter / snapshotter shared by the sweep-style engines, and the
-// common metrics hooks. Not part of the public API — include cpm/cpm.h or
+// connected-components special case, input validation, the common metrics
+// hooks, and the one descending-k level loop the sweep-style engines plug
+// their joins into. Not part of the public API — include cpm/cpm.h or
 // cpm/engine.h instead.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "cpm/community.h"
 #include "cpm/community_tree.h"
+#include "cpm/cpm.h"
 #include "graph/graph.h"
 
 namespace kcc {
@@ -36,8 +38,10 @@ void note_community_set(const CommunitySet& set);
 /// Counts one batch of union-find join operations.
 void note_join_ops(std::uint64_t join_ops);
 
-/// Shared entry validation: min_k >= 2 and every clique sorted, size >= 2.
-void validate_cpm_input(std::size_t min_k, const std::vector<NodeSet>& cliques,
+/// Shared entry validation: min_k >= 2 and every clique sorted, of size
+/// >= 2 and inside the graph (every node < num_nodes).
+void validate_cpm_input(std::size_t num_nodes, std::size_t min_k,
+                        const std::vector<NodeSet>& cliques,
                         const char* where);
 
 /// Resolves the effective max_k: 0 means "largest clique size"; larger
@@ -46,60 +50,41 @@ void validate_cpm_input(std::size_t min_k, const std::vector<NodeSet>& cliques,
 std::size_t resolve_max_k(std::size_t min_k, std::size_t max_k,
                           const std::vector<NodeSet>& cliques);
 
-/// Groups live cliques by union-find root into one level-k CommunitySet.
-/// The root → community-slot scratch map is epoch-stamped, so each snapshot
-/// is O(|live|) with no per-level clearing; the union-find itself is never
-/// copied or rolled back. Shared by the sweep-style engines.
-class SweepSnapshotter {
- public:
-  explicit SweepSnapshotter(std::size_t num_cliques);
+/// How one sweep-style engine finds the merges of a level.
+struct LevelJoin {
+  /// Runs once before the first level, over the validated clique table.
+  /// `lowest` = max(3, min_k) is the last level the loop unites.
+  std::function<void(const std::vector<NodeSet>& cliques, std::size_t lowest)>
+      prepare;
 
-  /// Components over `live` at level `k`, with node sets materialized from
-  /// `cliques` and clique ids sorted (NOT yet canonicalised — pass the
-  /// result to DescendingLevelEmitter::emit).
-  CommunitySet snapshot(std::size_t k, UnionFind& uf,
-                        const std::vector<CliqueId>& live,
-                        const std::vector<NodeSet>& cliques);
-
- private:
-  std::vector<std::uint32_t> stamp_;
-  std::vector<std::uint32_t> slot_;
-  std::uint32_t epoch_ = 0;
+  /// Unites every pair of live cliques that level `k` makes adjacent.
+  /// `live` holds the cliques of size >= k in ascending id order; the
+  /// merges of every higher level are already in `uf`.
+  std::function<void(std::size_t k, UnionFind& uf,
+                     const std::vector<CliqueId>& live)>
+      unite_level;
 };
 
-/// Receives the per-k community sets of a descending-k sweep — from
-/// result.max_k down to max(3, result.min_k), then optionally the k = 2
-/// level — canonicalises each, wires the nesting parents of the level
-/// above through its representative cliques, and assembles the community
-/// tree. The single-sweep engine (and through it the incremental engine)
-/// and the almost-exact engine emit through this class, which is what
-/// keeps the exact ones byte-identical to each other (and, by the
-/// sweep-vs-oracle tests, to the per-k engine).
-/// `result.min_k`, `result.max_k` and `result.by_k` must be sized before
-/// construction; `result.cliques` must hold the full clique table.
-class DescendingLevelEmitter {
- public:
-  DescendingLevelEmitter(const Graph& g, CpmResult& result);
-
-  /// Emits the level for `set.k`. Levels must arrive in strictly
-  /// descending k order.
-  void emit(CommunitySet set);
-
-  /// Emits the k = 2 level (connected components) and resolves the k = 3
-  /// parents. Call after every k >= 3 level, only when result.min_k == 2.
-  void emit_k2();
-
-  /// Assembles the tree from the emitted levels.
-  CommunityTree finish() const;
-
- private:
-  const Graph& g_;
-  CpmResult& result_;
-  std::vector<std::vector<TreeParentLink>> tree_levels_;
-  // Representative clique of each community at the previously emitted
-  // (next-higher) level, in canonical id order; resolving it against the
-  // current level's clique -> community map yields the nesting parent.
-  std::vector<CliqueId> reps_above_;
+/// The community levels and tree of one descending-k run.
+struct LevelSweep {
+  CpmResult cpm;
+  CommunityTree tree;
 };
+
+/// The descending-k loop of the sweep-style engines (paper Sec. 3.1: each
+/// level coarsens the one above). Validates `cliques` against `g` and
+/// resolves the k range from `options`; when the range reaches k >= 3,
+/// calls `join.prepare` once and sweeps ONE union-find from the largest
+/// clique size down to max(3, min_k): activate the cliques of size k,
+/// `join.unite_level(k, ...)`, and snapshot the components over the live
+/// cliques as level k when k is requested. Then the k = 2 level when
+/// min_k == 2, and the nesting tree wired through each level's
+/// representative cliques. Every level is canonicalised, so engines that
+/// unite the same pairs emit byte-identical output. `where` names the
+/// caller in error messages; span names are `<spans>/sweep`,
+/// `<spans>/emit_k=<k>`, `<spans>/percolate_k2` and `<spans>/tree`.
+LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
+                          const CpmOptions& options, const char* where,
+                          const char* spans, const LevelJoin& join);
 
 }  // namespace kcc::cpm_detail

@@ -7,12 +7,11 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <span>
 #include <utility>
 
-#include "clique/enumerator.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "common/union_find.h"
 #include "cpm/percolate_detail.h"
 #include "obs/log.h"
@@ -218,84 +217,47 @@ class PairBuckets {
   SweepCpmStats stats_;
 };
 
-// The shared body of every entry point: validation, `fill` bucketing the
-// overlap pairs (each pair (a, b, overlap) with overlap >= its min_overlap
-// argument), then the descending-k loop.
+// The shared body of every entry point: the budget check, then the
+// descending-k loop. The join buckets every pair `fill` produces once, up
+// front (each pair (a, b, overlap) with overlap >= its min_overlap
+// argument); level k drains the bucket of overlap k-1, whose endpoints
+// have size >= k and so are already live.
 template <typename Fill>
 SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
                      const CpmOptions& options, const char* caller,
                      Fill&& fill) {
-  cpm_detail::validate_cpm_input(options.min_k, cliques, caller);
   require(options.memory_budget == 0 ||
               options.memory_budget >= sweep_min_memory_budget(),
           caller, ": --memory-budget ", options.memory_budget,
           " is smaller than the spill chunk (", sweep_min_memory_budget(),
           " bytes); raise the budget or use 0 for unlimited");
+  std::optional<PairBuckets> buckets;  // engaged iff a level k >= 3 runs
+  std::uint64_t join_ops = 0;
+  cpm_detail::LevelJoin join;
+  join.prepare = [&](const std::vector<NodeSet>& table, std::size_t lowest) {
+    std::size_t max_size = 0;
+    for (const auto& c : table) max_size = std::max(max_size, c.size());
+    buckets.emplace(max_size, options, caller);
+    KCC_SPAN("sweep_cpm/clique_overlaps");
+    // Level k consumes overlap k-1, so smaller overlaps are never stored.
+    fill(*buckets, table, lowest - 1);
+    buckets->finish_fill();
+    KCC_LOG(kDebug) << caller << ": " << table.size() << " cliques, "
+                    << buckets->stats().pairs << " overlap pairs >= "
+                    << lowest - 1;
+  };
+  join.unite_level = [&](std::size_t k, UnionFind& uf,
+                         const std::vector<CliqueId>&) {
+    join_ops += buckets->drain(k - 1, uf);
+  };
+  cpm_detail::LevelSweep levels = cpm_detail::descend_levels(
+      g, std::move(cliques), options, caller, "sweep_cpm", join);
   SweepCpmResult out;
-  CpmResult& result = out.cpm;
-  result.cliques = std::move(cliques);
-  result.min_k = options.min_k;
-  result.max_k =
-      cpm_detail::resolve_max_k(options.min_k, options.max_k, result.cliques);
-  if (result.max_k < result.min_k) return out;
-
-  const std::size_t num_cliques = result.cliques.size();
-  std::size_t max_size = 0;
-  for (const auto& c : result.cliques) max_size = std::max(max_size, c.size());
-
-  result.by_k.resize(result.max_k - result.min_k + 1);
-  cpm_detail::DescendingLevelEmitter emitter(g, result);
-
-  // ---- the k >= 3 descending sweep ----
-  if (result.max_k >= 3) {
-    // Level k consumes overlap k-1 and the lowest union level is
-    // max(3, min_k), so smaller overlaps are never stored.
-    const std::size_t lowest = std::max<std::size_t>(3, result.min_k);
-    PairBuckets buckets(max_size, options, caller);
-    {
-      KCC_SPAN("sweep_cpm/clique_overlaps");
-      fill(buckets, result.cliques, lowest - 1);
-      buckets.finish_fill();
-    }
-    KCC_LOG(kDebug) << caller << ": " << num_cliques << " cliques, "
-                    << buckets.stats().pairs << " overlap pairs, k in ["
-                    << result.min_k << ", " << result.max_k << "]";
-
-    std::vector<std::vector<CliqueId>> cliques_of_size(max_size + 1);
-    for (CliqueId c = 0; c < num_cliques; ++c) {
-      cliques_of_size[result.cliques[c].size()].push_back(c);
-    }
-
-    KCC_SPAN("sweep_cpm/sweep");
-    UnionFind uf(num_cliques);
-    std::vector<CliqueId> live;  // cliques of size >= current level
-    std::uint64_t join_ops = 0;
-    cpm_detail::SweepSnapshotter snapshotter(num_cliques);
-
-    for (std::size_t k = max_size; k >= lowest; --k) {
-      for (CliqueId c : cliques_of_size[k]) live.push_back(c);  // activate
-      // Pairs with overlap k-1 become k-clique-adjacent at this level; both
-      // endpoints have size >= overlap + 1 = k, so they are already live.
-      join_ops += buckets.drain(k - 1, uf);
-      if (k > result.max_k) continue;  // above the requested range
-
-      // Snapshot: components over the live cliques are the communities at k.
-      const obs::ScopedSpan span("sweep_cpm/emit_k=" + std::to_string(k));
-      emitter.emit(snapshotter.snapshot(k, uf, live, result.cliques));
-    }
+  out.cpm = std::move(levels.cpm);
+  out.tree = std::move(levels.tree);
+  if (buckets) {
     cpm_detail::note_join_ops(join_ops);
-    out.stats = buckets.stats();
-  }
-
-  // ---- the k = 2 level: connected components ----
-  if (result.min_k == 2) {
-    KCC_SPAN("sweep_cpm/percolate_k2");
-    emitter.emit_k2();
-  }
-
-  {
-    KCC_SPAN("sweep_cpm/tree");
-    out.tree = emitter.finish();
+    out.stats = buckets->stats();
   }
   return out;
 }
@@ -376,15 +338,6 @@ SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
                  overlaps.clear();
                  overlaps.shrink_to_fit();
                });
-}
-
-SweepCpmResult run_sweep_cpm(const Graph& g, const CpmOptions& options) {
-  require(options.min_k >= 2, "run_sweep_cpm: min_k must be >= 2");
-  ThreadPool pool(options.threads);
-  clique::Options copt;
-  copt.min_size = 2;
-  std::vector<NodeSet> cliques = clique::Enumerator(g, copt).collect(pool);
-  return run_sweep_cpm_on_cliques(g, std::move(cliques), options);
 }
 
 }  // namespace kcc

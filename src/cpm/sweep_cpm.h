@@ -24,6 +24,10 @@
 //     so the full community tree (Fig. 4.2) falls out of the same pass
 //     instead of being reconstructed post-hoc.
 //
+// Steps 2 and 3 are the descending-k level loop shared with the
+// almost-exact engine (cpm_detail::descend_levels); this engine supplies
+// the bucket fill and the per-level drain.
+//
 // With CpmOptions::memory_budget set, whole buckets spill to temp files
 // whenever the resident pairs exceed the budget, and each level streams
 // its spilled prefix back one fixed-size chunk at a time. The budget caps
@@ -76,12 +80,10 @@ std::uint64_t sweep_min_memory_budget();
 /// anything else. "0" means unlimited.
 std::uint64_t parse_memory_budget(const std::string& text);
 
-/// Extracts all k-clique communities and the community tree of `g` in one
-/// descending-k sweep. Options are shared with the per-k engine.
-SweepCpmResult run_sweep_cpm(const Graph& g, const CpmOptions& options = {});
-
-/// Same, over a pre-enumerated maximal-clique set (each clique sorted, size
-/// >= 2). `g` is still needed for the k = 2 special case.
+/// Extracts all k-clique communities and the community tree in one
+/// descending-k sweep over a pre-enumerated maximal-clique set (each
+/// clique sorted, size >= 2, nodes < g.num_nodes()). Options are shared
+/// with the per-k engine. `g` is still needed for the k = 2 special case.
 SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
                                         std::vector<NodeSet> cliques,
                                         const CpmOptions& options = {});

@@ -2,7 +2,7 @@
 // and the registry/similarity machinery it forced into the API:
 //   * registry round-trip — every registered name parses, constructs an
 //     Engine and runs on a smoke graph with correct provenance;
-//   * Engine::run_on_cliques across all capable engines × clique backends;
+//   * Engine::run_on_cliques across all capable engines;
 //   * spill-dir validation at Engine::run entry;
 //   * almost-exact semantics — coarsening of the exact partition, exact at
 //     k=2, deterministic, nesting tree, F1 >= 0.99 on seeded families;
@@ -13,9 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "clique/parallel_cliques.h"
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "cpm/almost_cpm.h"
 #include "cpm/compare.h"
 #include "cpm/engine.h"
@@ -72,8 +70,7 @@ TEST(EngineRegistry, EveryRegisteredEngineRoundTrips) {
 
 TEST(EngineRegistry, RunOnCliquesAgreesAcrossEnginesAndBackends) {
   const Graph g = random_graph(40, 0.35, 9);
-  ThreadPool pool(2);
-  const std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
+  const std::vector<NodeSet> cliques = testing::clique_table(g);
 
   cpm::Options baseline_options;
   baseline_options.engine = "per_k";
@@ -114,16 +111,6 @@ TEST(EngineRegistry, RunOnCliquesAgreesAcrossEnginesAndBackends) {
       EXPECT_TRUE(gap.ok) << info.name << ": " << gap.summary;
     }
   }
-}
-
-TEST(EngineRegistry, RegisterEngineRejectsDuplicates) {
-  cpm::EngineInfo dup;
-  dup.name = "sweep";
-  dup.summary = "clash";
-  EXPECT_THROW(cpm::register_engine(dup), Error);
-  cpm::EngineInfo anon;
-  anon.summary = "unnamed";
-  EXPECT_THROW(cpm::register_engine(anon), Error);
 }
 
 // ------------------------------------------------------ spill validation
@@ -286,8 +273,9 @@ TEST(AlmostCpm, TreeNestsAndCanBeDisabled) {
 }
 
 TEST(AlmostCpm, StatsCountTheWork) {
+  const Graph g = overlapping_cliques(5, 5, 3);
   const AlmostCpmResult result =
-      run_almost_cpm(overlapping_cliques(5, 5, 3));
+      run_almost_cpm_on_cliques(g, testing::clique_table(g));
   EXPECT_GT(result.stats.candidate_checks, 0u);
   EXPECT_GT(result.stats.unions, 0u);
   EXPECT_GT(result.stats.membership_entries_peak, 0u);

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 
-#include "clique/parallel_cliques.h"
-#include "common/thread_pool.h"
 #include "cpm/reference_cpm.h"
 #include "test_helpers.h"
 
@@ -184,8 +182,7 @@ TEST(Cpm, ReferenceMatchesAtK2Too) {
 
 TEST(Cpm, RunOnPreEnumeratedCliques) {
   const Graph g = overlapping_cliques(5, 5, 3);
-  ThreadPool pool(2);
-  auto cliques = parallel_maximal_cliques(g, pool, 2);
+  auto cliques = testing::clique_table(g);
   const CpmResult direct = run_cpm(g);
   const CpmResult via_cliques = run_cpm_on_cliques(g, std::move(cliques));
   ASSERT_EQ(direct.max_k, via_cliques.max_k);

@@ -9,8 +9,10 @@
 #include <vector>
 
 #include "check/differential.h"
+#include "clique/enumerator.h"
 #include "common/rng.h"
 #include "common/set_ops.h"
+#include "common/thread_pool.h"
 #include "common/types.h"
 #include "cpm/community.h"
 #include "cpm/community_tree.h"
@@ -81,6 +83,15 @@ inline Graph preferential_attachment_graph(std::size_t n, std::size_t m,
   }
   b.ensure_nodes(n);
   return b.build();
+}
+
+/// Every maximal clique of `g` with >= 2 nodes, in enumeration order: the
+/// clique table cpm::Engine hands the engines by default.
+inline std::vector<NodeSet> clique_table(const Graph& g) {
+  ThreadPool pool(2);
+  clique::Options options;
+  options.min_size = 2;
+  return clique::Enumerator(g, options).collect(pool);
 }
 
 /// Full structural identity between two CPM results: same clique table,

@@ -1,5 +1,5 @@
-#include "clique/parallel_cliques.h"
-
+// Enumerator::collect over a thread pool: identical to the sequential
+// enumeration, contents and order, for every thread count and backend.
 #include <gtest/gtest.h>
 
 #include <span>
@@ -20,7 +20,7 @@ TEST_P(ParallelCliquesThreads, MatchesSequentialExactly) {
   ThreadPool pool(GetParam());
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     const Graph g = random_graph(60, 0.15, seed);
-    EXPECT_EQ(parallel_maximal_cliques(g, pool), maximal_cliques(g))
+    EXPECT_EQ(clique::Enumerator(g).collect(pool), maximal_cliques(g))
         << "seed " << seed << " threads " << GetParam();
   }
 }
@@ -28,7 +28,10 @@ TEST_P(ParallelCliquesThreads, MatchesSequentialExactly) {
 TEST_P(ParallelCliquesThreads, MinSizeRespected) {
   ThreadPool pool(GetParam());
   const Graph g = random_graph(50, 0.2, 3);
-  EXPECT_EQ(parallel_maximal_cliques(g, pool, 3), maximal_cliques(g, 3));
+  clique::Options options;
+  options.min_size = 3;
+  EXPECT_EQ(clique::Enumerator(g, options).collect(pool),
+            maximal_cliques(g, 3));
 }
 
 INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParallelCliquesThreads,
@@ -36,21 +39,23 @@ INSTANTIATE_TEST_SUITE_P(ThreadSweep, ParallelCliquesThreads,
 
 TEST(ParallelCliques, EmptyGraph) {
   ThreadPool pool(4);
-  EXPECT_TRUE(parallel_maximal_cliques(Graph{}, pool).empty());
+  const Graph empty;
+  EXPECT_TRUE(clique::Enumerator(empty).collect(pool).empty());
 }
 
 TEST(ParallelCliques, DenseGraph) {
   ThreadPool pool(4);
   const Graph g = random_graph(40, 0.6, 11);
-  EXPECT_EQ(parallel_maximal_cliques(g, pool), maximal_cliques(g));
+  EXPECT_EQ(clique::Enumerator(g).collect(pool), maximal_cliques(g));
 }
 
 TEST(ParallelCliques, RepeatedRunsIdentical) {
   ThreadPool pool(8);
   const Graph g = random_graph(80, 0.1, 42);
-  const auto first = parallel_maximal_cliques(g, pool);
+  const clique::Enumerator e(g);
+  const auto first = e.collect(pool);
   for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(parallel_maximal_cliques(g, pool), first);
+    EXPECT_EQ(e.collect(pool), first);
   }
 }
 

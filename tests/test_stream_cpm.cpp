@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "clique/parallel_cliques.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "cpm/clique_index.h"
@@ -25,6 +24,7 @@
 namespace kcc {
 namespace {
 
+using testing::clique_table;
 using testing::complete_graph;
 using testing::expect_nesting;
 using testing::expect_same_cpm;
@@ -39,9 +39,11 @@ using testing::random_graph;
 std::uint64_t check_budgeted(const Graph& g, const std::string& label,
                              CpmOptions options = {}) {
   const CpmResult oracle = run_cpm(g, options);
-  const SweepCpmResult free_run = run_sweep_cpm(g, options);
+  const SweepCpmResult free_run =
+      run_sweep_cpm_on_cliques(g, oracle.cliques, options);
   options.memory_budget = sweep_min_memory_budget();
-  const SweepCpmResult budgeted = run_sweep_cpm(g, options);
+  const SweepCpmResult budgeted =
+      run_sweep_cpm_on_cliques(g, oracle.cliques, options);
   expect_same_cpm(oracle, budgeted.cpm, label);
   expect_same_tree(free_run.tree, budgeted.tree, label);
   EXPECT_EQ(free_run.stats.pairs, budgeted.stats.pairs) << label;
@@ -119,12 +121,14 @@ TEST(SweepCpmBudget, RejectsMalformedMemoryBudgets) {
 TEST(SweepCpmBudget, RejectsBudgetSmallerThanTheSpillChunk) {
   // A budget that cannot stage even one reload chunk must fail loudly at
   // entry, not thrash or silently ignore the cap.
+  const Graph g = complete_graph(4);
+  const std::vector<NodeSet> cliques{{0, 1, 2, 3}};
   CpmOptions options;
   options.memory_budget = sweep_min_memory_budget() - 1;
-  EXPECT_THROW(run_sweep_cpm(complete_graph(4), options), Error);
+  EXPECT_THROW(run_sweep_cpm_on_cliques(g, cliques, options), Error);
   options.memory_budget = 1024;
   try {
-    run_sweep_cpm(complete_graph(4), options);
+    run_sweep_cpm_on_cliques(g, cliques, options);
     FAIL() << "expected kcc::Error";
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()),
@@ -134,7 +138,7 @@ TEST(SweepCpmBudget, RejectsBudgetSmallerThanTheSpillChunk) {
   }
   // The floor itself is accepted.
   options.memory_budget = sweep_min_memory_budget();
-  EXPECT_NO_THROW(run_sweep_cpm(complete_graph(4), options));
+  EXPECT_NO_THROW(run_sweep_cpm_on_cliques(g, cliques, options));
 }
 
 TEST(SweepCpmBudget, SpillingEveryBucketLeavesTheOutputByteIdentical) {
@@ -150,11 +154,13 @@ TEST(SweepCpmBudget, SpillingEveryBucketLeavesTheOutputByteIdentical) {
   expect_same_cpm(oracle, budgeted.cpm, "spilling run");
 
   CpmOptions direct;
-  const SweepCpmResult free_run = run_sweep_cpm(g, direct);
+  const SweepCpmResult free_run =
+      run_sweep_cpm_on_cliques(g, oracle.cliques, direct);
   EXPECT_EQ(free_run.stats.spilled_pairs, 0u);
   EXPECT_EQ(free_run.stats.spilled_buckets, 0u);
   direct.memory_budget = sweep_min_memory_budget();
-  const SweepCpmResult spilled = run_sweep_cpm(g, direct);
+  const SweepCpmResult spilled =
+      run_sweep_cpm_on_cliques(g, oracle.cliques, direct);
   EXPECT_EQ(spilled.stats.pairs, free_run.stats.pairs);
   EXPECT_GT(spilled.stats.buckets, 1u);
   EXPECT_EQ(spilled.stats.spilled_buckets, spilled.stats.buckets);
@@ -169,14 +175,16 @@ TEST(SweepCpmBudget, SpillingEveryBucketLeavesTheOutputByteIdentical) {
 TEST(SweepCpmBudget, PrejoinedPairsHonorTheBudget) {
   const Graph g = random_graph(80, 0.5, 5);
   ThreadPool pool(2);
-  const std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
+  const std::vector<NodeSet> cliques = clique_table(g);
   CpmOptions options;
   const SweepCpmResult free_run = run_sweep_cpm_prejoined(
-      g, cliques, compute_clique_overlaps(cliques, g.num_nodes(), 2, pool),
+      g, cliques,
+      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 2, pool),
       options);
   options.memory_budget = sweep_min_memory_budget();
   const SweepCpmResult spilled = run_sweep_cpm_prejoined(
-      g, cliques, compute_clique_overlaps(cliques, g.num_nodes(), 2, pool),
+      g, cliques,
+      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 2, pool),
       options);
   EXPECT_GT(spilled.stats.spilled_pairs, 0u);
   expect_same_cpm(free_run.cpm, spilled.cpm, "prejoined spill");
@@ -185,7 +193,7 @@ TEST(SweepCpmBudget, PrejoinedPairsHonorTheBudget) {
 
 TEST(SweepCpmBudget, StatsReportPairsAndPeak) {
   const Graph g = overlapping_cliques(6, 5, 3);
-  const SweepCpmResult sweep = run_sweep_cpm(g, {});
+  const SweepCpmResult sweep = run_sweep_cpm_on_cliques(g, clique_table(g), {});
   // Two overlapping maximal cliques -> exactly one overlap pair.
   EXPECT_EQ(sweep.stats.pairs, 1u);
   EXPECT_EQ(sweep.stats.buckets, 1u);
@@ -202,8 +210,9 @@ TEST(SweepCpmBudget, SpillDirIsUsedAndCleanedUp) {
   CpmOptions options;
   options.memory_budget = sweep_min_memory_budget();
   options.spill_dir = dir.string();
-  const SweepCpmResult spilled =
-      run_sweep_cpm(random_graph(80, 0.5, 5), options);
+  const Graph g = random_graph(80, 0.5, 5);
+  const std::vector<NodeSet> cliques = clique_table(g);
+  const SweepCpmResult spilled = run_sweep_cpm_on_cliques(g, cliques, options);
   EXPECT_GT(spilled.stats.spilled_pairs, 0u);
   // The per-run subdirectory and its spill files are gone.
   EXPECT_TRUE(fs::is_empty(dir));
@@ -214,7 +223,7 @@ TEST(SweepCpmBudget, SpillDirIsUsedAndCleanedUp) {
   std::ofstream(file) << "x";
   options.spill_dir = file.string();
   try {
-    run_sweep_cpm(random_graph(80, 0.5, 5), options);
+    run_sweep_cpm_on_cliques(g, cliques, options);
     ADD_FAILURE() << "expected kcc::Error";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find(file.string()), std::string::npos)

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <string>
 
-#include "clique/parallel_cliques.h"
 #include "common/error.h"
 #include "common/set_ops.h"
 #include "common/thread_pool.h"
@@ -22,6 +21,7 @@
 namespace kcc {
 namespace {
 
+using testing::clique_table;
 using testing::complete_graph;
 using testing::expect_differential_ok;
 using testing::expect_nesting;
@@ -35,7 +35,8 @@ using testing::random_graph;
 void check_graph(const Graph& g, const std::string& label,
                  CpmOptions options = {}) {
   const CpmResult oracle = run_cpm(g, options);
-  const SweepCpmResult sweep = run_sweep_cpm(g, options);
+  const SweepCpmResult sweep =
+      run_sweep_cpm_on_cliques(g, oracle.cliques, options);
   expect_same_cpm(oracle, sweep.cpm, label);
   // Default-option graphs additionally go through the check:: differential
   // matrix (every engine × threads × budgets + the invariant oracles).
@@ -101,7 +102,8 @@ TEST(SweepCpm, EmptyRangeYieldsNoLevelsAndNoTree) {
   // Min_k above the largest clique: nothing percolates.
   CpmOptions options;
   options.min_k = 9;
-  const SweepCpmResult sweep = run_sweep_cpm(complete_graph(5), options);
+  const SweepCpmResult sweep =
+      run_sweep_cpm_on_cliques(complete_graph(5), {{0, 1, 2, 3, 4}}, options);
   EXPECT_LT(sweep.cpm.max_k, sweep.cpm.min_k);
   EXPECT_TRUE(sweep.cpm.by_k.empty());
   EXPECT_TRUE(sweep.tree.nodes().empty());
@@ -110,7 +112,9 @@ TEST(SweepCpm, EmptyRangeYieldsNoLevelsAndNoTree) {
 TEST(SweepCpm, RejectsBadInput) {
   CpmOptions options;
   options.min_k = 1;
-  EXPECT_THROW(run_sweep_cpm(complete_graph(3), options), Error);
+  EXPECT_THROW(
+      run_sweep_cpm_on_cliques(complete_graph(3), {{0, 1, 2}}, options),
+      Error);
   EXPECT_THROW(
       run_sweep_cpm_on_cliques(complete_graph(3), {{2, 0, 1}}, {}), Error);
 }
@@ -120,10 +124,10 @@ TEST(SweepCpm, PrejoinedPairsRunTheSameLoop) {
   // buckets: same communities, ids and tree as the sweep's own join.
   const Graph g = random_graph(50, 0.3, 23);
   ThreadPool pool(2);
-  const std::vector<NodeSet> cliques = parallel_maximal_cliques(g, pool, 2);
+  const std::vector<NodeSet> cliques = clique_table(g);
   const SweepCpmResult joined = run_sweep_cpm_on_cliques(g, cliques, {});
   std::vector<CliqueOverlap> pairs =
-      compute_clique_overlaps(cliques, g.num_nodes(), 2, pool);
+      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 2, pool);
   std::reverse(pairs.begin(), pairs.end());
   const SweepCpmResult prejoined =
       run_sweep_cpm_prejoined(g, cliques, std::move(pairs), {});
@@ -167,6 +171,9 @@ TEST(SweepCpm, RejectionMessagesNameTheCaller) {
   EXPECT_EQ(error_of({{1}}, 2),
             "run_sweep_cpm_on_cliques: cliques must be sorted and of size "
             ">= 2");
+  EXPECT_EQ(error_of({{0, 1, 7}}, 2),
+            "run_sweep_cpm_on_cliques: clique node 7 is out of range for a "
+            "graph of 3 nodes");
 }
 
 // ------------------------------------------------------- engine facade

@@ -1,7 +1,7 @@
 // kcc_doccheck — the mechanical docs-consistency gate (docs/TESTING.md).
 //
-// Two checks over README.md plus every docs/*.md file, and one over the
-// C++ sources under src/ and tools/:
+// Checks 1, 2 and 4 run over README.md plus every docs/*.md file, check 3
+// over the C++ sources under src/ and tools/:
 //
 //   1. Flags: every double-dash flag token mentioned anywhere in the docs
 //      must appear in the --help output of kcc, kcc_bench or kcc_fuzz, or
@@ -17,6 +17,10 @@
 //      + next to a string literal. require is free when it passes only
 //      because the parts are concatenated on failure; an eagerly built
 //      message would allocate on every call, hot loops included.
+//   4. Identifiers: every `ns::Name` in an inline code span must have its
+//      last component appear as a word in some .h/.cpp under src/, tools/,
+//      bench/, tests/ or kccbench/, so deleting or renaming a function or
+//      class cannot leave the docs naming it.
 //
 // Findings print as file:line: message, one per line; exit is non-zero if
 // anything failed. Run by the `docs_consistency` ctest with the built
@@ -29,6 +33,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <iterator>
 #include <regex>
@@ -145,7 +150,70 @@ std::vector<std::string> extract_links(const std::string& text) {
   return targets;
 }
 
+/// Every `ns::Name` (two or more ::-joined identifiers) inside the inline
+/// code spans of one markdown line.
+std::vector<std::string> extract_qualified_names(const std::string& text) {
+  static const std::regex qualified(
+      "[A-Za-z_][A-Za-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+");
+  std::vector<std::string> names;
+  for (std::size_t open = text.find('`'); open != std::string::npos;) {
+    const std::size_t close = text.find('`', open + 1);
+    if (close == std::string::npos) break;
+    const std::string span = text.substr(open + 1, close - open - 1);
+    for (std::sregex_iterator it(span.begin(), span.end(), qualified), end;
+         it != end; ++it) {
+      names.push_back(it->str());
+    }
+    open = text.find('`', close + 1);
+  }
+  return names;
+}
+
+/// Every identifier-shaped word of every .h/.cpp under the source trees.
+std::set<std::string> source_words(const std::vector<fs::path>& sources) {
+  std::set<std::string> words;
+  for (const fs::path& file : sources) {
+    std::ifstream in(file, std::ios::binary);
+    require(in.good(), "kcc_doccheck: cannot read ", file.native());
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto is_word = [](char c) {
+      return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+    };
+    for (std::size_t i = 0; i < text.size();) {
+      if (!is_word(text[i])) {
+        ++i;
+        continue;
+      }
+      std::size_t end = i;
+      while (end < text.size() && is_word(text[end])) ++end;
+      words.insert(text.substr(i, end - i));
+      i = end;
+    }
+  }
+  return words;
+}
+
+/// The .h/.cpp files under each of `dirs` that exists below `root`, sorted.
+std::vector<fs::path> sources_under(const fs::path& root,
+                                    std::initializer_list<const char*> dirs) {
+  std::vector<fs::path> sources;
+  for (const char* dir : dirs) {
+    if (!fs::is_directory(root / dir)) continue;
+    for (const fs::directory_entry& entry :
+         fs::recursive_directory_iterator(root / dir)) {
+      const fs::path ext = entry.path().extension();
+      if (entry.is_regular_file() && (ext == ".cpp" || ext == ".h")) {
+        sources.push_back(entry.path());
+      }
+    }
+  }
+  std::sort(sources.begin(), sources.end());
+  return sources;
+}
+
 void check_file(const fs::path& doc, const std::set<std::string>& known,
+                const std::set<std::string>& words,
                 std::vector<Finding>& findings) {
   std::ifstream in(doc);
   require(in.good(), "kcc_doccheck: cannot read ", doc.native());
@@ -160,6 +228,15 @@ void check_file(const fs::path& doc, const std::set<std::string>& known,
              "flag " + flag +
                  " is not in any checked binary's --help output (stale "
                  "docs, or a new flag missing from help?)"});
+      }
+    }
+    for (const std::string& name : extract_qualified_names(line)) {
+      const std::string last = name.substr(name.rfind("::") + 2);
+      if (words.count(last) == 0) {
+        findings.push_back(
+            {doc.string(), line_number,
+             "`" + name + "`: no .h/.cpp under src/, tools/, bench/, tests/ "
+             "or kccbench/ mentions " + last + " (deleted or renamed?)"});
       }
     }
     for (const std::string& target : extract_links(line)) {
@@ -320,21 +397,12 @@ int main(int argc, char** argv) {
     }
     std::sort(docs.begin(), docs.end());
 
+    const std::set<std::string> words = source_words(
+        sources_under(root, {"src", "tools", "bench", "tests", "kccbench"}));
     std::vector<Finding> findings;
-    for (const fs::path& doc : docs) check_file(doc, known, findings);
+    for (const fs::path& doc : docs) check_file(doc, known, words, findings);
 
-    std::vector<fs::path> sources;
-    for (const char* dir : {"src", "tools"}) {
-      if (!fs::is_directory(root / dir)) continue;
-      for (const fs::directory_entry& entry :
-           fs::recursive_directory_iterator(root / dir)) {
-        const fs::path ext = entry.path().extension();
-        if (entry.is_regular_file() && (ext == ".cpp" || ext == ".h")) {
-          sources.push_back(entry.path());
-        }
-      }
-    }
-    std::sort(sources.begin(), sources.end());
+    const std::vector<fs::path> sources = sources_under(root, {"src", "tools"});
     for (const fs::path& source : sources) lint_source(source, findings);
 
     for (const Finding& f : findings) {
@@ -347,7 +415,8 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::cout << "kcc_doccheck: " << docs.size() << " docs consistent ("
-              << known.size() << " known flags), " << sources.size()
+              << known.size() << " known flags, " << words.size()
+              << " source words), " << sources.size()
               << " sources pass the require lint\n";
     return 0;
   } catch (const std::exception& e) {
