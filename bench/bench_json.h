@@ -1,5 +1,5 @@
 // Minimal ordered JSON writer for the machine-readable bench snapshots
-// (BENCH_cpm.json, BENCH_cliques.json — schema in docs/FORMATS.md).
+// (BENCH_cpm_almost.json, BENCH_cliques.json — schema in docs/FORMATS.md).
 //
 // Deliberately tiny: the bench binaries need objects, arrays, strings and
 // numbers with insertion order preserved, nothing else. Values are

@@ -12,13 +12,6 @@
 // is identical to the per-k oracle for every k (communities, clique ids and
 // the nesting tree), prints the all-k extraction speedup, and exits without
 // running the registered benchmarks.
-//   perf_cpm --verify-budget [--json=FILE]
-// runs per_k, sweep (unbudgeted and under a 1 MiB --memory-budget that
-// forces spilling) and almost_exact each in its own forked child, compares
-// an FNV-1a digest of the full structural output (gate: all exact runs
-// must agree; almost_exact is measured but exempt), measures per-run wall
-// time and peak-RSS growth, and writes the machine-readable BENCH_cpm.json
-// snapshot (schema in docs/FORMATS.md).
 //   perf_cpm --verify-almost [--json=FILE]
 // scores the almost_exact engine against the exact sweep per graph family:
 // per-k community F1 curves (gate: worst F1 >= 0.99 on every family),
@@ -259,62 +252,14 @@ int verify_sweep() {
   return 0;
 }
 
-// -------------------------------------------------------- --verify-budget
-
-// FNV-1a over the full structural output, so engine-identity across process
-// boundaries reduces to one integer comparison.
-class Fnv {
- public:
-  void mix(std::uint64_t x) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ = (hash_ ^ (x & 0xff)) * 1099511628211ull;
-      x >>= 8;
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 1469598103934665603ull;
-};
-
-std::uint64_t digest_result(const CpmResult& cpm, const CommunityTree& tree) {
-  Fnv fnv;
-  fnv.mix(cpm.min_k);
-  fnv.mix(cpm.max_k);
-  fnv.mix(cpm.cliques.size());
-  for (const NodeSet& clique : cpm.cliques) {
-    fnv.mix(clique.size());
-    for (NodeId v : clique) fnv.mix(v);
-  }
-  for (const CommunitySet& set : cpm.by_k) {
-    fnv.mix(set.k);
-    fnv.mix(set.count());
-    for (const Community& c : set.communities) {
-      fnv.mix(c.nodes.size());
-      for (NodeId v : c.nodes) fnv.mix(v);
-      fnv.mix(c.clique_ids.size());
-      for (CliqueId id : c.clique_ids) fnv.mix(id);
-    }
-    for (std::uint32_t id : set.community_of_clique) fnv.mix(id);
-  }
-  fnv.mix(tree.nodes().size());
-  for (const TreeNode& node : tree.nodes()) {
-    fnv.mix(node.k);
-    fnv.mix(node.community_id);
-    fnv.mix(node.size);
-    fnv.mix(static_cast<std::uint64_t>(node.parent + 1));
-    fnv.mix(node.is_main ? 1 : 0);
-  }
-  return fnv.value();
-}
+// ------------------------------------------------- forked measurement runs
 
 // One engine configuration of a forked measurement child: a registry
 // engine name plus the options that distinguish the run.
 struct EngineRun {
-  const char* name;                 // registry name, see cpm::engine_registry()
-  std::uint64_t memory_budget = 0;  // sweep only
-  std::size_t min_k = 2;            // raised for the high-k comparisons
-  bool exact = true;                // exempt from the digest gate when false
+  const char* name;       // registry name, see cpm::engine_registry()
+  std::size_t min_k = 2;  // raised for the high-k comparisons
+  bool exact = true;      // almost_exact rows are flagged approximate
 };
 
 // Everything a measurement child reports back through its pipe.
@@ -322,15 +267,12 @@ struct ChildReport {
   bool ok = false;
   double wall_ms = 0.0;
   std::uint64_t peak_rss_delta = 0;  // VmHWM growth during the run
-  std::uint64_t digest = 0;
   std::uint64_t communities = 0;
-  std::uint64_t pairs_total = 0;    // sweep only, else 0
-  std::uint64_t spilled_pairs = 0;  // sweep only, else 0
 };
 
 // Runs one engine end to end (enumeration included) in a forked child and
-// reports wall/peak/digest through a pipe. A fresh process per run is the
-// only way to compare peak RSS: VmHWM is monotonic per process, so
+// reports wall/peak/communities through a pipe. A fresh process per run is
+// the only way to compare peak RSS: VmHWM is monotonic per process, so
 // in-process back-to-back runs would all inherit the first run's peak.
 // The child measures its own VmHWM right after fork as the baseline (the
 // parent's already-resident graph is shared copy-on-write), so the delta
@@ -349,37 +291,15 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
     close(fds[0]);
     const std::uint64_t baseline = obs::peak_rss_bytes();
     Timer t;
-    std::uint64_t digest = 0;
-    std::uint64_t communities = 0;
-    std::uint64_t pairs_total = 0;
-    std::uint64_t spilled_pairs = 0;
-    if (std::strcmp(config.name, "sweep") == 0) {
-      // Direct call: the facade does not surface the spill statistics.
-      CpmOptions options;
-      options.memory_budget = config.memory_budget;
-      options.min_k = config.min_k;
-      ThreadPool pool(0);
-      clique::Options copt;
-      copt.min_size = 2;
-      const SweepCpmResult result = run_sweep_cpm_on_cliques(
-          g, clique::Enumerator(g, copt).collect(pool), options);
-      digest = digest_result(result.cpm, result.tree);
-      communities = result.cpm.total_communities();
-      pairs_total = result.stats.pairs;
-      spilled_pairs = result.stats.spilled_pairs;
-    } else {
-      cpm::Options options;
-      options.engine = config.name;
-      options.min_k = config.min_k;
-      const cpm::Result result = cpm::Engine(options).run(g);
-      digest = digest_result(result.cpm, result.tree);
-      communities = result.cpm.total_communities();
-    }
+    cpm::Options options;
+    options.engine = config.name;
+    options.min_k = config.min_k;
+    const cpm::Result result = cpm::Engine(options).run(g);
     const double wall_ms = t.seconds() * 1e3;
     const std::uint64_t peak_delta = obs::peak_rss_bytes() - baseline;
     std::ostringstream line;
-    line << wall_ms << " " << peak_delta << " " << digest << " "
-         << communities << " " << pairs_total << " " << spilled_pairs << "\n";
+    line << wall_ms << " " << peak_delta << " "
+         << result.cpm.total_communities() << "\n";
     const std::string text = line.str();
     const ssize_t written = write(fds[1], text.data(), text.size());
     close(fds[1]);
@@ -395,133 +315,9 @@ ChildReport run_engine_in_child(const Graph& g, const EngineRun& config) {
   waitpid(pid, &status, 0);
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) return report;
   std::istringstream fields(text);
-  fields >> report.wall_ms >> report.peak_rss_delta >> report.digest >>
-      report.communities >> report.pairs_total >> report.spilled_pairs;
+  fields >> report.wall_ms >> report.peak_rss_delta >> report.communities;
   report.ok = !fields.fail();
   return report;
-}
-
-// Compares per_k / sweep / sweep-under-budget end to end (plus an
-// almost_exact measurement row): digest identity across the exact runs
-// gates the exit code; wall and peak-RSS numbers are printed and written to
-// `json_path`. Timing/memory never fail the check (CI machines are noisy) —
-// the committed snapshot is what documents the expectation.
-int verify_budget(const std::string& json_path) {
-  // Small enough that the bench graph's overlap pairs overflow it and the
-  // spill path is actually exercised (resident pairs stay under ~1 MiB).
-  const std::uint64_t budget = 1024 * 1024;
-  const Graph& g = bench_graph();
-  std::cout << "verify-budget: " << g.num_nodes() << " nodes, "
-            << g.num_edges() << " edges\n";
-
-  const EngineRun configs[] = {
-      {"per_k"},
-      {"sweep"},
-      {"sweep", budget},
-      {"almost_exact", 0, 2, /*exact=*/false},
-  };
-  constexpr int kConfigs = 4;
-  constexpr int kRounds = 2;
-  ChildReport best[kConfigs];
-  for (int i = 0; i < kConfigs; ++i) {
-    for (int round = 0; round < kRounds; ++round) {
-      const ChildReport report = run_engine_in_child(g, configs[i]);
-      if (!report.ok) {
-        std::cerr << "verify-budget: FAIL — " << configs[i].name
-                  << " child did not report\n";
-        return 1;
-      }
-      if (round == 0) {
-        best[i] = report;
-      } else {  // digest/communities are identical across rounds
-        best[i].wall_ms = std::min(best[i].wall_ms, report.wall_ms);
-        best[i].peak_rss_delta =
-            std::min(best[i].peak_rss_delta, report.peak_rss_delta);
-      }
-    }
-    std::cout << "verify-budget: " << configs[i].name;
-    if (configs[i].memory_budget > 0) {
-      std::cout << " (budget " << configs[i].memory_budget / (1024 * 1024)
-                << "M, " << best[i].spilled_pairs << " pairs spilled)";
-    }
-    std::cout << ": " << fixed(best[i].wall_ms, 2) << " ms, peak +"
-              << best[i].peak_rss_delta / (1024 * 1024) << " MiB, "
-              << best[i].communities << " communities\n";
-  }
-
-  for (int i = 1; i < kConfigs; ++i) {
-    if (!configs[i].exact) continue;  // almost_exact: measured, not gated
-    if (best[i].digest != best[0].digest) {
-      std::cerr << "verify-budget: FAIL — " << configs[i].name
-                << (configs[i].memory_budget ? " (budgeted)" : "")
-                << " output digest differs from the per-k oracle\n";
-      return 1;
-    }
-  }
-  if (best[2].spilled_pairs == 0) {
-    std::cerr << "verify-budget: FAIL — the budgeted run never spilled; the "
-                 "budget is not exercising the spill path at this scale\n";
-    return 1;
-  }
-
-  const double peak_ratio = best[2].peak_rss_delta == 0
-                                ? 0.0
-                                : static_cast<double>(best[1].peak_rss_delta) /
-                                      static_cast<double>(best[2].peak_rss_delta);
-  const double wall_ratio = best[1].wall_ms == 0.0
-                                ? 0.0
-                                : best[2].wall_ms / best[1].wall_ms;
-  std::cout << "verify-budget: OK — identical digests across all exact "
-               "runs\n";
-  std::cout << "verify-budget: budgeted peak is " << fixed(peak_ratio, 2)
-            << "x below unbudgeted; budgeted wall is " << fixed(wall_ratio, 2)
-            << "x unbudgeted\n";
-
-  std::vector<bench::Json> runs;
-  for (int i = 0; i < kConfigs; ++i) {
-    const bool is_sweep = std::strcmp(configs[i].name, "sweep") == 0;
-    bench::Json run;
-    run.add("engine", configs[i].name);
-    run.add("exact", configs[i].exact);
-    if (is_sweep) {
-      run.add("memory_budget_bytes", configs[i].memory_budget);
-    }
-    run.add("wall_ms", best[i].wall_ms);
-    run.add("peak_rss_delta_bytes", best[i].peak_rss_delta);
-    run.add("communities", best[i].communities);
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "%016llx",
-                  static_cast<unsigned long long>(best[i].digest));
-    run.add("digest", digest);
-    if (is_sweep) {
-      run.add("pairs_total", best[i].pairs_total);
-      run.add("spilled_pairs", best[i].spilled_pairs);
-    }
-    runs.push_back(std::move(run));
-  }
-  bench::Json graph;
-  graph.add("scale", "bench");
-  graph.add("nodes", g.num_nodes());
-  graph.add("edges", g.num_edges());
-  bench::Json derived;
-  derived.add("unbudgeted_over_budgeted_peak_ratio", peak_ratio);
-  derived.add("budgeted_over_unbudgeted_wall_ratio", wall_ratio);
-  bench::Json doc;
-  doc.add("bench", "perf_cpm --verify-budget");
-  doc.add("manifest", bench::manifest_json(obs::collect_manifest("perf_cpm")));
-  doc.add("rounds", static_cast<std::uint64_t>(kRounds));
-  doc.add("graph", graph);
-  doc.add_array("runs", runs);
-  doc.add("derived", derived);
-
-  std::ofstream out(json_path);
-  if (!out.good()) {
-    std::cerr << "verify-budget: cannot write " << json_path << "\n";
-    return 1;
-  }
-  out << doc.str() << "\n";
-  std::cout << "verify-budget: wrote " << json_path << "\n";
-  return 0;
 }
 
 // -------------------------------------------------------- --verify-almost
@@ -584,9 +380,9 @@ int verify_almost(const std::string& json_path) {
 
     const EngineRun configs[] = {
         {"sweep"},
-        {"almost_exact", 0, 2, /*exact=*/false},
-        {"sweep", 0, high_k},
-        {"almost_exact", 0, high_k, /*exact=*/false},
+        {"almost_exact", 2, /*exact=*/false},
+        {"sweep", high_k},
+        {"almost_exact", high_k, /*exact=*/false},
     };
     constexpr int kConfigs = 4;
     ChildReport best[kConfigs];
@@ -699,21 +495,15 @@ int verify_almost(const std::string& json_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool verify_budget_mode = false;
   bool verify_almost_mode = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--verify-sweep") == 0) return verify_sweep();
-    if (std::strcmp(argv[i], "--verify-budget") == 0) {
-      verify_budget_mode = true;
-    } else if (std::strcmp(argv[i], "--verify-almost") == 0) {
+    if (std::strcmp(argv[i], "--verify-almost") == 0) {
       verify_almost_mode = true;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_path = argv[i] + 7;
     }
-  }
-  if (verify_budget_mode) {
-    return verify_budget(json_path.empty() ? "BENCH_cpm.json" : json_path);
   }
   if (verify_almost_mode) {
     return verify_almost(json_path.empty() ? "BENCH_cpm_almost.json"

@@ -8,7 +8,6 @@
 #include "clique/enumerator.h"
 #include "common/error.h"
 #include "cpm/compare.h"
-#include "cpm/sweep_cpm.h"
 #include "obs/metrics.h"
 
 namespace kcc::check {
@@ -21,16 +20,15 @@ struct Variant {
   bool approximate = false;     // gap-threshold mode instead of digest gate
 };
 
-// One option group: a k range plus every engine/thread/budget/backend
+// One option group: a k range plus every engine/thread/backend
 // combination that must agree on it. The baseline is variants.front().
 // The engine rows come from the registry: every exact, polynomial engine
 // gets t1 / tN / t1-bitset variants (pinning the sparse kernel on the
 // thread axis and crossing backends against it, so one group proves both
-// percolation equivalence and kernel equivalence), budget-capable engines
-// add a forced-spill and an auto-backend variant, and the default engine
-// adds the tN-bitset and bitset-hub crosses. Exponential oracles join on
-// tiny graphs only; approximate engines are appended last, flagged for the
-// gap gate.
+// percolation equivalence and kernel equivalence), and the default engine
+// adds the tN-auto, tN-bitset and bitset-hub crosses. Exponential oracles
+// join on tiny graphs only; approximate engines are appended last, flagged
+// for the gap gate.
 std::vector<Variant> build_matrix(std::size_t min_k, std::size_t max_k,
                                   const Graph& g, const DiffOptions& diff) {
   const std::string suffix =
@@ -62,16 +60,9 @@ std::vector<Variant> build_matrix(std::size_t min_k, std::size_t max_k,
         make(info.name + "/tN", info.name, diff.threads, sparse));
     matrix.push_back(make(info.name + "/t1/bitset", info.name, 1,
                           clique::Backend::kBitset));
-    if (info.caps.supports_memory_budget) {
-      // Forced spill: the smallest budget the engine accepts, so overlap
-      // pairs round-trip through the spill files.
-      Variant v = make(info.name + "/t1/spill", info.name, 1, sparse);
-      v.options.memory_budget = sweep_min_memory_budget();
-      matrix.push_back(v);
+    if (info.name == default_engine) {
       matrix.push_back(make(info.name + "/tN/auto", info.name, diff.threads,
                             clique::Backend::kAuto));
-    }
-    if (info.name == default_engine) {
       matrix.push_back(make(info.name + "/tN/bitset", info.name,
                             diff.threads, clique::Backend::kBitset));
       // Hub fallback: a tiny universe cap forces most subproblems down the

@@ -5,9 +5,9 @@
 // without touching this file. For each option group (the full k range and a
 // restricted one) a baseline engine runs first (per_k, single-threaded —
 // the structure closest to the original LP-CPM oracle); every other *exact*
-// variant (each registered exact engine × threads ∈ {1, N}, spill/auto
-// variants for budget-capable engines, bitset/backend crosses, and — on
-// tiny graphs — the exponential reference engine) must produce a
+// variant (each registered exact engine × threads ∈ {1, N}, the
+// auto/bitset backend crosses, and — on tiny graphs — the exponential
+// reference engine) must produce a
 // byte-identical canonical serialization (cpm::canonical_text); variants of
 // engines that declare EngineCaps::canonical_clique_order are diffed
 // against the baseline passed through cpm::canonicalise_clique_order, since
@@ -64,7 +64,7 @@ struct DiffOptions {
 };
 
 struct DiffOutcome {
-  /// Variant labels that were executed, e.g. "sweep/t1", "sweep/t1/spill".
+  /// Variant labels that were executed, e.g. "sweep/t1", "sweep/tN/auto".
   std::size_t variants_run = 0;
   std::uint64_t invariants_checked = 0;
   /// Worst per-k community F1 any approximate engine scored against the

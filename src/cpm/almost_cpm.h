@@ -34,7 +34,7 @@
 // The gap is measured, not trusted: cpm/compare.h scores almost-exact
 // results against an exact engine per k (best-match Jaccard / community
 // F1), check::differential gates it at F1 >= 0.99 on the seeded families,
-// and bench/perf_cpm.cpp records gap-vs-k curves in BENCH_cpm.json.
+// and bench/perf_cpm.cpp records gap-vs-k curves in BENCH_cpm_almost.json.
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,8 @@
 //
 // and reports the worst level. check::differential fails approximate
 // engines whose worst F1 drops below the threshold, kcc_fuzz inherits that
-// gate, and bench/perf_cpm.cpp records the per-k curves in BENCH_cpm.json.
+// gate, and bench/perf_cpm.cpp records the per-k curves in
+// BENCH_cpm_almost.json.
 // The comparison also feeds the cpm_gap_* metrics (docs/OBSERVABILITY.md).
 #pragma once
 

@@ -27,8 +27,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cpm/community.h"
@@ -48,16 +46,6 @@ struct CpmOptions {
   /// Worker threads; 0 means hardware concurrency, 1 forces a fully
   /// sequential run.
   std::size_t threads = 0;
-
-  /// Sweep engine only (sweep_cpm.h): cap on resident overlap-pair bytes;
-  /// 0 means unlimited. Non-zero budgets below sweep_min_memory_budget()
-  /// are rejected. The per-k engine ignores it.
-  std::uint64_t memory_budget = 0;
-
-  /// Sweep engine only: directory for spill files (empty = the system temp
-  /// directory). A per-run subdirectory is created on the first spill and
-  /// removed when the run finishes.
-  std::string spill_dir;
 };
 
 /// Extracts all k-clique communities of `g` for k in [min_k, max_k].

@@ -1,9 +1,6 @@
 #include "cpm/engine.h"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <filesystem>
 #include <sstream>
 #include <utility>
 
@@ -52,20 +49,21 @@ CpmResult result_from_node_sets(std::size_t min_k,
   return result;
 }
 
-// Runs `communities_at(k)` for ascending k until the range is exhausted:
-// either the configured max_k, or the first empty k when max_k is 0 (the
-// nesting theorem guarantees no later k can be non-empty).
+// Runs `communities_at(k)` for ascending k until the configured max_k (0 =
+// unbounded) or the first empty k, whichever comes first. No later k can be
+// non-empty: every (k+1)-clique contains k-cliques (and, under an intensity
+// threshold, one whose geometric-mean weight is at least its own), so an
+// empty level stays empty at every higher k. Stopping there keeps a huge
+// max_k from walking billions of empty levels.
 template <typename Fn>
 CpmResult collect_per_k(const Options& options, Fn&& communities_at) {
   std::vector<std::vector<NodeSet>> by_k;
   for (std::size_t k = options.min_k;
        options.max_k == 0 || k <= options.max_k; ++k) {
     std::vector<NodeSet> communities = communities_at(k);
-    if (communities.empty() && options.max_k == 0) break;
+    if (communities.empty()) break;
     by_k.push_back(std::move(communities));
   }
-  // Trim trailing empty levels so max_k reflects the last populated k.
-  while (!by_k.empty() && by_k.back().empty()) by_k.pop_back();
   return result_from_node_sets(options.min_k, std::move(by_k));
 }
 
@@ -112,13 +110,10 @@ Result run_sweep_cliques(const Options& options, const Graph& g,
                          std::vector<NodeSet> cliques) {
   KCC_SPAN("cpm_engine/sweep");
   Timer total;
-  // The sweep is the one engine that honors the pair-store budget.
-  CpmOptions sweep_options = options.cpm_options();
-  sweep_options.memory_budget = options.memory_budget;
-  sweep_options.spill_dir = options.spill_dir;
   SweepCpmResult sweep = [&] {
     obs::StageScope stage("percolate");
-    return run_sweep_cpm_on_cliques(g, std::move(cliques), sweep_options);
+    return run_sweep_cpm_on_cliques(g, std::move(cliques),
+                                    options.cpm_options());
   }();
   return adopt_sweep_result(options, std::move(sweep), total);
 }
@@ -156,22 +151,6 @@ Result run_almost_cliques(const Options& options, const Graph& g,
   return adopt_sweep_result(options, std::move(almost), total);
 }
 
-// Fails fast on a spill directory that would only explode at the first
-// spill deep inside the sweep.
-void validate_spill_dir(const std::string& spill_dir) {
-  if (spill_dir.empty()) return;
-  std::error_code ec;
-  const std::filesystem::path dir(spill_dir);
-  if (!std::filesystem::is_directory(dir, ec)) {
-    throw Error("cpm::Engine: spill_dir '" + spill_dir +
-                "' does not exist or is not a directory");
-  }
-  if (::access(spill_dir.c_str(), W_OK | X_OK) != 0) {
-    throw Error("cpm::Engine: spill_dir '" + spill_dir +
-                "' is not writable");
-  }
-}
-
 }  // namespace
 
 const std::vector<EngineInfo>& engine_registry() {
@@ -182,9 +161,7 @@ const std::vector<EngineInfo>& engine_registry() {
       sweep.name = "sweep";
       sweep.summary =
           "single descending-k union-find sweep over overlap pairs born "
-          "into per-overlap buckets; tree in the same pass; honors "
-          "--memory-budget spill-to-disk (default)";
-      sweep.caps.supports_memory_budget = true;
+          "into per-overlap buckets; tree in the same pass (default)";
       sweep.run_on_cliques = &run_sweep_cliques;
       built_in.push_back(std::move(sweep));
     }
@@ -280,19 +257,9 @@ Engine::Engine(Options options)
   require(options_.min_k >= 2, "cpm::Engine: min_k must be >= 2");
   require(options_.min_clique_size >= 2,
           "cpm::Engine: min_clique_size must be >= 2");
-  // A budget the sweep would reject must fail here, not after the whole
-  // clique enumeration has run.
-  require(!info_->caps.supports_memory_budget || options_.memory_budget == 0 ||
-              options_.memory_budget >= sweep_min_memory_budget(),
-          "cpm::Engine: --memory-budget ", options_.memory_budget,
-          " is smaller than the spill chunk (", sweep_min_memory_budget(),
-          " bytes); raise the budget or use 0 for unlimited");
 }
 
 Result Engine::run(const Graph& g) const {
-  if (info_->caps.supports_memory_budget) {
-    validate_spill_dir(options_.spill_dir);
-  }
   Result result;
   if (info_->run != nullptr) {
     result = info_->run(options_, g);
@@ -328,9 +295,6 @@ Result Engine::run_on_cliques(const Graph& g,
   require(info_->caps.supports_run_on_cliques && info_->run_on_cliques,
           "cpm::Engine: the ", info_->name,
           " engine enumerates k-cliques itself; use run(g)");
-  if (info_->caps.supports_memory_budget) {
-    validate_spill_dir(options_.spill_dir);
-  }
   Result result = info_->run_on_cliques(options_, g, std::move(cliques));
   result.engine_name = info_->name;
   result.exactness =
@@ -466,26 +430,28 @@ void canonicalise_clique_order(Result& result) {
 
 const std::vector<std::string>& engine_cli_flags() {
   static const std::vector<std::string> flags{
-      "k-min", "k-max", "engine", "threads", "memory-budget",
-      "clique-backend"};
+      "k-min", "k-max", "engine", "threads", "clique-backend"};
   return flags;
 }
 
 Options options_from_cli(const CliArgs& args, Options defaults) {
   Options options = std::move(defaults);
-  options.min_k = static_cast<std::size_t>(
-      args.get_int("k-min", static_cast<std::int64_t>(options.min_k)));
-  options.max_k = static_cast<std::size_t>(
-      args.get_int("k-max", static_cast<std::int64_t>(options.max_k)));
-  options.threads = static_cast<std::size_t>(
-      args.get_int("threads", static_cast<std::int64_t>(options.threads)));
+  // A negative count would wrap to a huge std::size_t. A default that
+  // already wrapped (a caller's negative alias) reads back negative here
+  // and is rejected too.
+  const auto count = [&](const char* flag, std::size_t fallback) {
+    const std::int64_t value =
+        args.get_int(flag, static_cast<std::int64_t>(fallback));
+    require(value >= 0, "options_from_cli: --", flag, " must be >= 0, got ",
+            value);
+    return static_cast<std::size_t>(value);
+  };
+  options.min_k = count("k-min", options.min_k);
+  options.max_k = count("k-max", options.max_k);
+  options.threads = count("threads", options.threads);
   if (args.has("engine")) {
     options.engine = args.get_string("engine", "sweep");
     engine_info(options.engine);  // unknown names fail at flag-parse time
-  }
-  if (args.has("memory-budget")) {
-    options.memory_budget =
-        parse_memory_budget(args.get_string("memory-budget", "0"));
   }
   if (args.has("clique-backend")) {
     options.clique_backend =

@@ -57,8 +57,6 @@ struct EngineCaps {
   /// applies). Approximate engines are compared by community similarity
   /// (cpm/compare.h) instead.
   bool exact = true;
-  /// Honors Options::memory_budget / Options::spill_dir.
-  bool supports_memory_budget = false;
   /// Produces the Fig. 4.2 nesting tree when Options::build_tree is set.
   bool supports_tree = true;
   /// Engine::run_on_cliques works (the engine consumes a pre-enumerated
@@ -94,12 +92,11 @@ struct EngineInfo {
 
 /// The built-in engines, in a fixed order: sweep (default; one
 /// descending-k union-find sweep over overlap pairs born into per-overlap
-/// buckets, tree in the same pass, optional spill-to-disk under
-/// --memory-budget), per_k (one independent percolation per k; the
-/// original LP-CPM structure, kept as the reference oracle), incremental
-/// (live clique/overlap state patched under edge batches — cpm/incr_cpm.h
-/// — materialized through the sweep tail; exact, lexicographic clique
-/// order), almost_exact (Baudin et al. 2021 bounded-memory percolation over
+/// buckets, tree in the same pass), per_k (one independent percolation per
+/// k; the original LP-CPM structure, kept as the reference oracle),
+/// incremental (live clique/overlap state patched under edge batches —
+/// cpm/incr_cpm.h — materialized through the sweep tail; exact,
+/// lexicographic clique order), almost_exact (Baudin et al. 2021 bounded-memory percolation over
 /// per-node community candidates — no overlap join; approximate; the same
 /// level loop as sweep) and reference (the literal k-clique-graph
 /// definition; exponential). docs/ALGORITHMS.md compares them with
@@ -147,17 +144,6 @@ struct Options {
   /// clique::Options::bitset_max_universe).
   std::size_t bitset_max_universe = 0;
 
-  /// Engines with caps.supports_memory_budget (sweep) only: cap on
-  /// resident overlap-pair bytes; 0 means unlimited. Non-zero budgets below
-  /// sweep_min_memory_budget() are rejected by the Engine constructor,
-  /// before any work. Other engines ignore it.
-  std::uint64_t memory_budget = 0;
-
-  /// Same engines only: directory for spill files (empty = system temp
-  /// directory). Must exist and be writable — validated at Engine::run
-  /// entry so a bad path fails before any work, not at the first spill.
-  std::string spill_dir;
-
   /// Weighted runs (Engine::run_weighted) keep only k-cliques whose
   /// intensity (geometric mean edge weight) reaches this threshold.
   double intensity_threshold = 0.0;
@@ -170,7 +156,7 @@ struct Options {
   bool build_tree = true;
 
   /// Projection onto the legacy per-engine option struct (k range and
-  /// threads; the sweep engine adds the budget fields itself).
+  /// threads).
   CpmOptions cpm_options() const;
 };
 
@@ -251,14 +237,15 @@ std::uint64_t canonical_digest(const Result& result,
 void canonicalise_clique_order(Result& result);
 
 /// Flag names of the shared engine CLI surface (--k-min, --k-max, --engine,
-/// --threads, --memory-budget, --clique-backend); append these to a
-/// binary's known-flag list so unknown flags still fail loudly.
+/// --threads, --clique-backend); append these to a binary's known-flag
+/// list so unknown flags still fail loudly.
 const std::vector<std::string>& engine_cli_flags();
 
 /// Applies the shared engine flags on top of `defaults`:
 ///   --k-min=N --k-max=N --engine=NAME --threads=N
-///   --memory-budget=BYTES[K|M|G] --clique-backend=auto|sparse|bitset
-/// --engine accepts any registered name (see engine_registry()).
+///   --clique-backend=auto|sparse|bitset
+/// --engine accepts any registered name (see engine_registry()). Negative
+/// --k-min, --k-max or --threads throw kcc::Error naming the flag.
 Options options_from_cli(const CliArgs& args, Options defaults = {});
 
 }  // namespace kcc::cpm

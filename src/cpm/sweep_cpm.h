@@ -28,19 +28,16 @@
 // almost-exact engine (cpm_detail::descend_levels); this engine supplies
 // the bucket fill and the per-level drain.
 //
-// With CpmOptions::memory_budget set, whole buckets spill to temp files
-// whenever the resident pairs exceed the budget, and each level streams
-// its spilled prefix back one fixed-size chunk at a time. The budget caps
-// the pair store — the dominant transient — not the clique table or the
-// communities, which are the result.
+// The pair store stays in RAM: 8 bytes per pair, each bucket freed once its
+// level drains it. A bounded-memory run is the almost-exact engine's job
+// (almost_cpm.h), which stores no pairs at all.
 //
 // Every pair is united exactly once across all k, and the output
 // (community node sets, ids, clique maps, tree) is byte-identical to the
-// per-k engine's, with or without a budget.
+// per-k engine's.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "cpm/clique_index.h"
@@ -50,14 +47,11 @@
 
 namespace kcc {
 
-/// What one sweep stored and spilled. Pairs, spills and the resident peak
-/// are also published as cpm_sweep_* metrics (docs/OBSERVABILITY.md).
+/// What one sweep stored. Pairs and the resident peak are also published
+/// as cpm_sweep_* metrics (docs/OBSERVABILITY.md).
 struct SweepCpmStats {
-  std::uint64_t pairs = 0;          ///< overlap pairs bucketed
-  std::uint64_t buckets = 0;        ///< overlap values holding >= 1 pair
-  std::uint64_t spilled_pairs = 0;  ///< pairs written to spill files
-  std::uint64_t spilled_buckets = 0;  ///< buckets with a spill file
-  std::uint64_t spill_bytes = 0;    ///< bytes written to spill files
+  std::uint64_t pairs = 0;    ///< overlap pairs bucketed
+  std::uint64_t buckets = 0;  ///< overlap values holding >= 1 pair
   std::uint64_t resident_pair_bytes_peak = 0;  ///< peak resident pair bytes
 };
 
@@ -69,16 +63,6 @@ struct SweepCpmResult {
   CommunityTree tree;
   SweepCpmStats stats;
 };
-
-/// Smallest accepted non-zero memory budget: the spill read-back chunk
-/// size. A budget below one chunk could not even stage a reload, so the
-/// sweep rejects it with kcc::Error instead of thrashing.
-std::uint64_t sweep_min_memory_budget();
-
-/// Parses a byte count with an optional K/M/G (KiB/MiB/GiB) suffix:
-/// "65536", "64K", "200M", "1G". Case-insensitive. Throws kcc::Error on
-/// anything else. "0" means unlimited.
-std::uint64_t parse_memory_budget(const std::string& text);
 
 /// Extracts all k-clique communities and the community tree in one
 /// descending-k sweep over a pre-enumerated maximal-clique set (each

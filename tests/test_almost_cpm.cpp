@@ -3,7 +3,6 @@
 //   * registry round-trip — every registered name parses, constructs an
 //     Engine and runs on a smoke graph with correct provenance;
 //   * Engine::run_on_cliques across all capable engines;
-//   * spill-dir validation at Engine::run entry;
 //   * almost-exact semantics — coarsening of the exact partition, exact at
 //     k=2, deterministic, nesting tree, F1 >= 0.99 on seeded families;
 //   * cpm::compare_results unit behavior.
@@ -17,7 +16,6 @@
 #include "cpm/almost_cpm.h"
 #include "cpm/compare.h"
 #include "cpm/engine.h"
-#include "cpm/sweep_cpm.h"
 #include "test_helpers.h"
 
 namespace kcc {
@@ -111,57 +109,6 @@ TEST(EngineRegistry, RunOnCliquesAgreesAcrossEnginesAndBackends) {
       EXPECT_TRUE(gap.ok) << info.name << ": " << gap.summary;
     }
   }
-}
-
-// ------------------------------------------------------ spill validation
-
-TEST(EngineOptionsSpill, BadSpillDirFailsAtRunEntry) {
-  cpm::Options options;
-  options.engine = "sweep";
-  options.spill_dir = "/nonexistent/kcc-spill-dir";
-  const cpm::Engine engine(options);
-  const Graph g = complete_graph(4);
-  try {
-    engine.run(g);
-    FAIL() << "expected kcc::Error for a bad spill dir";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("/nonexistent/kcc-spill-dir"),
-              std::string::npos)
-        << e.what();
-  }
-  EXPECT_THROW(engine.run_on_cliques(g, {{0, 1, 2, 3}}), Error);
-}
-
-TEST(EngineOptionsSpill, BudgetBelowTheSpillChunkFailsAtConstruction) {
-  // Rejected by the Engine itself, before run() enumerates a single clique
-  // (the sweep's own check would name run_sweep_cpm_on_cliques instead).
-  cpm::Options options;
-  options.engine = "sweep";
-  options.memory_budget = 1024;
-  try {
-    const cpm::Engine engine(options);
-    FAIL() << "expected kcc::Error for a budget below the spill chunk";
-  } catch (const Error& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "cpm::Engine: --memory-budget 1024 is smaller than the spill "
-              "chunk (65536 bytes); raise the budget or use 0 for unlimited");
-  }
-  options.memory_budget = sweep_min_memory_budget();
-  EXPECT_NO_THROW(cpm::Engine(options).run(complete_graph(4)));
-  // Engines that ignore the budget do not reject it either.
-  options.engine = "per_k";
-  options.memory_budget = 1024;
-  EXPECT_NO_THROW(cpm::Engine(options).run(complete_graph(4)));
-}
-
-TEST(EngineOptionsSpill, EnginesWithoutBudgetSupportIgnoreSpillDir) {
-  // The flag is a sweep-only knob; engines that never spill must not
-  // reject an unrelated path.
-  cpm::Options options;
-  options.engine = "per_k";
-  options.spill_dir = "/nonexistent/kcc-spill-dir";
-  const cpm::Result result = cpm::Engine(options).run(complete_graph(4));
-  EXPECT_EQ(result.cpm.max_k, 4u);
 }
 
 // -------------------------------------------------------- almost_exact

@@ -1,8 +1,7 @@
 // The single-sweep engine against the per-k oracle: set-identical
 // communities for every k on a spread of graph families and seeds, the
 // nesting invariant of the in-pass community tree, and the cpm::Engine
-// facade that fronts the engines. The budgeted (spilling) sweep has its
-// own suite in tests/test_stream_cpm.cpp.
+// facade that fronts the engines.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -136,6 +135,22 @@ TEST(SweepCpm, PrejoinedPairsRunTheSameLoop) {
   EXPECT_EQ(joined.stats.pairs, prejoined.stats.pairs);
 }
 
+TEST(SweepCpm, StatsReportPairsAndPeak) {
+  const Graph g = overlapping_cliques(6, 5, 3);
+  const SweepCpmResult sweep = run_sweep_cpm_on_cliques(g, clique_table(g), {});
+  // Two overlapping maximal cliques -> exactly one overlap pair.
+  EXPECT_EQ(sweep.stats.pairs, 1u);
+  EXPECT_EQ(sweep.stats.buckets, 1u);
+  EXPECT_EQ(sweep.stats.resident_pair_bytes_peak, 8u);
+
+  // Every pair is resident at once after the join: 8 bytes each.
+  const Graph dense = random_graph(80, 0.5, 5);
+  const SweepCpmResult many =
+      run_sweep_cpm_on_cliques(dense, clique_table(dense), {});
+  EXPECT_GT(many.stats.buckets, 1u);
+  EXPECT_EQ(many.stats.resident_pair_bytes_peak, many.stats.pairs * 8);
+}
+
 TEST(SweepCpm, PrejoinedRejectsAnOverlapNoCliquePairCanHave) {
   // Two distinct maximal cliques of size 3 share at most 2 nodes.
   CpmOptions options;
@@ -231,6 +246,23 @@ TEST(CpmEngine, ReferenceEngineRejectsPreEnumeratedCliques) {
       Error);
 }
 
+TEST(CpmEngine, PerKLoopStopsAtTheFirstEmptyLevel) {
+  // A max_k far past the largest clique must not walk every empty level.
+  cpm::Options options;
+  options.engine = "reference";
+  options.max_k = 2'000'000'000;
+  const cpm::Result ref = cpm::Engine(options).run(complete_graph(4));
+  EXPECT_EQ(ref.cpm.max_k, 4u);
+  EXPECT_EQ(ref.cpm.by_k.size(), 3u);
+
+  const Graph g = overlapping_cliques(4, 4, 2);
+  const EdgeWeights weights(g, std::vector<double>(g.num_edges(), 1.0));
+  options.engine = "sweep";
+  options.intensity_threshold = 1.0;
+  const cpm::Result weighted = cpm::Engine(options).run_weighted(g, weights);
+  EXPECT_EQ(weighted.cpm.max_k, 4u);
+}
+
 TEST(CpmEngine, BuildTreeCanBeDisabled) {
   cpm::Options options;
   options.build_tree = false;
@@ -282,21 +314,33 @@ TEST(CpmEngine, UnknownEngineNamesListTheRegisteredOnes) {
             "sweep|per_k|incremental|almost_exact|reference");
 }
 
-TEST(CpmEngine, OptionsFromCliAppliesTheBudgetFlag) {
-  EXPECT_TRUE(cpm::engine_info("sweep").caps.supports_memory_budget);
-  const char* argv[] = {"prog", "--engine=sweep", "--memory-budget=64M"};
-  const CliArgs args(3, argv, cpm::engine_cli_flags());
-  const cpm::Options options = cpm::options_from_cli(args);
-  EXPECT_EQ(options.engine, "sweep");
-  EXPECT_EQ(options.memory_budget, 64ull * 1024 * 1024);
+TEST(CpmEngine, OptionsFromCliRejectsBadValues) {
+  const auto error_of = [](const char* flag) -> std::string {
+    const char* argv[] = {"prog", flag};
+    try {
+      cpm::options_from_cli(CliArgs(2, argv, cpm::engine_cli_flags()));
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // A negative count would wrap to a huge std::size_t.
+  EXPECT_EQ(error_of("--k-min=-1"),
+            "options_from_cli: --k-min must be >= 0, got -1");
+  EXPECT_EQ(error_of("--k-max=-1"),
+            "options_from_cli: --k-max must be >= 0, got -1");
+  EXPECT_EQ(error_of("--threads=-1"),
+            "options_from_cli: --threads must be >= 0, got -1");
+  EXPECT_EQ(error_of("--k-max=0"), "no error");
+  EXPECT_NE(error_of("--engine=stream"), "no error");
 
-  const char* bad[] = {"prog", "--memory-budget=12X"};
-  EXPECT_THROW(
-      cpm::options_from_cli(CliArgs(2, bad, cpm::engine_cli_flags())), Error);
-  const char* stream[] = {"prog", "--engine=stream"};
-  EXPECT_THROW(
-      cpm::options_from_cli(CliArgs(2, stream, cpm::engine_cli_flags())),
-      Error);
+  // kcc's legacy --max-k alias lands in the defaults already wrapped.
+  cpm::Options wrapped;
+  wrapped.max_k = static_cast<std::size_t>(-1);
+  const char* bare[] = {"prog"};
+  EXPECT_THROW(cpm::options_from_cli(
+                   CliArgs(1, bare, cpm::engine_cli_flags()), wrapped),
+               Error);
 }
 
 TEST(CpmEngine, OptionsFromCliAppliesSharedFlags) {

@@ -5,7 +5,7 @@
 //       Generate a synthetic AS ecosystem and write topology.txt, ixps.txt,
 //       countries.txt, geo.txt into DIR.
 //   kcc cpm --edges=FILE [--k-min=2] [--k-max=0] [--engine=sweep]
-//       [--threads=0] [--memory-budget=BYTES[K|M|G]] [--out=FILE]
+//       [--threads=0] [--out=FILE]
 //       Extract k-clique communities from an edge list; print a summary and
 //       optionally save the result (io/result_io format).
 //   kcc tree --edges=FILE [--dot=FILE] [--min-k-shown=6]
@@ -86,8 +86,7 @@ constexpr Command kCommands[] = {
      "  generate --out-dir=DIR [--scale=test|bench|paper] [--seed=N]\n"},
     {"cpm", cmd_cpm,
      "  cpm      --edges=FILE [--k-min=N] [--k-max=N] [--engine=ENGINE]\n"
-     "           [--threads=N] [--memory-budget=BYTES[K|M|G]] [--out=FILE]\n"
-     "           [--snapshot-out=FILE]\n"},
+     "           [--threads=N] [--out=FILE] [--snapshot-out=FILE]\n"},
     {"tree", cmd_tree,
      "  tree     --edges=FILE [--dot=FILE] [--min-k-shown=N] "
      "[--engine=ENGINE]\n"},
@@ -140,10 +139,6 @@ int usage(std::ostream& out, int rc) {
   out <<
       "  --k-min=N/--k-max=N bound the community order (aliases\n"
       "           --min-k/--max-k are accepted for compatibility)\n"
-      "  --memory-budget=BYTES[K|M|G]\n"
-      "           sweep engine only: cap resident overlap-pair bytes,\n"
-      "           spilling whole buckets to temp files past the cap\n"
-      "           (0 = off; output is identical either way)\n"
       "  --clique-backend=auto|sparse|bitset\n"
       "           maximal-clique kernel: bitset packs each degeneracy\n"
       "           subproblem into 64-bit rows (word-parallel, the fast\n"
@@ -197,6 +192,8 @@ SynthParams scale_params(const std::string& scale) {
 
 // Shared engine options for cpm/tree/analyze. The legacy spellings
 // --min-k/--max-k remain accepted; --k-min/--k-max win when both appear.
+// A negative alias wraps to a huge default, which options_from_cli reads
+// back as the same negative value and rejects under the canonical name.
 cpm::Options cpm_options_from_args(const CliArgs& args) {
   cpm::Options defaults;
   defaults.min_k = static_cast<std::size_t>(args.get_int("min-k", 2));

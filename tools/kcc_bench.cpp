@@ -10,8 +10,7 @@
 //
 //   kcc_bench [--scale=test|bench|paper] [--seed=N] [--reps=5] [--threads=0]
 //             [--engines=sweep,per_k,incremental,almost_exact,reference]
-//             [--backends=sparse,bitset] [--no-budgeted]
-//             [--out=REPORT.json] [--trajectory=FILE.jsonl]
+//             [--backends=sparse,bitset] [--out=REPORT.json] [--trajectory=FILE.jsonl]
 //             [--compare=BASELINE.json] [--in=REPORT.json]
 //             [--rel-tol=0.10] [--mad-k=5.0]
 //
@@ -53,7 +52,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "cpm/engine.h"
-#include "cpm/sweep_cpm.h"
 #include "graph/graph.h"
 #include "obs/obs.h"
 #include "synth/as_topology.h"
@@ -65,10 +63,9 @@ using namespace kcc;
 // ------------------------------------------------------------- matrix setup
 
 struct BenchConfig {
-  std::string label;           // "sweep/sparse", "sweep-budget/sparse", ...
+  std::string label;           // "sweep/sparse", "per_k/bitset", ...
   std::string engine;          // registry name
   clique::Backend backend;
-  std::uint64_t memory_budget = 0;
   bool tiny_graph = false;     // reference: capped graph, not the ecosystem
   bool exact = true;           // approximate engines skip the digest gate
 };
@@ -80,7 +77,6 @@ struct DriverOptions {
   std::size_t threads = 0;
   std::vector<std::string> engines;  // default: every registered engine
   std::vector<std::string> backends{"sparse", "bitset"};
-  bool budgeted = true;
   std::string out = "kcc_bench_report.json";
   std::string trajectory;      // "" = no history append
   std::string compare;         // baseline path; "" = no gate
@@ -111,7 +107,7 @@ int usage(std::ostream& out, int rc) {
   out <<
       "usage: kcc_bench [--scale=test|bench|paper] [--seed=N] [--reps=5]\n"
       "                 [--threads=0] [--engines=a,b,...] [--backends=a,b]\n"
-      "                 [--no-budgeted] [--out=REPORT.json]\n"
+      "                 [--out=REPORT.json]\n"
       "                 [--trajectory=FILE.jsonl] [--compare=BASELINE.json]\n"
       "                 [--in=REPORT.json] [--rel-tol=0.10] [--mad-k=5.0]\n"
       "                 [--log-level=L] [--trace-out=F] [--metrics-out=F]\n"
@@ -128,7 +124,7 @@ int usage(std::ostream& out, int rc) {
 DriverOptions parse_args(int argc, char** argv) {
   const std::vector<std::string> known{
       "scale",   "seed",    "reps",      "threads", "engines",
-      "backends", "no-budgeted", "out",  "trajectory", "compare",
+      "backends", "out",  "trajectory", "compare",
       "in",      "rel-tol", "mad-k",     "log-level", "trace-out",
       "metrics-out", "report-out", "help"};
   const CliArgs args(argc, argv, known);
@@ -154,7 +150,6 @@ DriverOptions parse_args(int argc, char** argv) {
     require(!o.backends.empty(),
             "kcc_bench: --backends must name at least one");
   }
-  if (args.get_bool("no-budgeted", false)) o.budgeted = false;
   o.out = args.get_string("out", o.out);
   o.trajectory = args.get_string("trajectory", "");
   o.compare = args.get_string("compare", "");
@@ -184,18 +179,6 @@ std::vector<BenchConfig> build_matrix(const DriverOptions& o) {
       config.exact = info.caps.exact;
       matrix.push_back(config);
     }
-  }
-  for (const std::string& engine_name : o.engines) {
-    const cpm::EngineInfo& info = cpm::engine_info(engine_name);
-    if (!o.budgeted || !info.caps.supports_memory_budget) continue;
-    BenchConfig config;
-    config.engine = engine_name;
-    config.backend = clique::Backend::kSparse;
-    // Small enough to force spilling at test scale and above.
-    config.memory_budget = o.scale == "test" ? sweep_min_memory_budget()
-                                             : 1024 * 1024;
-    config.label = engine_name + "-budget/sparse";
-    matrix.push_back(config);
   }
   return matrix;
 }
@@ -253,7 +236,6 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
       cpm::Options options;
       options.engine = config.engine;
       options.clique_backend = config.backend;
-      options.memory_budget = config.memory_budget;
       options.threads = threads;
       // A fresh set owned by this child: counts inherited from the parent's
       // set do not aggregate into a forked child's live reads, so events
@@ -410,7 +392,6 @@ void write_report(std::ostream& out, const DriverOptions& o,
         << r.config.engine << "\",\"clique_backend\":\""
         << clique::backend_name(r.config.backend) << "\"";
     out << ",\"exact\":" << (r.config.exact ? "true" : "false");
-    out << ",\"memory_budget_bytes\":" << r.config.memory_budget;
     out << ",\"graph\":\"" << (r.config.tiny_graph ? "tiny" : "scale")
         << "\"";
     out << ",\"digest\":\"" << digest_hex(r.digest) << "\"";

@@ -1,7 +1,8 @@
 // kcc_doccheck — the mechanical docs-consistency gate (docs/TESTING.md).
 //
 // Checks 1, 2 and 4 run over README.md plus every docs/*.md file, check 3
-// over the C++ sources under src/ and tools/:
+// over the C++ sources under src/ and tools/, check 5 over the headers
+// under src/:
 //
 //   1. Flags: every double-dash flag token mentioned anywhere in the docs
 //      must appear in the --help output of kcc, kcc_bench or kcc_fuzz, or
@@ -21,6 +22,10 @@
 //      last component appear as a word in some .h/.cpp under src/, tools/,
 //      bench/, tests/ or kccbench/, so deleting or renaming a function or
 //      class cannot leave the docs naming it.
+//   5. Reachability: every src/<dir>/<name>.h must be #included by some
+//      file under src/ other than its own .cpp, or under tools/, bench/,
+//      examples/ or kccbench/. A module that only its own test includes
+//      is dead code that the tests keep compiling.
 //
 // Findings print as file:line: message, one per line; exit is non-zero if
 // anything failed. Run by the `docs_consistency` ctest with the built
@@ -59,7 +64,6 @@ const std::set<std::string>& allowlisted_flags() {
       "--test-dir",           // ctest
       "--output-on-failure",  // ctest
       "--verify-sweep",       // bench/perf_cpm
-      "--verify-budget",      // bench/perf_cpm
       "--verify-almost",      // bench/perf_cpm
       "--json",               // bench/perf_cpm, bench/perf_serve
       "--bench-json",         // bench/perf_cliques
@@ -363,6 +367,54 @@ void lint_source(const fs::path& file, std::vector<Finding>& findings) {
   }
 }
 
+/// The "quoted" #include targets of one source file.
+std::vector<std::string> quoted_includes(const fs::path& file) {
+  static const std::regex include_line(
+      "^\\s*#\\s*include\\s*\"([^\"]+)\"");
+  std::ifstream in(file);
+  require(in.good(), "kcc_doccheck: cannot read ", file.native());
+  std::vector<std::string> targets;
+  std::string line;
+  std::smatch match;
+  while (std::getline(in, line)) {
+    if (std::regex_search(line, match, include_line)) {
+      targets.push_back(match[1].str());
+    }
+  }
+  return targets;
+}
+
+/// Check 5: each src/<dir>/<name>.h that nothing outside tests/ and its
+/// own .cpp includes is a finding at the header's first line.
+void check_reachability(const fs::path& root,
+                        std::vector<Finding>& findings) {
+  std::set<std::string> included;  // include targets, e.g. "cpm/engine.h"
+  for (const fs::path& file : sources_under(
+           root, {"src", "tools", "bench", "examples", "kccbench"})) {
+    const fs::path relative = file.lexically_relative(root);
+    for (const std::string& target : quoted_includes(file)) {
+      fs::path own_cpp = fs::path("src") / target;
+      own_cpp.replace_extension(".cpp");
+      if (relative != own_cpp) included.insert(target);
+    }
+  }
+  for (const fs::path& header : sources_under(root, {"src"})) {
+    const fs::path relative = header.lexically_relative(root / "src");
+    if (header.extension() != ".h" ||
+        std::distance(relative.begin(), relative.end()) != 2) {
+      continue;
+    }
+    const std::string name = relative.generic_string();
+    if (included.count(name) == 0) {
+      findings.push_back(
+          {header.string(), 1,
+           "`" + name + "` is #included only by its own .cpp or by tests/ "
+           "(dead module? delete it, or use it from src/, tools/, bench/, "
+           "examples/ or kccbench/)"});
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -404,6 +456,7 @@ int main(int argc, char** argv) {
 
     const std::vector<fs::path> sources = sources_under(root, {"src", "tools"});
     for (const fs::path& source : sources) lint_source(source, findings);
+    check_reachability(root, findings);
 
     for (const Finding& f : findings) {
       std::cerr << f.file << ":" << f.line << ": " << f.message << "\n";
@@ -417,7 +470,8 @@ int main(int argc, char** argv) {
     std::cout << "kcc_doccheck: " << docs.size() << " docs consistent ("
               << known.size() << " known flags, " << words.size()
               << " source words), " << sources.size()
-              << " sources pass the require lint\n";
+              << " sources pass the require lint, every src/ header is "
+                 "reachable\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "kcc_doccheck: error: " << e.what() << "\n";
