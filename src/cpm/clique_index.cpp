@@ -27,9 +27,11 @@ OverlapMetrics& overlap_metrics() {
 }  // namespace
 
 std::vector<std::vector<CliqueId>> build_node_clique_index(
-    const std::vector<NodeSet>& cliques, std::size_t num_nodes) {
+    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
+    std::size_t min_size) {
   std::vector<std::vector<CliqueId>> index(num_nodes);
   for (CliqueId c = 0; c < cliques.size(); ++c) {
+    if (cliques[c].size() < min_size) continue;
     for (NodeId v : cliques[c]) {
       require(v < num_nodes, "build_node_clique_index: node out of range");
       index[v].push_back(c);
@@ -44,6 +46,8 @@ namespace {
 // array deduplicates candidates; counting hits per candidate *is* the
 // overlap size, because clique a appears in the index list of exactly the
 // |A ∩ B| shared nodes. Returns the number of candidate cliques examined.
+// A clique of size <= min_overlap cannot reach min_overlap with a distinct
+// maximal clique, so it is neither indexed nor probed.
 std::size_t overlaps_for_clique(const std::vector<NodeSet>& cliques,
                                 const std::vector<std::vector<CliqueId>>& index,
                                 CliqueId b, std::size_t min_overlap,
@@ -51,6 +55,7 @@ std::size_t overlaps_for_clique(const std::vector<NodeSet>& cliques,
                                 std::vector<CliqueId>& touched,
                                 std::vector<CliqueOverlap>& out) {
   touched.clear();
+  if (cliques[b].size() <= min_overlap) return 0;
   for (NodeId v : cliques[b]) {
     for (CliqueId a : index[v]) {
       if (a >= b) break;  // index lists are ascending; only a < b wanted
@@ -76,7 +81,7 @@ void for_each_clique_overlaps(
   require(min_overlap >= 1,
           "for_each_clique_overlaps: min_overlap must be >= 1");
   KCC_SPAN("cpm/overlap_join");
-  const auto index = build_node_clique_index(cliques, num_nodes);
+  const auto index = build_node_clique_index(cliques, num_nodes, min_overlap + 1);
   std::vector<std::uint32_t> hit_count(cliques.size(), 0);
   std::vector<CliqueId> touched;
   std::vector<CliqueOverlap> pairs;
@@ -101,7 +106,7 @@ std::vector<CliqueOverlap> compute_clique_overlaps_unsorted(
   require(min_overlap >= 1,
           "compute_clique_overlaps_unsorted: min_overlap must be >= 1");
   KCC_SPAN("cpm/overlap_join");
-  const auto index = build_node_clique_index(cliques, num_nodes);
+  const auto index = build_node_clique_index(cliques, num_nodes, min_overlap + 1);
 
   // Shard cliques into contiguous ranges; each task owns a result slot, so
   // the merged output is independent of scheduling.

@@ -26,9 +26,18 @@ struct CliqueOverlap {
   std::uint32_t overlap = 0;  // |A ∩ B| >= min_overlap
 };
 
-/// Inverted index: for each node, the ids of cliques containing it.
+/// Precondition of both joins: the cliques are distinct maximal cliques, so
+/// none contains another. A clique of size s then shares at most s - 1
+/// nodes with any other, and the joins leave every clique of size
+/// <= min_overlap out of the index and the probe loop without changing the
+/// pair set. (Single-edge cliques, 65% of the paper-scale table, never
+/// enter a join at min_overlap >= 2.)
+
+/// Inverted index: for each node, the ids of the cliques of size
+/// >= min_size containing it, ascending.
 std::vector<std::vector<CliqueId>> build_node_clique_index(
-    const std::vector<NodeSet>& cliques, std::size_t num_nodes);
+    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
+    std::size_t min_size = 0);
 
 /// Computes all clique pairs with |A ∩ B| >= min_overlap, in parallel over
 /// `pool`. The pair SET is deterministic; the pair ORDER depends on the

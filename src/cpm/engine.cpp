@@ -75,9 +75,12 @@ Result adopt_sweep_result(const Options& options, SweepShaped shaped,
   result.cpm = std::move(shaped.cpm);
   result.timings.percolate_seconds = total.lap();
   if (options.build_tree && result.cpm.max_k >= result.cpm.min_k) {
-    // The engine built the tree in the same pass; adopt it.
+    // The engine built the tree in the same pass; adopt it, and move its
+    // time from the percolate stage to the tree stage.
     result.tree = std::move(shaped.tree);
     result.has_tree = true;
+    result.timings.tree_seconds = shaped.tree_seconds;
+    result.timings.percolate_seconds -= shaped.tree_seconds;
   }
   result.timings.total_seconds = total.seconds();
   return result;

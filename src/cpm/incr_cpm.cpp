@@ -26,6 +26,10 @@ std::pair<NodeId, NodeId> canon(std::pair<NodeId, NodeId> e) {
   return e;
 }
 
+// The overlap lists link cliques sharing >= 3 nodes: the sweep reads
+// level 3 off shared edges and every higher level k off overlap k - 1.
+constexpr std::uint32_t kMinLinkOverlap = 3;
+
 std::string describe(std::pair<NodeId, NodeId> e) {
   return "(" + std::to_string(e.first) + ", " + std::to_string(e.second) +
          ")";
@@ -85,7 +89,7 @@ void IncrementalCpm::bootstrap(const Graph& g) {
   {
     ThreadPool pool(options_.threads);
     for (const CliqueOverlap& p : compute_clique_overlaps_unsorted(
-             cliques_, adjacency_.size(), 2, pool)) {
+             cliques_, adjacency_.size(), kMinLinkOverlap, pool)) {
       overlaps_[p.a].push_back({p.b, 0, p.overlap});
       overlaps_[p.b].push_back({p.a, 0, p.overlap});
     }
@@ -323,7 +327,8 @@ void IncrementalCpm::remove_edge(NodeId u, NodeId v) {
   // A fragment's overlaps follow from its parent's: |(Q \ {x}) ∩ D| is
   // |Q ∩ D| less one when D holds x, so the parent's overlap list (taken
   // before the retire drops it) replaces a scan of every member's clique
-  // list. Fragments inserted by this removal are not on it and are
+  // list. It holds every D the fragment links to, as |F ∩ D| >= 3 implies
+  // |Q ∩ D| >= 3. Fragments inserted by this removal are not on it and are
   // intersected directly.
   std::vector<std::vector<OverlapEntry>> parent_overlaps;
   parent_overlaps.reserve(dying.size());
@@ -348,12 +353,12 @@ void IncrementalCpm::remove_edge(NodeId u, NodeId v) {
                                      ? stamp_[e.clique] == epoch_
                                      : contains(cliques_[e.clique], f.dropped);
       const std::uint32_t shared = e.overlap - (holds_dropped ? 1 : 0);
-      if (shared >= 2) link(c, e.clique, shared);
+      if (shared >= kMinLinkOverlap) link(c, e.clique, shared);
     }
     for (CliqueId d : inserted) {
       const auto shared =
           static_cast<std::uint32_t>(intersection_size(f.nodes, cliques_[d]));
-      if (shared >= 2) link(c, d, shared);
+      if (shared >= kMinLinkOverlap) link(c, d, shared);
     }
     index_clique(c, std::move(f.nodes));
     inserted.push_back(c);
@@ -419,6 +424,11 @@ void IncrementalCpm::index_clique(CliqueId c, NodeSet nodes) {
 
 CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
   const CliqueId c = new_slot();
+  // A clique of size <= 3 shares at most 2 nodes with any other: no links.
+  if (nodes.size() <= kMinLinkOverlap) {
+    index_clique(c, std::move(nodes));
+    return c;
+  }
   // Count shared nodes against every alive clique BEFORE indexing the new
   // one, so it never pairs with itself.
   ++epoch_;
@@ -440,7 +450,7 @@ CliqueId IncrementalCpm::insert_clique(NodeSet nodes) {
     list.resize(live);
   }
   for (CliqueId d : touched) {
-    if (count_[d] >= 2) link(c, d, count_[d]);
+    if (count_[d] >= kMinLinkOverlap) link(c, d, count_[d]);
   }
   index_clique(c, std::move(nodes));
   return c;
@@ -552,6 +562,8 @@ Result IncrementalCpm::result() const {
   if (options_.build_tree && result.cpm.max_k >= result.cpm.min_k) {
     result.tree = std::move(sweep.tree);
     result.has_tree = true;
+    result.timings.tree_seconds = sweep.tree_seconds;
+    result.timings.percolate_seconds -= sweep.tree_seconds;
   }
   result.timings.total_seconds = total.seconds();
   result.engine_name = "incremental";
@@ -579,7 +591,8 @@ Result run_incremental_full(const Options& options, const Graph& g) {
     if (!batch.empty()) state.apply(batch);
     result = state.result();
   }
-  result.timings.percolate_seconds = total.lap();
+  result.timings.percolate_seconds =
+      total.lap() - result.timings.tree_seconds;
   result.timings.total_seconds = total.seconds();
   return result;
 }
@@ -595,7 +608,8 @@ Result run_incremental_on_cliques(const Options& options, const Graph& g,
                                std::move(cliques), options);
     result = state.result();
   }
-  result.timings.percolate_seconds = total.lap();
+  result.timings.percolate_seconds =
+      total.lap() - result.timings.tree_seconds;
   result.timings.total_seconds = total.seconds();
   return result;
 }

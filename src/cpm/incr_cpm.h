@@ -3,9 +3,12 @@
 // The AS-level topology is not static: the serving scenario (ROADMAP item
 // 3) needs community results that track edge updates without recomputing
 // from scratch. This engine holds live state — the maximal-clique table, a
-// per-node clique index and the pairwise overlap multiset — and patches it
-// locally per edge, so a batch touching b edges costs work proportional to
-// the affected neighborhoods, not the graph.
+// per-node clique index and the overlap multiset of the clique pairs that
+// share >= 3 nodes — and patches it locally per edge, so a batch touching
+// b edges costs work proportional to the affected neighborhoods, not the
+// graph. Pairs sharing exactly 2 nodes are not kept: the sweep builds
+// level 3 from shared edges of the clique table (sweep_cpm.h), and every
+// higher level k reads overlap k - 1 >= 3.
 //
 // Clique maintenance is exact, by two local theorems:
 //
@@ -27,7 +30,9 @@
 //
 // The overlap multiset is patched with the same locality: retiring a
 // clique drops its pairs, inserting one counts shared nodes against the
-// per-node index (epoch-stamped counters). Both indexes use lazy
+// per-node index (epoch-stamped counters), and a removal's fragments read
+// their pairs off the dying parent's list (|F ∩ D| >= 3 implies
+// |Q ∩ D| >= 3 for a fragment F of Q). Both indexes use lazy
 // invalidation — a retire bumps the slot's generation and leaves the
 // stale back-references in place; scans skip (and compact away) entries
 // whose stamped generation no longer matches, and an amortized global
@@ -178,7 +183,7 @@ class IncrementalCpm {
   std::vector<std::uint32_t> gen_;  // bumped per retire; see CliqueRef
 
   std::vector<std::vector<CliqueRef>> cliques_of_node_;  // unsorted
-  /// overlaps_[c] = (d, |c ∩ d|) for every alive d sharing >= 2 nodes with
+  /// overlaps_[c] = (d, |c ∩ d|) for every alive d sharing >= 3 nodes with
   /// c; stored symmetrically (each unordered pair appears in both lists).
   std::vector<std::vector<OverlapEntry>> overlaps_;
   /// Upper bound on stale entries across both index structures, reset by

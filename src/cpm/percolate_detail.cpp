@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "common/set_ops.h"
+#include "common/timer.h"
 #include "common/union_find.h"
 #include "graph/graph_algorithms.h"
 #include "obs/metrics.h"
@@ -264,7 +265,9 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
   }
 
   const obs::ScopedSpan span(prefix + "/tree");
+  const Timer tree_timer;
   out.tree = emitter.tree();
+  out.tree_seconds = tree_timer.seconds();
   return out;
 }
 

@@ -69,6 +69,7 @@ struct LevelJoin {
 struct LevelSweep {
   CpmResult cpm;
   CommunityTree tree;
+  double tree_seconds = 0.0;  ///< wall time of the `<spans>/tree` step
 };
 
 /// The descending-k loop of the sweep-style engines (paper Sec. 3.1: each

@@ -25,6 +25,9 @@ struct PackedPair {
 // Cached instrument handles (see obs/metrics.h: lookup locks, updates don't).
 struct SweepMetrics {
   obs::Counter& pairs = obs::metrics().counter("cpm_sweep_pairs_total");
+  obs::Counter& edge_links =
+      obs::metrics().counter("cpm_sweep_edge_links_total");
+  obs::Counter& merges = obs::metrics().counter("cpm_sweep_merges_total");
   obs::Gauge& resident_bytes =
       obs::metrics().gauge("cpm_sweep_resident_pair_bytes");
   obs::Gauge& rss_bytes = obs::metrics().gauge("cpm_sweep_rss_bytes");
@@ -40,8 +43,9 @@ SweepMetrics& sweep_metrics() {
 // drains one bucket and frees it.
 class PairBuckets {
  public:
-  PairBuckets(std::size_t num_buckets, const char* caller)
-      : buckets_(num_buckets), caller_(caller) {}
+  PairBuckets(std::size_t num_buckets, const char* caller,
+              SweepCpmStats& stats)
+      : buckets_(num_buckets), caller_(caller), stats_(stats) {}
 
   void add(std::size_t overlap, CliqueId a, CliqueId b) {
     // Two distinct maximal cliques share at most min(|A|, |B|) - 1 nodes.
@@ -67,59 +71,121 @@ class PairBuckets {
 
   // Unites every pair of one overlap value. Order within the bucket does
   // not affect the components, hence not the output.
-  std::uint64_t drain(std::size_t overlap, UnionFind& uf) {
-    if (overlap >= buckets_.size()) return 0;
+  void drain(std::size_t overlap, UnionFind& uf) {
+    if (overlap >= buckets_.size()) return;
     std::vector<PackedPair>& bucket = buckets_[overlap];
-    for (const PackedPair& p : bucket) uf.unite(p.a, p.b);
-    const std::uint64_t united = bucket.size();
+    std::uint64_t merges = 0;
+    for (const PackedPair& p : bucket) merges += uf.unite(p.a, p.b);
+    stats_.merges += merges;
     std::vector<PackedPair>().swap(bucket);
-    return united;
   }
-
-  const SweepCpmStats& stats() const { return stats_; }
 
  private:
   std::vector<std::vector<PackedPair>> buckets_;  // [o] = pairs of overlap o
   const char* caller_;
-  SweepCpmStats stats_;
+  SweepCpmStats& stats_;
 };
 
-// The shared body of every entry point: the descending-k loop. The join
-// buckets every pair `fill` produces once, up front (each pair (a, b,
-// overlap) with overlap >= its min_overlap argument); level k drains the
-// bucket of overlap k-1, whose endpoints have size >= k and so are already
-// live.
+// Level 3 from the clique table alone. Two distinct maximal cliques share
+// >= 2 nodes exactly when they share an edge, so uniting the live cliques
+// (size >= 3) that hold a common edge yields exactly the level-3
+// components, and no overlap-2 pair is ever stored. Each clique's edges
+// (u, v), u < v, are grouped by u: within u's group, first[v] is the first
+// clique seen holding (u, v) and every later holder is united with it;
+// stamp[v] == u + 1 marks first[v] as set for the current group.
+void chain_shared_edges(const std::vector<NodeSet>& cliques,
+                        const std::vector<CliqueId>& live,
+                        std::size_t num_nodes, UnionFind& uf,
+                        SweepCpmStats& stats) {
+  KCC_SPAN("cpm/edge_chain");
+  // The groups as one CSR over u: a clique joins the group of each of its
+  // nodes but the largest. After the fill, end[u] is where u's group ends
+  // and end[u - 1] where it begins.
+  std::vector<std::uint32_t> end(num_nodes + 1, 0);
+  for (CliqueId c : live) {
+    const NodeSet& q = cliques[c];
+    for (std::size_t i = 0; i + 1 < q.size(); ++i) ++end[q[i] + 1];
+  }
+  for (std::size_t u = 0; u < num_nodes; ++u) end[u + 1] += end[u];
+  std::vector<CliqueId> group(end[num_nodes]);
+  for (CliqueId c : live) {
+    const NodeSet& q = cliques[c];
+    for (std::size_t i = 0; i + 1 < q.size(); ++i) group[end[q[i]]++] = c;
+  }
+
+  std::vector<CliqueId> first(num_nodes);
+  std::vector<NodeId> stamp(num_nodes, 0);
+  std::uint64_t links = 0;
+  std::uint64_t merges = 0;
+  std::uint32_t begin = 0;
+  for (NodeId u = 0; u < num_nodes; ++u) {
+    for (std::uint32_t i = begin; i < end[u]; ++i) {
+      const CliqueId c = group[i];
+      const NodeSet& q = cliques[c];
+      for (auto v = std::upper_bound(q.begin(), q.end(), u); v != q.end();
+           ++v) {
+        if (stamp[*v] != u + 1) {
+          stamp[*v] = u + 1;
+          first[*v] = c;
+        } else {
+          ++links;
+          merges += uf.unite(first[*v], c);
+        }
+      }
+    }
+    begin = end[u];
+  }
+  stats.edge_links += links;
+  stats.merges += merges;
+}
+
+// The shared body of every entry point: the descending-k loop. Level 3
+// chains through shared edges; every higher level k drains the bucket of
+// overlap k-1, filled once up front with the pairs `fill` produces (each
+// pair (a, b, overlap) with overlap >= its min_overlap argument), whose
+// endpoints have size >= k and so are already live.
 template <typename Fill>
 SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
                      const CpmOptions& options, const char* caller,
                      Fill&& fill) {
+  SweepCpmResult out;
+  SweepCpmStats& stats = out.stats;
   std::optional<PairBuckets> buckets;  // engaged iff a level k >= 3 runs
-  std::uint64_t join_ops = 0;
+  const std::vector<NodeSet>* table = nullptr;
   cpm_detail::LevelJoin join;
-  join.prepare = [&](const std::vector<NodeSet>& table, std::size_t lowest) {
+  join.prepare = [&](const std::vector<NodeSet>& prepared,
+                     std::size_t lowest) {
+    table = &prepared;
     std::size_t max_size = 0;
-    for (const auto& c : table) max_size = std::max(max_size, c.size());
-    buckets.emplace(max_size, caller);
+    for (const auto& c : prepared) max_size = std::max(max_size, c.size());
+    buckets.emplace(max_size, caller, stats);
     KCC_SPAN("sweep_cpm/clique_overlaps");
-    // Level k consumes overlap k-1, so smaller overlaps are never stored.
-    fill(*buckets, table, lowest - 1);
+    // Level k consumes overlap k-1 and level 3 none, so overlaps below
+    // max(3, lowest - 1) are never stored.
+    const std::size_t min_overlap = std::max<std::size_t>(3, lowest - 1);
+    fill(*buckets, prepared, min_overlap);
     buckets->finish_fill();
-    KCC_LOG(kDebug) << caller << ": " << table.size() << " cliques, "
-                    << buckets->stats().pairs << " overlap pairs >= "
-                    << lowest - 1;
+    KCC_LOG(kDebug) << caller << ": " << prepared.size() << " cliques, "
+                    << stats.pairs << " overlap pairs >= " << min_overlap;
   };
   join.unite_level = [&](std::size_t k, UnionFind& uf,
-                         const std::vector<CliqueId>&) {
-    join_ops += buckets->drain(k - 1, uf);
+                         const std::vector<CliqueId>& live) {
+    if (k == 3) {
+      chain_shared_edges(*table, live, g.num_nodes(), uf, stats);
+    } else {
+      buckets->drain(k - 1, uf);
+    }
   };
   cpm_detail::LevelSweep levels = cpm_detail::descend_levels(
       g, std::move(cliques), options, caller, "sweep_cpm", join);
-  SweepCpmResult out;
   out.cpm = std::move(levels.cpm);
   out.tree = std::move(levels.tree);
+  out.tree_seconds = levels.tree_seconds;
   if (buckets) {
-    cpm_detail::note_join_ops(join_ops);
-    out.stats = buckets->stats();
+    cpm_detail::note_join_ops(stats.pairs + stats.edge_links);
+    SweepMetrics& m = sweep_metrics();
+    m.edge_links.inc(stats.edge_links);
+    m.merges.inc(stats.merges);
   }
   return out;
 }

@@ -69,6 +69,11 @@ TEST(CliqueIndex, NodeCliqueIndexComplete) {
   EXPECT_EQ(index[2], (std::vector<CliqueId>{0, 1}));
   EXPECT_EQ(index[3], (std::vector<CliqueId>{1}));
   EXPECT_EQ(index[4], (std::vector<CliqueId>{2}));
+
+  // The joins index only the cliques that can reach their min_overlap.
+  const auto large = build_node_clique_index(cliques, 5, 3);
+  EXPECT_EQ(large[1], (std::vector<CliqueId>{0, 1}));
+  EXPECT_TRUE(large[4].empty());
 }
 
 TEST(CliqueIndex, SequentialMatchesNaive) {

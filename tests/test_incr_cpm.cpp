@@ -179,6 +179,72 @@ TEST(IncrCpm, BatchThenInverseRestoresDigest) {
   EXPECT_EQ(state.batches_applied(), 2u);
 }
 
+TEST(IncrCpm, LevelThreeOnlyLinksFollowChurn) {
+  // Two K4s, A = {0..3} and B = {4..7}, with the edges (3, 4) and (2, 5)
+  // between them. Adding (3, 5) creates the triangles {2, 3, 5} and
+  // {3, 4, 5}, which chain A to B through shared edges only: one community
+  // at k = 3 instead of two, and no new 4-clique, so k = 4 is unchanged.
+  // No clique pair of the link shares 3 nodes, so the overlap lists never
+  // see it; removing (3, 5) splits the communities again.
+  std::vector<std::pair<NodeId, NodeId>> edges{{3, 4}, {2, 5}};
+  for (NodeId base : {0u, 4u}) {
+    for (NodeId i = 0; i < 4; ++i) {
+      for (NodeId j = i + 1; j < 4; ++j) edges.emplace_back(base + i, base + j);
+    }
+  }
+  const Graph split = Graph::from_edges(8, edges);
+  edges.emplace_back(3, 5);
+  const Graph joined = Graph::from_edges(8, edges);
+  EdgeBatch bridge;
+  bridge.add.emplace_back(3, 5);
+
+  const auto communities = [](const IncrementalCpm& state, std::size_t k) {
+    const cpm::Result result = state.result();
+    std::vector<NodeSet> nodes;
+    for (const Community& c : result.cpm.at(k).communities) {
+      nodes.push_back(c.nodes);
+    }
+    return nodes;
+  };
+  for (std::size_t min_k : {2u, 3u, 4u}) {
+    cpm::Options options;
+    options.min_k = min_k;
+    const std::string label = "min_k=" + std::to_string(min_k);
+    const bool has_three = min_k <= 3;
+
+    // Add, then the inverse batch, from the split graph.
+    Mirror mirror(split);
+    IncrementalCpm state(split, options);
+    const std::string before = digest(state);
+    const std::vector<NodeSet> four = communities(state, 4);
+    if (has_three) {
+      EXPECT_EQ(communities(state, 3).size(), 2u) << label;
+    }
+    apply_and_check(state, mirror, bridge, options, label + " add");
+    if (has_three) {
+      EXPECT_EQ(communities(state, 3).size(), 1u) << label;
+    }
+    EXPECT_EQ(communities(state, 4), four) << label;
+    apply_and_check(state, mirror, bridge.inverse(), options,
+                    label + " inverse of add");
+    EXPECT_EQ(digest(state), before) << label;
+
+    // Remove, then the inverse batch, from the joined graph.
+    Mirror joined_mirror(joined);
+    IncrementalCpm joined_state(joined, options);
+    const std::string joined_before = digest(joined_state);
+    apply_and_check(joined_state, joined_mirror, bridge.inverse(), options,
+                    label + " remove");
+    if (has_three) {
+      EXPECT_EQ(communities(joined_state, 3).size(), 2u) << label;
+    }
+    EXPECT_EQ(communities(joined_state, 4), four) << label;
+    apply_and_check(joined_state, joined_mirror, bridge, options,
+                    label + " inverse of remove");
+    EXPECT_EQ(digest(joined_state), joined_before) << label;
+  }
+}
+
 TEST(IncrCpm, EmptyBatchIsANoOp) {
   const Graph g = testing::random_graph(15, 0.3, 2);
   IncrementalCpm state(g);

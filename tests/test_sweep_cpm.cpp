@@ -151,6 +151,156 @@ TEST(SweepCpm, StatsReportPairsAndPeak) {
   EXPECT_EQ(many.stats.resident_pair_bytes_peak, many.stats.pairs * 8);
 }
 
+// ------------------------------------------- level 3 from shared edges
+
+/// The graph whose maximal cliques are `cliques` (each given sorted).
+Graph graph_of_cliques(std::size_t n, const std::vector<NodeSet>& cliques) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (const NodeSet& q : cliques) {
+    for (std::size_t i = 0; i < q.size(); ++i) {
+      for (std::size_t j = i + 1; j < q.size(); ++j) {
+        edges.emplace_back(q[i], q[j]);
+      }
+    }
+  }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  return Graph::from_edges(n, edges);
+}
+
+/// Runs the sweep on `g`'s clique table for one k range and checks it
+/// against the reference engine (the literal k-clique-graph definition)
+/// node set for node set, and its counters against a naive count over the
+/// table: only pairs sharing >= max(3, min_k - 1) nodes are stored, and
+/// level 3 (when it runs) unites once per extra holder of a shared edge.
+void check_level_three(const Graph& g, std::size_t min_k, std::size_t max_k,
+                       const std::string& label) {
+  SCOPED_TRACE(label + " min_k=" + std::to_string(min_k) +
+               " max_k=" + std::to_string(max_k));
+  const std::vector<NodeSet> table = clique_table(g);
+  CpmOptions options;
+  options.min_k = min_k;
+  options.max_k = max_k;
+  const SweepCpmResult sweep = run_sweep_cpm_on_cliques(g, table, options);
+
+  cpm::Options ref_options;
+  ref_options.engine = "reference";
+  ref_options.min_k = min_k;
+  ref_options.max_k = max_k;
+  const cpm::Result ref = cpm::Engine(ref_options).run(g);
+  for (std::size_t k = min_k; k <= sweep.cpm.max_k; ++k) {
+    const std::size_t ref_count = ref.cpm.has_k(k) ? ref.cpm.at(k).count() : 0;
+    ASSERT_EQ(sweep.cpm.at(k).count(), ref_count) << "k=" << k;
+    for (CommunityId id = 0; id < ref_count; ++id) {
+      EXPECT_EQ(sweep.cpm.at(k).communities[id].nodes,
+                ref.cpm.at(k).communities[id].nodes)
+          << "k=" << k << " community " << id;
+    }
+  }
+
+  std::size_t max_size = 0;
+  for (const NodeSet& q : table) max_size = std::max(max_size, q.size());
+  const bool levels_run = sweep.cpm.max_k >= 3;
+  const bool level_three_runs = levels_run && min_k <= 3;
+  const std::size_t min_overlap = std::max<std::size_t>(3, min_k - 1);
+  std::uint64_t stored = 0;
+  for (std::size_t a = 0; a < table.size(); ++a) {
+    for (std::size_t b = a + 1; b < table.size(); ++b) {
+      if (intersection_size(table[a], table[b]) >= min_overlap) ++stored;
+    }
+  }
+  std::uint64_t links = 0;
+  for (const auto& [u, v] : g.edges()) {
+    std::uint64_t holders = 0;
+    for (const NodeSet& q : table) {
+      if (q.size() >= 3 && contains(q, u) && contains(q, v)) ++holders;
+    }
+    if (holders > 1) links += holders - 1;
+  }
+  EXPECT_EQ(sweep.stats.pairs, levels_run ? stored : 0);
+  EXPECT_EQ(sweep.stats.resident_pair_bytes_peak, 8 * sweep.stats.pairs);
+  EXPECT_EQ(sweep.stats.edge_links, level_three_runs ? links : 0);
+  if (level_three_runs) {
+    // Every merge removes one component among the cliques live at k = 3.
+    std::uint64_t live = 0;
+    for (const NodeSet& q : table) live += q.size() >= 3 ? 1 : 0;
+    EXPECT_EQ(sweep.stats.merges, live - sweep.cpm.at(3).count());
+  }
+  EXPECT_LE(sweep.stats.merges, sweep.stats.pairs + sweep.stats.edge_links);
+}
+
+void check_level_three_ranges(const Graph& g, const std::string& label) {
+  for (std::size_t min_k : {2u, 3u, 4u}) {
+    check_level_three(g, min_k, 0, label);
+  }
+  check_level_three(g, 2, 3, label);  // a cap: levels above 3 not emitted
+  check_level_three(g, 3, 4, label);
+}
+
+TEST(SweepCpm, LevelThreeChainsThroughSharedEdges) {
+  // A strip of triangles, each tied to the next by one edge only: one
+  // community at k = 3, and every link is an edge link, not a stored pair.
+  const std::vector<NodeSet> strip{
+      {0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {3, 4, 5}, {4, 5, 6}};
+  const Graph strip_graph = graph_of_cliques(7, strip);
+  check_level_three_ranges(strip_graph, "triangle strip");
+  const SweepCpmResult strip_sweep =
+      run_sweep_cpm_on_cliques(strip_graph, clique_table(strip_graph), {});
+  EXPECT_EQ(strip_sweep.stats.pairs, 0u);
+  EXPECT_EQ(strip_sweep.stats.edge_links, 4u);
+  EXPECT_EQ(strip_sweep.stats.merges, 4u);
+  ASSERT_EQ(strip_sweep.cpm.at(3).count(), 1u);
+  EXPECT_EQ(strip_sweep.cpm.at(3).communities[0].nodes,
+            (NodeSet{0, 1, 2, 3, 4, 5, 6}));
+
+  // A K5 tied to a triangle by the edge (3, 4): joined at k = 3 only.
+  const std::vector<NodeSet> tied{{0, 1, 2, 3, 4}, {3, 4, 5}};
+  const Graph tied_graph = graph_of_cliques(6, tied);
+  check_level_three_ranges(tied_graph, "K5 + triangle on one edge");
+  const SweepCpmResult tied_sweep =
+      run_sweep_cpm_on_cliques(tied_graph, clique_table(tied_graph), {});
+  EXPECT_EQ(tied_sweep.stats.pairs, 0u);
+  EXPECT_EQ(tied_sweep.stats.edge_links, 1u);
+  ASSERT_EQ(tied_sweep.cpm.at(3).count(), 1u);
+  ASSERT_EQ(tied_sweep.cpm.at(4).count(), 1u);
+  EXPECT_EQ(tied_sweep.cpm.at(4).communities[0].nodes,
+            (NodeSet{0, 1, 2, 3, 4}));
+
+  // Two cliques sharing one node hold no common edge: apart at k = 3.
+  const std::vector<NodeSet> bowtie{{0, 1, 2, 3}, {3, 4, 5}};
+  const Graph bowtie_graph = graph_of_cliques(6, bowtie);
+  check_level_three_ranges(bowtie_graph, "cliques sharing one node");
+  const SweepCpmResult bowtie_sweep =
+      run_sweep_cpm_on_cliques(bowtie_graph, clique_table(bowtie_graph), {});
+  EXPECT_EQ(bowtie_sweep.stats.edge_links, 0u);
+  EXPECT_EQ(bowtie_sweep.cpm.at(3).count(), 2u);
+
+  // Random graphs, sparse (mostly edge links) and dense (mostly pairs).
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    check_level_three_ranges(random_graph(30, 0.15, seed),
+                             "random n=30 p=0.15 seed=" + std::to_string(seed));
+    check_level_three_ranges(random_graph(18, 0.5, seed),
+                             "random n=18 p=0.5 seed=" + std::to_string(seed));
+  }
+}
+
+TEST(SweepCpm, PrejoinedDropsPairsBelowTheStoredOverlap) {
+  // The prejoined entry takes pairs of any overlap and keeps the same
+  // ones the sweep's own join stores; level 3 comes from shared edges.
+  const Graph g = random_graph(40, 0.25, 31);
+  const std::vector<NodeSet> cliques = clique_table(g);
+  const SweepCpmResult joined = run_sweep_cpm_on_cliques(g, cliques, {});
+  ThreadPool pool(1);
+  std::vector<CliqueOverlap> pairs =
+      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 1, pool);
+  const SweepCpmResult prejoined =
+      run_sweep_cpm_prejoined(g, cliques, std::move(pairs), {});
+  expect_same_cpm(joined.cpm, prejoined.cpm, "prejoined, overlap >= 1");
+  EXPECT_EQ(prejoined.stats.pairs, joined.stats.pairs);
+  EXPECT_EQ(prejoined.stats.edge_links, joined.stats.edge_links);
+  EXPECT_EQ(prejoined.stats.merges, joined.stats.merges);
+}
+
 TEST(SweepCpm, PrejoinedRejectsAnOverlapNoCliquePairCanHave) {
   // Two distinct maximal cliques of size 3 share at most 2 nodes.
   CpmOptions options;
@@ -212,6 +362,35 @@ TEST(CpmEngine, SweepAndPerKDispatchAgree) {
   EXPECT_GT(sweep.timings.total_seconds, 0.0);
   EXPECT_GT(sweep.timings.cliques_seconds, 0.0);
   EXPECT_GT(sweep.timings.percolate_seconds, 0.0);
+}
+
+TEST(CpmEngine, TreeStageIsTimedOnlyWhenTheTreeIsBuilt) {
+  // The sweep-style engines build the tree inside their level loop; its
+  // time moves from the percolate stage to the tree stage, and the stages
+  // still add up to the total.
+  const Graph g = random_graph(60, 0.25, 8);
+  for (const char* engine : {"sweep", "incremental", "almost_exact"}) {
+    for (const bool tree : {true, false}) {
+      cpm::Options options;
+      options.engine = engine;
+      options.build_tree = tree;
+      const cpm::Result result = cpm::Engine(options).run(g);
+      const std::string label = std::string(engine) + " tree=" +
+                                (tree ? "on" : "off");
+      EXPECT_EQ(result.has_tree, tree) << label;
+      if (tree) {
+        EXPECT_GT(result.timings.tree_seconds, 0.0) << label;
+      } else {
+        EXPECT_EQ(result.timings.tree_seconds, 0.0) << label;
+      }
+      EXPECT_GT(result.timings.percolate_seconds, 0.0) << label;
+      EXPECT_LE(result.timings.cliques_seconds +
+                    result.timings.percolate_seconds +
+                    result.timings.tree_seconds,
+                result.timings.total_seconds + 1e-9)
+          << label;
+    }
+  }
 }
 
 TEST(CpmEngine, ReferenceEngineAgreesOnNodeSets) {

@@ -2,7 +2,7 @@
 //
 // Checks 1, 2 and 4 run over README.md plus every docs/*.md file, check 3
 // over the C++ sources under src/ and tools/, check 5 over the headers
-// under src/:
+// under src/, check 6 over the sources under src/:
 //
 //   1. Flags: every double-dash flag token mentioned anywhere in the docs
 //      must appear in the --help output of kcc, kcc_bench or kcc_fuzz, or
@@ -26,6 +26,11 @@
 //      file under src/ other than its own .cpp, or under tools/, bench/,
 //      examples/ or kccbench/. A module that only its own test includes
 //      is dead code that the tests keep compiling.
+//   6. Metric names: every metric name passed as a whole string literal to
+//      .counter(, .gauge( or .histogram( in a source under src/ must
+//      appear as a word in docs/OBSERVABILITY.md, so an instrument cannot
+//      ship without its catalog entry. Names built at run time (the
+//      per-k gauges, the hw_* counters) are the catalog's own business.
 //
 // Findings print as file:line: message, one per line; exit is non-zero if
 // anything failed. Run by the `docs_consistency` ctest with the built
@@ -173,28 +178,35 @@ std::vector<std::string> extract_qualified_names(const std::string& text) {
   return names;
 }
 
+/// The whole of one file.
+std::string read_file(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  require(in.good(), "kcc_doccheck: cannot read ", file.native());
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Adds every identifier-shaped word of `text` to `words`.
+void add_words(const std::string& text, std::set<std::string>& words) {
+  const auto is_word = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+  };
+  for (std::size_t i = 0; i < text.size();) {
+    if (!is_word(text[i])) {
+      ++i;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < text.size() && is_word(text[end])) ++end;
+    words.insert(text.substr(i, end - i));
+    i = end;
+  }
+}
+
 /// Every identifier-shaped word of every .h/.cpp under the source trees.
 std::set<std::string> source_words(const std::vector<fs::path>& sources) {
   std::set<std::string> words;
-  for (const fs::path& file : sources) {
-    std::ifstream in(file, std::ios::binary);
-    require(in.good(), "kcc_doccheck: cannot read ", file.native());
-    const std::string text((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-    const auto is_word = [](char c) {
-      return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
-    };
-    for (std::size_t i = 0; i < text.size();) {
-      if (!is_word(text[i])) {
-        ++i;
-        continue;
-      }
-      std::size_t end = i;
-      while (end < text.size() && is_word(text[end])) ++end;
-      words.insert(text.substr(i, end - i));
-      i = end;
-    }
-  }
+  for (const fs::path& file : sources) add_words(read_file(file), words);
   return words;
 }
 
@@ -328,10 +340,7 @@ bool builds_message_eagerly(const std::string& args) {
 /// Check 3 over one C++ source file: every require(...) whose message
 /// arguments build a string eagerly is a finding at the call's line.
 void lint_source(const fs::path& file, std::vector<Finding>& findings) {
-  std::ifstream in(file, std::ios::binary);
-  require(in.good(), "kcc_doccheck: cannot read ", file.native());
-  const std::string source((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
+  const std::string source = read_file(file);
   const std::string code = mask_comments_and_literals(source);
   const std::string call = "require(";
   for (std::size_t at = code.find(call); at != std::string::npos;
@@ -415,6 +424,31 @@ void check_reachability(const fs::path& root,
   }
 }
 
+/// Check 6: each literal metric name under src/ that is not a word of
+/// docs/OBSERVABILITY.md is a finding at the line of its call.
+void check_metric_names(const fs::path& root,
+                        std::vector<Finding>& findings) {
+  static const std::regex call(
+      "\\.(counter|gauge|histogram)\\(\\s*\"([A-Za-z0-9_]+)\"\\s*[,)]");
+  const fs::path catalog = root / "docs" / "OBSERVABILITY.md";
+  std::set<std::string> documented;
+  if (fs::exists(catalog)) add_words(read_file(catalog), documented);
+  for (const fs::path& file : sources_under(root, {"src"})) {
+    const std::string text = read_file(file);
+    for (std::sregex_iterator it(text.begin(), text.end(), call), end;
+         it != end; ++it) {
+      const std::string name = (*it)[2].str();
+      if (documented.count(name) != 0) continue;
+      const auto line =
+          1 + std::count(text.begin(), text.begin() + it->position(2), '\n');
+      findings.push_back(
+          {file.string(), static_cast<std::size_t>(line),
+           "metric `" + name + "` is not in docs/OBSERVABILITY.md (add it "
+           "to the metric catalog)"});
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -457,6 +491,7 @@ int main(int argc, char** argv) {
     const std::vector<fs::path> sources = sources_under(root, {"src", "tools"});
     for (const fs::path& source : sources) lint_source(source, findings);
     check_reachability(root, findings);
+    check_metric_names(root, findings);
 
     for (const Finding& f : findings) {
       std::cerr << f.file << ":" << f.line << ": " << f.message << "\n";
@@ -471,7 +506,7 @@ int main(int argc, char** argv) {
               << known.size() << " known flags, " << words.size()
               << " source words), " << sources.size()
               << " sources pass the require lint, every src/ header is "
-                 "reachable\n";
+                 "reachable, every metric name is catalogued\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "kcc_doccheck: error: " << e.what() << "\n";
