@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/union_find.h"
+#include "cpm/clique_index.h"
 #include "cpm/percolate_detail.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -54,10 +55,7 @@ class FilterVerifyJoin {
     // Per-node clique index for witness verification; ascending ids, so a
     // scan can stop at the first id >= the clique being processed (later
     // ids are not yet published at this level).
-    cliques_of_node_.assign(num_nodes_, {});
-    for (CliqueId c = 0; c < num_cliques; ++c) {
-      for (NodeId v : cliques[c]) cliques_of_node_[v].push_back(c);
-    }
+    cliques_of_node_ = build_node_clique_index(cliques, num_nodes_);
     memberships_.assign(num_nodes_, {});
     cand_stamp_.assign(num_cliques, 0);
     node_stamp_.assign(num_cliques, 0);

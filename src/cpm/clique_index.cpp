@@ -1,9 +1,6 @@
 #include "cpm/clique_index.h"
 
-#include <algorithm>
-
 #include "common/error.h"
-#include "common/set_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -12,7 +9,7 @@ namespace {
 
 // Overlap-join instruments. Candidate touches count every clique pair the
 // stamp array examined; emitted pairs are the ones that met min_overlap.
-// Both are accumulated per shard/batch and flushed with one atomic add.
+// Both are accumulated per join and flushed with one atomic add.
 struct OverlapMetrics {
   obs::Counter& candidates =
       obs::metrics().counter("cpm_overlap_candidates_total");
@@ -46,8 +43,8 @@ namespace {
 // array deduplicates candidates; counting hits per candidate *is* the
 // overlap size, because clique a appears in the index list of exactly the
 // |A ∩ B| shared nodes. Returns the number of candidate cliques examined.
-// A clique of size <= min_overlap cannot reach min_overlap with a distinct
-// maximal clique, so it is neither indexed nor probed.
+// A clique of size <= min_overlap cannot reach min_overlap with a clique
+// that does not contain it, so it is neither indexed nor probed.
 std::size_t overlaps_for_clique(const std::vector<NodeSet>& cliques,
                                 const std::vector<std::vector<CliqueId>>& index,
                                 CliqueId b, std::size_t min_overlap,
@@ -98,46 +95,14 @@ void for_each_clique_overlaps(
   overlap_metrics().pairs.inc(emitted);
 }
 
-// The merged pair list is ordered by shard, i.e. by b-ranges of equal
-// clique count, with no global sort.
 std::vector<CliqueOverlap> compute_clique_overlaps_unsorted(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
-    std::size_t min_overlap, ThreadPool& pool) {
-  require(min_overlap >= 1,
-          "compute_clique_overlaps_unsorted: min_overlap must be >= 1");
-  KCC_SPAN("cpm/overlap_join");
-  const auto index = build_node_clique_index(cliques, num_nodes, min_overlap + 1);
-
-  // Shard cliques into contiguous ranges; each task owns a result slot, so
-  // the merged output is independent of scheduling.
-  const std::size_t shards =
-      std::max<std::size_t>(1, std::min(cliques.size(), pool.thread_count() * 8));
-  const std::size_t shard_size = (cliques.size() + shards - 1) / shards;
-  std::vector<std::vector<CliqueOverlap>> slots(shards);
-
-  parallel_for(pool, shards, [&](std::size_t s) {
-    const CliqueId begin = static_cast<CliqueId>(s * shard_size);
-    const CliqueId end = static_cast<CliqueId>(
-        std::min(cliques.size(), (s + 1) * shard_size));
-    std::vector<std::uint32_t> hit_count(cliques.size(), 0);
-    std::vector<CliqueId> touched;
-    std::uint64_t candidates = 0;
-    std::size_t emitted_before = slots[s].size();
-    for (CliqueId b = begin; b < end; ++b) {
-      candidates += overlaps_for_clique(cliques, index, b, min_overlap,
-                                        hit_count, touched, slots[s]);
-    }
-    overlap_metrics().candidates.inc(candidates);
-    overlap_metrics().pairs.inc(slots[s].size() - emitted_before);
-  });
-
-  std::size_t total = 0;
-  for (const auto& slot : slots) total += slot.size();
+    std::size_t min_overlap, ThreadPool& /*pool*/) {
   std::vector<CliqueOverlap> out;
-  out.reserve(total);
-  for (auto& slot : slots) {
-    out.insert(out.end(), slot.begin(), slot.end());
-  }
+  for_each_clique_overlaps(cliques, num_nodes, min_overlap,
+                           [&](std::span<const CliqueOverlap> pairs) {
+                             out.insert(out.end(), pairs.begin(), pairs.end());
+                           });
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "cpm/cpm.h"
 
+#include <span>
 #include <string>
 
 #include "clique/enumerator.h"
@@ -89,8 +90,11 @@ CpmResult run_cpm_on_cliques(const Graph& g, std::vector<NodeSet> cliques,
   std::vector<CliqueOverlap> overlaps;
   if (result.max_k >= 3) {
     KCC_SPAN("cpm/clique_overlaps");
-    overlaps = compute_clique_overlaps_unsorted(result.cliques, g.num_nodes(),
-                                                2, pool);
+    for_each_clique_overlaps(result.cliques, g.num_nodes(), 2,
+                             [&](std::span<const CliqueOverlap> pairs) {
+                               overlaps.insert(overlaps.end(), pairs.begin(),
+                                               pairs.end());
+                             });
   }
   KCC_LOG(kDebug) << "run_cpm: " << result.cliques.size() << " cliques, "
                   << overlaps.size() << " overlap pairs, k in ["

@@ -15,9 +15,9 @@
 // clique-overlap index (see clique_index.h).
 //
 // Parallel structure (after [11], "Lightweight Parallel CPM"): maximal
-// cliques are enumerated in parallel, the overlap index is computed in
-// parallel over cliques, and the per-k percolations — which are mutually
-// independent — run in parallel across k.
+// cliques are enumerated in parallel, the overlap pairs are computed once
+// by the one per-clique join, and the per-k percolations — which are
+// mutually independent — run in parallel across k.
 //
 // The free functions below are the per-k engine (registry name per_k),
 // whose independent per-k loop is the oracle the other exact engines are

@@ -93,7 +93,8 @@ struct EngineInfo {
 /// The built-in engines, in a fixed order: sweep (default; one
 /// descending-k union-find sweep over overlap pairs born into per-overlap
 /// buckets, tree in the same pass), per_k (one independent percolation per
-/// k; the original LP-CPM structure, kept as the reference oracle),
+/// k, run in parallel across k, over the pairs of the same per-clique join;
+/// the original LP-CPM structure, kept as the reference oracle),
 /// incremental (live clique/overlap state patched under edge batches —
 /// cpm/incr_cpm.h — materialized through the sweep tail; exact,
 /// lexicographic clique order), almost_exact (Baudin et al. 2021 bounded-memory percolation over

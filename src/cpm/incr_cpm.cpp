@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -86,14 +87,13 @@ void IncrementalCpm::bootstrap(const Graph& g) {
     for (NodeId x : cliques_[c]) cliques_of_node_[x].push_back({c, 0});
   }
   overlaps_.assign(cliques_.size(), {});
-  {
-    ThreadPool pool(options_.threads);
-    for (const CliqueOverlap& p : compute_clique_overlaps_unsorted(
-             cliques_, adjacency_.size(), kMinLinkOverlap, pool)) {
-      overlaps_[p.a].push_back({p.b, 0, p.overlap});
-      overlaps_[p.b].push_back({p.a, 0, p.overlap});
-    }
-  }
+  for_each_clique_overlaps(cliques_, adjacency_.size(), kMinLinkOverlap,
+                           [&](std::span<const CliqueOverlap> pairs) {
+                             for (const CliqueOverlap& p : pairs) {
+                               overlaps_[p.a].push_back({p.b, 0, p.overlap});
+                               overlaps_[p.b].push_back({p.a, 0, p.overlap});
+                             }
+                           });
   stale_entries_ = 0;
   stamp_.assign(cliques_.size(), 0);
   count_.assign(cliques_.size(), 0);

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "common/error.h"
 #include "common/set_ops.h"
 #include "common/union_find.h"
+#include "cpm/clique_index.h"
 
 namespace kcc {
 
@@ -28,6 +30,14 @@ double clique_intensity(const Graph& g, const EdgeWeights& weights,
 
 namespace {
 
+// log(I) * C(k,2): a k-clique has intensity >= I exactly when its edge
+// log-weight sum reaches this. -inf (keep every clique) when I <= 0.
+double log_sum_floor(double threshold, std::size_t k) {
+  return threshold > 0.0
+             ? std::log(threshold) * (double(k) * double(k - 1) / 2.0)
+             : -std::numeric_limits<double>::infinity();
+}
+
 // Ordered k-clique enumeration with an intensity accumulator: extend the
 // current clique only with larger-id common neighbours, carrying the log
 // weight sum so intensity falls out without re-scanning pairs.
@@ -35,9 +45,10 @@ struct Enumerator {
   const Graph& g;
   const EdgeWeights& weights;
   std::size_t k;
-  double log_threshold_total;  // log(I) * C(k,2); -inf disables
+  double log_threshold_total;  // log_sum_floor(I, k)
   std::size_t max_cliques;
   std::vector<NodeSet> out;
+  std::vector<double> log_sums;  // per clique of `out`
 
   void run() {
     NodeSet current;
@@ -53,11 +64,11 @@ struct Enumerator {
 
   void extend(NodeSet& current, const NodeSet& candidates, double log_sum) {
     if (current.size() == k) {
-      // Total pairs C(k,2); keep when log_sum >= log_threshold_total.
       if (log_sum >= log_threshold_total) {
         require(max_cliques == 0 || out.size() < max_cliques,
                 "weighted_k_clique_communities: clique budget exceeded");
         out.push_back(current);
+        log_sums.push_back(log_sum);
       }
       return;
     }
@@ -78,48 +89,17 @@ struct Enumerator {
   }
 };
 
-}  // namespace
-
-std::vector<NodeSet> weighted_k_clique_communities(
-    const Graph& g, const EdgeWeights& weights,
-    const WeightedCpmOptions& options) {
-  require(options.k >= 2, "weighted_k_clique_communities: k must be >= 2");
-  const double pairs =
-      double(options.k) * double(options.k - 1) / 2.0;
-  Enumerator enumerator{
-      g, weights, options.k,
-      options.intensity_threshold > 0.0
-          ? std::log(options.intensity_threshold) * pairs
-          : -std::numeric_limits<double>::infinity(),
-      options.max_cliques,
-      {}};
-  enumerator.run();
-  const std::vector<NodeSet>& cliques = enumerator.out;
-
-  // Percolate: cliques sharing k-1 nodes. Inverted index keeps this from
-  // being all-pairs.
+// Percolates distinct k-cliques: those sharing k-1 nodes are united over
+// the one overlap join, and each group becomes its sorted node union.
+std::vector<NodeSet> percolate(const std::vector<NodeSet>& cliques,
+                               std::size_t num_nodes, std::size_t k) {
   UnionFind uf(cliques.size());
-  std::vector<std::vector<std::uint32_t>> by_node(g.num_nodes());
-  for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-    for (NodeId v : cliques[c]) by_node[v].push_back(c);
-  }
-  std::vector<std::uint32_t> hits(cliques.size(), 0);
-  std::vector<std::uint32_t> touched;
-  for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-    touched.clear();
-    for (NodeId v : cliques[c]) {
-      for (std::uint32_t other : by_node[v]) {
-        if (other >= c) break;
-        if (hits[other] == 0) touched.push_back(other);
-        ++hits[other];
-      }
-    }
-    for (std::uint32_t other : touched) {
-      if (hits[other] >= options.k - 1) uf.unite(c, other);
-      hits[other] = 0;
-    }
-  }
-
+  for_each_clique_overlaps(cliques, num_nodes, k - 1,
+                           [&](std::span<const CliqueOverlap> pairs) {
+                             for (const CliqueOverlap& p : pairs) {
+                               uf.unite(p.a, p.b);
+                             }
+                           });
   std::vector<NodeSet> communities;
   for (const auto& group : uf.groups()) {
     NodeSet nodes;
@@ -129,6 +109,22 @@ std::vector<NodeSet> weighted_k_clique_communities(
     sort_unique(nodes);
     communities.push_back(std::move(nodes));
   }
+  return communities;
+}
+
+}  // namespace
+
+std::vector<NodeSet> weighted_k_clique_communities(
+    const Graph& g, const EdgeWeights& weights,
+    const WeightedCpmOptions& options) {
+  require(options.k >= 2, "weighted_k_clique_communities: k must be >= 2");
+  Enumerator enumerator{
+      g, weights, options.k,
+      log_sum_floor(options.intensity_threshold, options.k),
+      options.max_cliques, {}, {}};
+  enumerator.run();
+  std::vector<NodeSet> communities =
+      percolate(enumerator.out, g.num_nodes(), options.k);
   std::sort(communities.begin(), communities.end());
   return communities;
 }
@@ -136,67 +132,32 @@ std::vector<NodeSet> weighted_k_clique_communities(
 std::vector<IntensitySweepPoint> intensity_sweep(
     const Graph& g, const EdgeWeights& weights, std::size_t k,
     const std::vector<double>& thresholds) {
-  // Enumerate once at the lowest threshold, then filter by the per-clique
-  // intensity for each sweep point (the enumeration is the expensive part).
+  // Enumerate once at the lowest threshold, then filter each sweep point by
+  // the clique's log-weight sum with weighted_k_clique_communities' own
+  // predicate (the enumeration is the expensive part).
+  require(k >= 2, "intensity_sweep: k must be >= 2");
   require(!thresholds.empty(), "intensity_sweep: need at least one threshold");
   const double lowest = *std::min_element(thresholds.begin(), thresholds.end());
-  WeightedCpmOptions base;
-  base.k = k;
-  base.intensity_threshold = lowest;
-  Enumerator enumerator{
-      g, weights, k,
-      lowest > 0.0 ? std::log(lowest) * double(k) * double(k - 1) / 2.0
-                   : -std::numeric_limits<double>::infinity(),
-      base.max_cliques,
-      {}};
+  Enumerator enumerator{g, weights, k, log_sum_floor(lowest, k),
+                        WeightedCpmOptions{}.max_cliques, {}, {}};
   enumerator.run();
-  std::vector<double> intensities;
-  intensities.reserve(enumerator.out.size());
-  for (const NodeSet& clique : enumerator.out) {
-    intensities.push_back(clique_intensity(g, weights, clique));
-  }
 
   std::vector<IntensitySweepPoint> out;
   for (double threshold : thresholds) {
     IntensitySweepPoint point;
     point.threshold = threshold;
-    // Percolate over the surviving subset.
+    const double floor = log_sum_floor(threshold, k);
     std::vector<NodeSet> cliques;
     for (std::size_t i = 0; i < enumerator.out.size(); ++i) {
-      if (intensities[i] >= threshold || threshold <= 0.0) {
+      if (enumerator.log_sums[i] >= floor) {
         cliques.push_back(enumerator.out[i]);
       }
     }
     point.surviving_cliques = cliques.size();
-
-    UnionFind uf(cliques.size());
-    std::vector<std::vector<std::uint32_t>> by_node(g.num_nodes());
-    for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-      for (NodeId v : cliques[c]) by_node[v].push_back(c);
-    }
-    std::vector<std::uint32_t> hits(cliques.size(), 0);
-    std::vector<std::uint32_t> touched;
-    for (std::uint32_t c = 0; c < cliques.size(); ++c) {
-      touched.clear();
-      for (NodeId v : cliques[c]) {
-        for (std::uint32_t other : by_node[v]) {
-          if (other >= c) break;
-          if (hits[other] == 0) touched.push_back(other);
-          ++hits[other];
-        }
-      }
-      for (std::uint32_t other : touched) {
-        if (hits[other] >= k - 1) uf.unite(c, other);
-        hits[other] = 0;
-      }
-    }
-    point.community_count = uf.set_count();
-    for (auto& group : uf.groups()) {
-      NodeSet nodes;
-      for (std::uint32_t c : group) {
-        nodes.insert(nodes.end(), cliques[c].begin(), cliques[c].end());
-      }
-      sort_unique(nodes);
+    const std::vector<NodeSet> communities =
+        percolate(cliques, g.num_nodes(), k);
+    point.community_count = communities.size();
+    for (const NodeSet& nodes : communities) {
       point.largest_community = std::max(point.largest_community, nodes.size());
     }
     out.push_back(point);

@@ -43,6 +43,8 @@ std::vector<NodeSet> weighted_k_clique_communities(
     const WeightedCpmOptions& options);
 
 /// Sweep helper: community count and largest community size per threshold.
+/// Each point keeps exactly the k-cliques weighted_k_clique_communities
+/// keeps at that threshold (k >= 2).
 struct IntensitySweepPoint {
   double threshold = 0.0;
   std::size_t surviving_cliques = 0;

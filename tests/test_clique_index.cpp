@@ -38,16 +38,22 @@ std::vector<CliqueOverlap> sorted(std::vector<CliqueOverlap> pairs) {
   return pairs;
 }
 
-// Every pair the sequential per-clique join hands its sink, sorted.
-std::vector<CliqueOverlap> sequential_overlaps(
-    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
-    std::size_t min_overlap) {
+// Every pair the per-clique join hands its sink, in the order it does.
+std::vector<CliqueOverlap> sink_overlaps(const std::vector<NodeSet>& cliques,
+                                         std::size_t num_nodes,
+                                         std::size_t min_overlap) {
   std::vector<CliqueOverlap> out;
   for_each_clique_overlaps(cliques, num_nodes, min_overlap,
                            [&](std::span<const CliqueOverlap> pairs) {
                              out.insert(out.end(), pairs.begin(), pairs.end());
                            });
-  return sorted(std::move(out));
+  return out;
+}
+
+std::vector<CliqueOverlap> sequential_overlaps(
+    const std::vector<NodeSet>& cliques, std::size_t num_nodes,
+    std::size_t min_overlap) {
+  return sorted(sink_overlaps(cliques, num_nodes, min_overlap));
 }
 
 bool same_overlaps(const std::vector<CliqueOverlap>& x,
@@ -90,17 +96,21 @@ TEST(CliqueIndex, SequentialMatchesNaive) {
   }
 }
 
-TEST(CliqueIndex, ParallelMatchesSequential) {
-  // The batch join's pair order depends on the shard count; the pair set
-  // does not.
-  for (std::size_t threads : {1u, 4u}) {
-    ThreadPool pool(threads);
-    const Graph g = random_graph(40, 0.3, 7);
+TEST(CliqueIndex, CollectReturnsTheSinkSequence) {
+  // The collecting form (kccbench's) returns the join's pair sequence
+  // itself, order included, not only the same pair set.
+  ThreadPool pool(2);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const Graph g = random_graph(40, 0.3, seed + 7);
     const auto cliques = maximal_cliques(g, 2);
-    const auto seq = sequential_overlaps(cliques, g.num_nodes(), 2);
-    const auto par = sorted(
-        compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 2, pool));
-    EXPECT_TRUE(same_overlaps(seq, par)) << "threads " << threads;
+    for (std::size_t min_overlap : {1u, 2u, 3u}) {
+      const auto sink = sink_overlaps(cliques, g.num_nodes(), min_overlap);
+      ASSERT_FALSE(sink.empty()) << "seed " << seed;
+      EXPECT_TRUE(same_overlaps(
+          sink, compute_clique_overlaps_unsorted(cliques, g.num_nodes(),
+                                                 min_overlap, pool)))
+          << "seed " << seed << " min_overlap " << min_overlap;
+    }
   }
 }
 

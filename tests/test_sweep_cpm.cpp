@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 
 #include "common/error.h"
 #include "common/set_ops.h"
-#include "common/thread_pool.h"
 #include "cpm/clique_index.h"
 #include "cpm/cpm.h"
 #include "cpm/engine.h"
@@ -30,6 +30,18 @@ using testing::make_graph;
 using testing::overlapping_cliques;
 using testing::preferential_attachment_graph;
 using testing::random_graph;
+
+// Every pair of the one overlap join, collected in its sink order.
+std::vector<CliqueOverlap> joined_pairs(const std::vector<NodeSet>& cliques,
+                                        std::size_t num_nodes,
+                                        std::size_t min_overlap) {
+  std::vector<CliqueOverlap> out;
+  for_each_clique_overlaps(cliques, num_nodes, min_overlap,
+                           [&](std::span<const CliqueOverlap> pairs) {
+                             out.insert(out.end(), pairs.begin(), pairs.end());
+                           });
+  return out;
+}
 
 void check_graph(const Graph& g, const std::string& label,
                  CpmOptions options = {}) {
@@ -119,14 +131,12 @@ TEST(SweepCpm, RejectsBadInput) {
 }
 
 TEST(SweepCpm, PrejoinedPairsRunTheSameLoop) {
-  // The flat pairs of the batch join, in any order, dropped into the
-  // buckets: same communities, ids and tree as the sweep's own join.
+  // The join's flat pairs, in any order, dropped into the buckets: same
+  // communities, ids and tree as the sweep's own join.
   const Graph g = random_graph(50, 0.3, 23);
-  ThreadPool pool(2);
   const std::vector<NodeSet> cliques = clique_table(g);
   const SweepCpmResult joined = run_sweep_cpm_on_cliques(g, cliques, {});
-  std::vector<CliqueOverlap> pairs =
-      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 2, pool);
+  std::vector<CliqueOverlap> pairs = joined_pairs(cliques, g.num_nodes(), 2);
   std::reverse(pairs.begin(), pairs.end());
   const SweepCpmResult prejoined =
       run_sweep_cpm_prejoined(g, cliques, std::move(pairs), {});
@@ -290,9 +300,7 @@ TEST(SweepCpm, PrejoinedDropsPairsBelowTheStoredOverlap) {
   const Graph g = random_graph(40, 0.25, 31);
   const std::vector<NodeSet> cliques = clique_table(g);
   const SweepCpmResult joined = run_sweep_cpm_on_cliques(g, cliques, {});
-  ThreadPool pool(1);
-  std::vector<CliqueOverlap> pairs =
-      compute_clique_overlaps_unsorted(cliques, g.num_nodes(), 1, pool);
+  std::vector<CliqueOverlap> pairs = joined_pairs(cliques, g.num_nodes(), 1);
   const SweepCpmResult prejoined =
       run_sweep_cpm_prejoined(g, cliques, std::move(pairs), {});
   expect_same_cpm(joined.cpm, prejoined.cpm, "prejoined, overlap >= 1");

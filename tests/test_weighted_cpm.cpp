@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cpm/cpm.h"
 #include "common/set_ops.h"
 #include "cpm/reference_cpm.h"
@@ -161,6 +165,92 @@ TEST(WeightedCpm, IntensitySweepMonotone) {
   EXPECT_GE(sweep[1].surviving_cliques, sweep[2].surviving_cliques);
   EXPECT_EQ(sweep[2].community_count, 0u);
   EXPECT_GT(sweep[0].community_count, 0u);
+}
+
+// Compares every point of one intensity_sweep call with
+// weighted_k_clique_communities at the same threshold: surviving cliques,
+// community count and largest community.
+void expect_sweep_matches_weighted(const Graph& g, const EdgeWeights& w,
+                                   std::size_t k,
+                                   const std::vector<double>& thresholds) {
+  const auto points = intensity_sweep(g, w, k, thresholds);
+  ASSERT_EQ(points.size(), thresholds.size());
+  for (const IntensitySweepPoint& point : points) {
+    SCOPED_TRACE(::testing::Message()
+                 << "k " << k << " threshold " << point.threshold);
+    WeightedCpmOptions options;
+    options.k = k;
+    options.intensity_threshold = point.threshold;
+    const auto communities = weighted_k_clique_communities(g, w, options);
+    EXPECT_EQ(point.community_count, communities.size());
+    std::size_t largest = 0;
+    for (const NodeSet& c : communities) largest = std::max(largest, c.size());
+    EXPECT_EQ(point.largest_community, largest);
+    // The clique budget throws once more than max_cliques k-cliques
+    // survive (0 disables it), so a budget of exactly surviving_cliques
+    // must pass and one less must throw.
+    const std::size_t surviving = point.surviving_cliques;
+    if (surviving == 0) {
+      EXPECT_TRUE(communities.empty());
+    }
+    if (surviving >= 1) {
+      options.max_cliques = surviving;
+      EXPECT_NO_THROW(weighted_k_clique_communities(g, w, options));
+    }
+    if (surviving >= 2) {
+      options.max_cliques = surviving - 1;
+      EXPECT_THROW(weighted_k_clique_communities(g, w, options), Error);
+    }
+  }
+}
+
+TEST(WeightedCpm, IntensitySweepMatchesWeightedAtEveryThreshold) {
+  // Uniform weight w with threshold I = w puts every k-clique exactly on
+  // the boundary, where a predicate evaluated another way (exp of the mean
+  // log against I) rounds differently. K4 at k = 4 and w = 1.602 is one
+  // such case.
+  for (std::size_t n = 4; n <= 7; ++n) {
+    const Graph g = complete_graph(n);
+    for (int step = 0; step <= 800; ++step) {
+      const double weight = step == 800 ? 1.602 : 1.01 + 0.01 * step;
+      const EdgeWeights w(g, std::vector<double>(g.num_edges(), weight));
+      for (std::size_t k = 2; k <= n; ++k) {
+        SCOPED_TRACE(::testing::Message() << "K" << n << " w " << weight);
+        expect_sweep_matches_weighted(g, w, k, {weight});
+        if (HasFailure()) return;  // one boundary case says enough
+      }
+    }
+  }
+  // Random weights, several thresholds per sweep (one enumeration at the
+  // lowest, filtered per point).
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const Graph g = random_graph(18, 0.5, seed);
+    Rng rng(seed + 91);
+    std::vector<double> raw;
+    for (std::size_t e = 0; e < g.num_edges(); ++e) {
+      raw.push_back(0.5 + rng.next_double() * 4.0);
+    }
+    const EdgeWeights w(g, std::move(raw));
+    for (std::size_t k : {2u, 3u, 4u}) {
+      SCOPED_TRACE(::testing::Message() << "random seed " << seed);
+      expect_sweep_matches_weighted(g, w, k, {2.5, 0.0, 1.2, 1.6, 2.0});
+    }
+  }
+}
+
+TEST(WeightedCpm, IntensitySweepRejectsKBelowTwo) {
+  const Graph g = complete_graph(4);
+  const EdgeWeights w = EdgeWeights::uniform(g);
+  for (std::size_t k : {0u, 1u}) {
+    try {
+      intensity_sweep(g, w, k, {0.0});
+      ADD_FAILURE() << "k " << k << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("intensity_sweep: k must be >= 2"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace
