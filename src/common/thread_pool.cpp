@@ -30,10 +30,13 @@ PoolMetrics& pool_metrics() {
 
 }  // namespace
 
+std::size_t ThreadPool::resolve_threads(std::size_t num_threads) {
+  if (num_threads != 0) return num_threads;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
+}
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  num_threads = resolve_threads(num_threads);
   pool_metrics();  // register instruments before workers can race to use them
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {

@@ -24,6 +24,9 @@ class ThreadPool {
   /// floored at 1).
   explicit ThreadPool(std::size_t num_threads = 0);
 
+  /// The worker count a pool built with `num_threads` starts (never 0).
+  static std::size_t resolve_threads(std::size_t num_threads);
+
   /// Drains outstanding work, then joins all workers.
   ~ThreadPool();
 

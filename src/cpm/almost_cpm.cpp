@@ -194,7 +194,8 @@ class FilterVerifyJoin {
 
 AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
                                           std::vector<NodeSet> cliques,
-                                          const CpmOptions& options) {
+                                          const CpmOptions& options,
+                                          bool build_tree) {
   AlmostCpmResult out;
   FilterVerifyJoin filter(g.num_nodes(), out.stats);
   cpm_detail::LevelJoin join;
@@ -208,7 +209,7 @@ AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
   cpm_detail::LevelSweep levels =
       cpm_detail::descend_levels(g, std::move(cliques), options,
                                  "run_almost_cpm_on_cliques", "almost_cpm",
-                                 join);
+                                 join, build_tree);
   out.cpm = std::move(levels.cpm);
   out.tree = std::move(levels.tree);
   out.tree_seconds = levels.tree_seconds;

@@ -83,8 +83,10 @@ struct AlmostCpmResult {
 /// nodes < g.num_nodes()) in one descending-k pass. Options are shared
 /// with the exact engines; percolation is sequential, so `options.threads`
 /// is unused. `g` is still needed for the exact k = 2 special case.
+/// `build_tree` = false skips the tree step.
 AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
                                           std::vector<NodeSet> cliques,
-                                          const CpmOptions& options = {});
+                                          const CpmOptions& options = {},
+                                          bool build_tree = true);
 
 }  // namespace kcc

@@ -113,11 +113,8 @@ Result run_sweep_cliques(const Options& options, const Graph& g,
                          std::vector<NodeSet> cliques) {
   KCC_SPAN("cpm_engine/sweep");
   Timer total;
-  SweepCpmResult sweep = [&] {
-    obs::StageScope stage("percolate");
-    return run_sweep_cpm_on_cliques(g, std::move(cliques),
-                                    options.cpm_options());
-  }();
+  SweepCpmResult sweep = run_sweep_cpm_on_cliques(
+      g, std::move(cliques), options.cpm_options(), options.build_tree);
   return adopt_sweep_result(options, std::move(sweep), total);
 }
 
@@ -146,11 +143,8 @@ Result run_almost_cliques(const Options& options, const Graph& g,
                           std::vector<NodeSet> cliques) {
   KCC_SPAN("cpm_engine/almost_exact");
   Timer total;
-  AlmostCpmResult almost = [&] {
-    obs::StageScope stage("percolate");
-    return run_almost_cpm_on_cliques(g, std::move(cliques),
-                                     options.cpm_options());
-  }();
+  AlmostCpmResult almost = run_almost_cpm_on_cliques(
+      g, std::move(cliques), options.cpm_options(), options.build_tree);
   return adopt_sweep_result(options, std::move(almost), total);
 }
 

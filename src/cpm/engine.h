@@ -57,8 +57,6 @@ struct EngineCaps {
   /// applies). Approximate engines are compared by community similarity
   /// (cpm/compare.h) instead.
   bool exact = true;
-  /// Produces the Fig. 4.2 nesting tree when Options::build_tree is set.
-  bool supports_tree = true;
   /// Engine::run_on_cliques works (the engine consumes a pre-enumerated
   /// maximal-clique table). False for engines that enumerate k-cliques
   /// themselves.

@@ -555,7 +555,7 @@ Result IncrementalCpm::result() const {
 
   SweepCpmResult sweep =
       run_sweep_cpm_prejoined(g, std::move(table), std::move(pairs),
-                              options_.cpm_options());
+                              options_.cpm_options(), options_.build_tree);
   Result result;
   result.cpm = std::move(sweep.cpm);
   result.timings.percolate_seconds = total.lap();
@@ -574,8 +574,9 @@ Result IncrementalCpm::result() const {
 Result run_incremental_full(const Options& options, const Graph& g) {
   KCC_SPAN("cpm_engine/incremental");
   Timer total;
-  Result result;
-  {
+  // The bootstrap/apply stage closes before result(), whose sweep tail
+  // records its own percolate and tree stages.
+  const IncrementalCpm state = [&] {
     obs::StageScope stage("percolate");
     // Hold back a suffix of edges and apply() them as one batch, so every
     // full run — including each differential-matrix variant — exercises
@@ -584,13 +585,14 @@ Result run_incremental_full(const Options& options, const Graph& g) {
     const std::size_t holdback = std::min<std::size_t>(8, edges.size());
     const std::vector<std::pair<NodeId, NodeId>> base(
         edges.begin(), edges.end() - static_cast<std::ptrdiff_t>(holdback));
-    IncrementalCpm state(Graph::from_edges(g.num_nodes(), base), options);
+    IncrementalCpm live(Graph::from_edges(g.num_nodes(), base), options);
     EdgeBatch batch;
     batch.add.assign(edges.end() - static_cast<std::ptrdiff_t>(holdback),
                      edges.end());
-    if (!batch.empty()) state.apply(batch);
-    result = state.result();
-  }
+    if (!batch.empty()) live.apply(batch);
+    return live;
+  }();
+  Result result = state.result();
   result.timings.percolate_seconds =
       total.lap() - result.timings.tree_seconds;
   result.timings.total_seconds = total.seconds();
@@ -601,13 +603,12 @@ Result run_incremental_on_cliques(const Options& options, const Graph& g,
                                   std::vector<NodeSet> cliques) {
   KCC_SPAN("cpm_engine/incremental");
   Timer total;
-  Result result;
-  {
+  const IncrementalCpm state = [&] {
     obs::StageScope stage("percolate");
-    const IncrementalCpm state(IncrementalCpm::FromCliquesTag{}, g,
-                               std::move(cliques), options);
-    result = state.result();
-  }
+    return IncrementalCpm(IncrementalCpm::FromCliquesTag{}, g,
+                          std::move(cliques), options);
+  }();
+  Result result = state.result();
   result.timings.percolate_seconds =
       total.lap() - result.timings.tree_seconds;
   result.timings.total_seconds = total.seconds();

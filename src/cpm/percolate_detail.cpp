@@ -1,6 +1,7 @@
 #include "cpm/percolate_detail.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -10,6 +11,7 @@
 #include "common/union_find.h"
 #include "graph/graph_algorithms.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace kcc::cpm_detail {
@@ -208,7 +210,10 @@ std::size_t resolve_max_k(std::size_t min_k, std::size_t max_k,
 
 LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
                           const CpmOptions& options, const char* where,
-                          const char* spans, const LevelJoin& join) {
+                          const char* spans, const LevelJoin& join,
+                          bool build_tree) {
+  // Run-report stages: the levels are `percolate`, the tree step `tree`.
+  std::optional<obs::StageScope> percolate_stage(std::in_place, "percolate");
   validate_cpm_input(g.num_nodes(), options.min_k, cliques, where);
   LevelSweep out;
   CpmResult& result = out.cpm;
@@ -263,7 +268,10 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
     const obs::ScopedSpan span(prefix + "/percolate_k2");
     emitter.emit(percolate_k2(g, result.cliques));
   }
+  percolate_stage.reset();
+  if (!build_tree) return out;
 
+  const obs::StageScope tree_stage("tree");
   const obs::ScopedSpan span(prefix + "/tree");
   const Timer tree_timer;
   out.tree = emitter.tree();

@@ -68,7 +68,7 @@ struct LevelJoin {
 /// The community levels and tree of one descending-k run.
 struct LevelSweep {
   CpmResult cpm;
-  CommunityTree tree;
+  CommunityTree tree;  ///< empty unless the tree step ran
   double tree_seconds = 0.0;  ///< wall time of the `<spans>/tree` step
 };
 
@@ -79,13 +79,16 @@ struct LevelSweep {
 /// clique size down to max(3, min_k): activate the cliques of size k,
 /// `join.unite_level(k, ...)`, and snapshot the components over the live
 /// cliques as level k when k is requested. Then the k = 2 level when
-/// min_k == 2, and the nesting tree wired through each level's
-/// representative cliques. Every level is canonicalised, so engines that
-/// unite the same pairs emit byte-identical output. `where` names the
-/// caller in error messages; span names are `<spans>/sweep`,
-/// `<spans>/emit_k=<k>`, `<spans>/percolate_k2` and `<spans>/tree`.
+/// min_k == 2, and — when `build_tree` is set and the range is not empty —
+/// the nesting tree wired through each level's representative cliques.
+/// Every level is canonicalised, so engines that unite the same pairs emit
+/// byte-identical output. `where` names the caller in error messages; span
+/// names are `<spans>/sweep`, `<spans>/emit_k=<k>`, `<spans>/percolate_k2`
+/// and `<spans>/tree`. The levels run under the `percolate` run-report
+/// stage and the tree step under the `tree` stage (obs::StageScope).
 LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
                           const CpmOptions& options, const char* where,
-                          const char* spans, const LevelJoin& join);
+                          const char* spans, const LevelJoin& join,
+                          bool build_tree);
 
 }  // namespace kcc::cpm_detail

@@ -146,8 +146,8 @@ void chain_shared_edges(const std::vector<NodeSet>& cliques,
 // endpoints have size >= k and so are already live.
 template <typename Fill>
 SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
-                     const CpmOptions& options, const char* caller,
-                     Fill&& fill) {
+                     const CpmOptions& options, bool build_tree,
+                     const char* caller, Fill&& fill) {
   SweepCpmResult out;
   SweepCpmStats& stats = out.stats;
   std::optional<PairBuckets> buckets;  // engaged iff a level k >= 3 runs
@@ -177,7 +177,7 @@ SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
     }
   };
   cpm_detail::LevelSweep levels = cpm_detail::descend_levels(
-      g, std::move(cliques), options, caller, "sweep_cpm", join);
+      g, std::move(cliques), options, caller, "sweep_cpm", join, build_tree);
   out.cpm = std::move(levels.cpm);
   out.tree = std::move(levels.tree);
   out.tree_seconds = levels.tree_seconds;
@@ -194,8 +194,10 @@ SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
 
 SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
                                         std::vector<NodeSet> cliques,
-                                        const CpmOptions& options) {
-  return sweep(g, std::move(cliques), options, "run_sweep_cpm_on_cliques",
+                                        const CpmOptions& options,
+                                        bool build_tree) {
+  return sweep(g, std::move(cliques), options, build_tree,
+               "run_sweep_cpm_on_cliques",
                [&](PairBuckets& buckets, const std::vector<NodeSet>& table,
                    std::size_t min_overlap) {
                  for_each_clique_overlaps(
@@ -211,8 +213,10 @@ SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
 SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
                                        std::vector<NodeSet> cliques,
                                        std::vector<CliqueOverlap> overlaps,
-                                       const CpmOptions& options) {
-  return sweep(g, std::move(cliques), options, "run_sweep_cpm_prejoined",
+                                       const CpmOptions& options,
+                                       bool build_tree) {
+  return sweep(g, std::move(cliques), options, build_tree,
+               "run_sweep_cpm_prejoined",
                [&](PairBuckets& buckets, const std::vector<NodeSet>&,
                    std::size_t min_overlap) {
                  for (const CliqueOverlap& p : overlaps) {

@@ -68,7 +68,8 @@ struct SweepCpmStats {
 
 /// Output of the single-sweep engine: the standard CPM result plus the
 /// nesting tree, built during the sweep itself. When the k range is empty
-/// the tree is default-constructed (no nodes).
+/// or the tree was not asked for, the tree is default-constructed (no
+/// nodes).
 struct SweepCpmResult {
   CpmResult cpm;
   CommunityTree tree;
@@ -80,9 +81,11 @@ struct SweepCpmResult {
 /// descending-k sweep over a pre-enumerated maximal-clique set (each
 /// clique sorted, size >= 2, nodes < g.num_nodes()). Options are shared
 /// with the per-k engine. `g` is still needed for the k = 2 special case.
+/// `build_tree` = false skips the tree step.
 SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
                                         std::vector<NodeSet> cliques,
-                                        const CpmOptions& options = {});
+                                        const CpmOptions& options = {},
+                                        bool build_tree = true);
 
 /// Same, over a pre-enumerated clique set AND a pre-computed overlap pair
 /// multiset (every unordered clique pair sharing >= 3 nodes, any order,
@@ -96,6 +99,7 @@ SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
 SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
                                        std::vector<NodeSet> cliques,
                                        std::vector<CliqueOverlap> overlaps,
-                                       const CpmOptions& options = {});
+                                       const CpmOptions& options = {},
+                                       bool build_tree = true);
 
 }  // namespace kcc

@@ -160,21 +160,6 @@ void write_snapshot(std::ostream& out, const cpm::Result& result,
     buf.assign(manifest.begin(), manifest.end());
   }
   {
-    auto& offsets = section(kSectionCliqueOffsets);
-    std::uint64_t total = 0;
-    append_u64(offsets, 0);
-    for (const NodeSet& clique : data.cliques) {
-      total += clique.size();
-      append_u64(offsets, total);
-    }
-  }
-  {
-    auto& nodes = section(kSectionCliqueNodes);
-    for (const NodeSet& clique : data.cliques) {
-      for (NodeId v : clique) append_u32(nodes, v);
-    }
-  }
-  {
     auto& levels = section(kSectionLevels);
     std::uint64_t first = 0;
     for (const CommunitySet& set : data.by_k) {
@@ -199,25 +184,6 @@ void write_snapshot(std::ostream& out, const cpm::Result& result,
     for (const CommunitySet& set : data.by_k) {
       for (const Community& community : set.communities) {
         for (NodeId v : community.nodes) append_u32(nodes, v);
-      }
-    }
-  }
-  {
-    auto& offsets = section(kSectionCommCliqueOffsets);
-    std::uint64_t total = 0;
-    append_u64(offsets, 0);
-    for (const CommunitySet& set : data.by_k) {
-      for (const Community& community : set.communities) {
-        total += community.clique_ids.size();
-        append_u64(offsets, total);
-      }
-    }
-  }
-  {
-    auto& cliques = section(kSectionCommCliques);
-    for (const CommunitySet& set : data.by_k) {
-      for (const Community& community : set.communities) {
-        for (CliqueId c : community.clique_ids) append_u32(cliques, c);
       }
     }
   }
@@ -395,7 +361,7 @@ SnapshotView::SnapshotView(const std::string& path) {
             " (truncated or padded)");
   digest_ = load_u64(data_ + 24);
   const std::uint32_t section_count = load_u32(data_ + 32);
-  check(section_count >= 12 && section_count <= 64,
+  check(section_count >= 8 && section_count <= 64,
         "implausible section count " + std::to_string(section_count));
   const std::uint64_t table_end =
       kHeaderBytes + std::uint64_t{section_count} * kSectionEntryBytes;
@@ -424,7 +390,10 @@ SnapshotView::SnapshotView(const std::string& path) {
     }
     // Unknown higher ids are tolerated for forward-compat within a version.
   }
-  for (std::uint32_t id = kSectionMeta; id <= kSectionPostings; ++id) {
+  for (const SectionId id :
+       {kSectionMeta, kSectionEngine, kSectionManifest, kSectionLevels,
+        kSectionCommNodeOffsets, kSectionCommNodes, kSectionPostingOffsets,
+        kSectionPostings}) {
     check(table[id].present,
           "missing required section " + std::to_string(id));
   }
@@ -446,7 +415,9 @@ SnapshotView::SnapshotView(const std::string& path) {
   const std::size_t expect_levels =
       max_k_ >= min_k_ ? max_k_ - min_k_ + 1 : 0;
   check(num_levels_ == expect_levels, "level count contradicts the k range");
-  check(num_cliques_ <= bytes_ / 4 && num_communities_ <= bytes_ / 4 &&
+  // Every level and community owns at least one array entry in the file;
+  // num_cliques indexes nothing here, so it is reported, not bounded.
+  check(num_levels_ <= bytes_ / 16 && num_communities_ <= bytes_ / 4 &&
             num_nodes_ <= std::uint64_t{1} << 32,
         "implausible counts in META");
 
@@ -478,13 +449,6 @@ SnapshotView::SnapshotView(const std::string& path) {
     return reinterpret_cast<const std::uint32_t*>(data_ + table[id].offset);
   };
 
-  clique_offsets_ = offsets_array(kSectionCliqueOffsets, num_cliques_, "clique");
-  clique_nodes_ =
-      elems_u32(kSectionCliqueNodes, clique_offsets_[num_cliques_], "clique nodes");
-  for (std::uint64_t i = 0; i < clique_offsets_[num_cliques_]; ++i) {
-    check(clique_nodes_[i] < num_nodes_, "clique node id out of range");
-  }
-
   check(table[kSectionLevels].bytes == num_levels_ * 16,
         "LEVELS section has wrong size");
   levels_ = reinterpret_cast<const std::uint64_t*>(
@@ -503,14 +467,6 @@ SnapshotView::SnapshotView(const std::string& path) {
                           comm_node_offsets_[num_communities_], "community nodes");
   for (std::uint64_t i = 0; i < comm_node_offsets_[num_communities_]; ++i) {
     check(comm_nodes_[i] < num_nodes_, "community node id out of range");
-  }
-  comm_clique_offsets_ = offsets_array(kSectionCommCliqueOffsets,
-                                       num_communities_, "community clique");
-  comm_cliques_ =
-      elems_u32(kSectionCommCliques, comm_clique_offsets_[num_communities_],
-                "community cliques");
-  for (std::uint64_t i = 0; i < comm_clique_offsets_[num_communities_]; ++i) {
-    check(comm_cliques_[i] < num_cliques_, "community clique id out of range");
   }
 
   posting_offsets_ =
@@ -567,12 +523,8 @@ SnapshotView::SnapshotView(SnapshotView&& other) noexcept
       num_communities_(other.num_communities_), has_tree_(other.has_tree_),
       exactness_(other.exactness_), engine_(other.engine_),
       manifest_(other.manifest_), digest_(other.digest_),
-      clique_offsets_(other.clique_offsets_),
-      clique_nodes_(other.clique_nodes_), levels_(other.levels_),
-      comm_node_offsets_(other.comm_node_offsets_),
+      levels_(other.levels_), comm_node_offsets_(other.comm_node_offsets_),
       comm_nodes_(other.comm_nodes_),
-      comm_clique_offsets_(other.comm_clique_offsets_),
-      comm_cliques_(other.comm_cliques_),
       posting_offsets_(other.posting_offsets_), postings_(other.postings_),
       tree_parents_(other.tree_parents_) {
   other.data_ = nullptr;
@@ -606,22 +558,6 @@ std::span<const std::uint32_t> SnapshotView::community_nodes(
                                    comm_node_offsets_[g])};
 }
 
-std::span<const std::uint32_t> SnapshotView::community_cliques(
-    std::size_t k, std::uint32_t id) const {
-  const std::size_t g = global_community(k, id);
-  return {comm_cliques_ + comm_clique_offsets_[g],
-          static_cast<std::size_t>(comm_clique_offsets_[g + 1] -
-                                   comm_clique_offsets_[g])};
-}
-
-std::span<const std::uint32_t> SnapshotView::clique(std::uint32_t c) const {
-  require(c < num_cliques_,
-          "snapshot query: clique id ", c, " out of range");
-  return {clique_nodes_ + clique_offsets_[c],
-          static_cast<std::size_t>(clique_offsets_[c + 1] -
-                                   clique_offsets_[c])};
-}
-
 std::span<const Posting> SnapshotView::postings(std::uint32_t node) const {
   if (node >= num_nodes_) return {};
   return {postings_ + posting_offsets_[node],
@@ -642,11 +578,6 @@ cpm::Result SnapshotView::to_result() const {
   CpmResult& data = result.cpm;
   data.min_k = min_k_;
   data.max_k = max_k_;
-  data.cliques.resize(num_cliques_);
-  for (std::size_t c = 0; c < num_cliques_; ++c) {
-    const auto span = clique(static_cast<std::uint32_t>(c));
-    data.cliques[c].assign(span.begin(), span.end());
-  }
 
   data.by_k.resize(num_levels_);
   std::vector<std::vector<TreeParentLink>> levels(has_tree_ ? num_levels_ : 0);
@@ -654,8 +585,6 @@ cpm::Result SnapshotView::to_result() const {
     const std::size_t k = min_k_ + i;
     CommunitySet& set = data.by_k[i];
     set.k = k;
-    set.community_of_clique.assign(num_cliques_,
-                                   CommunitySet::kNoCommunity);
     const std::size_t count = community_count(k);
     set.communities.resize(count);
     if (has_tree_) levels[i].resize(count);
@@ -665,11 +594,6 @@ cpm::Result SnapshotView::to_result() const {
       community.id = id;
       const auto nodes = community_nodes(k, id);
       community.nodes.assign(nodes.begin(), nodes.end());
-      const auto cliques = community_cliques(k, id);
-      community.clique_ids.assign(cliques.begin(), cliques.end());
-      for (CliqueId c : community.clique_ids) {
-        set.community_of_clique[c] = id;
-      }
       if (has_tree_) {
         levels[i][id] = {community.nodes.size(), parent_of(k, id)};
       }
@@ -683,10 +607,6 @@ cpm::Result SnapshotView::to_result() const {
     result.has_tree = has_tree_;
   }
   return result;
-}
-
-cpm::Result read_snapshot_file(const std::string& path) {
-  return SnapshotView(path).to_result();
 }
 
 }  // namespace kcc::snapshot

@@ -1,14 +1,14 @@
-// Community-tree snapshot: the versioned binary on-disk form of a full
-// cpm::Result, designed to be written once by any engine and then mmapped
-// read-only by the `kcc serve` query daemon (src/serve/) — the paper's
-// 93-hour artefact class served to many concurrent clients without
-// recomputation.
+// Community-tree snapshot: the versioned binary serving index that
+// `kcc serve` (src/serve/) mmaps read-only. Any engine writes one from a
+// cpm::Result; it keeps exactly what the queries read — the per-k
+// community node sets, the nesting tree's parent links and a
+// node→(k, community) postings index — so the paper's all-k communities
+// are served to many concurrent clients without recomputation. The
+// maximal-clique table and each community's clique ids are not stored;
+// the io/result_io.h text archive is the format that round-trips those.
 //
-// Unlike the line-oriented io/result_io.h text format (human-greppable,
-// re-parsed on every load), a snapshot is a random-access layout: all-k
-// communities, the nesting tree's parent links, and a node→(k, community)
-// postings index live in flat little-endian arrays addressable straight
-// from the mapping, so membership-at-k / community-by-id / ancestry / LCA /
+// All arrays are flat and little-endian, addressable straight from the
+// mapping, so membership-at-k / community-by-id / ancestry / LCA /
 // overlap-depth queries never deserialize anything.
 //
 // Layout (full byte-level spec in docs/FORMATS.md):
@@ -17,8 +17,8 @@
 //            payload digest, section count
 //   table    section_count x 24-byte entries {id, offset, bytes}, id-sorted
 //   sections 8-byte aligned: META, ENGINE, MANIFEST (provenance JSON),
-//            clique table, per-k community node/clique-id lists,
-//            node→community postings, tree parent links
+//            LEVELS, per-k community node lists, node→community postings,
+//            tree parent links
 //
 // Readers are paranoid: magic/version/size/digest are checked on open, all
 // offset arrays are validated monotone and in range, and every id is
@@ -41,25 +41,23 @@ namespace kcc::snapshot {
 inline constexpr char kMagic[8] = {'K', 'C', 'C', 'S', 'N', 'A', 'P', '1'};
 
 /// Format version this build writes and reads. Readers reject other
-/// versions loudly (versioning policy in docs/FORMATS.md).
-inline constexpr std::uint32_t kVersion = 1;
+/// versions loudly (versioning policy in docs/FORMATS.md). Version 1 also
+/// stored the clique table and per-community clique ids.
+inline constexpr std::uint32_t kVersion = 2;
 
 /// Fixed header size; the section table starts at this offset.
 inline constexpr std::uint32_t kHeaderBytes = 64;
 
 /// Section ids, in file order. All sections are present in every snapshot
-/// except kTreeParents, which exists iff the result carries a tree.
+/// except kTreeParents, which exists iff the result carries a tree. Ids 4,
+/// 5, 9 and 10 (version 1's clique sections) are retired, never reused.
 enum SectionId : std::uint32_t {
-  kSectionMeta = 1,          // fixed-size counts + flags (see SnapshotMeta)
+  kSectionMeta = 1,          // fixed-size counts + flags
   kSectionEngine = 2,        // engine name bytes (no terminator)
   kSectionManifest = 3,      // provenance JSON text (free-form)
-  kSectionCliqueOffsets = 4, // (num_cliques+1) x u64, element offsets into 5
-  kSectionCliqueNodes = 5,   // u32 node ids, each clique sorted
   kSectionLevels = 6,        // num_levels x {u64 first_community, u64 count}
   kSectionCommNodeOffsets = 7,   // (num_communities+1) x u64 into 8
   kSectionCommNodes = 8,         // u32 node ids, each community sorted
-  kSectionCommCliqueOffsets = 9, // (num_communities+1) x u64 into 10
-  kSectionCommCliques = 10,      // u32 clique ids, each community sorted
   kSectionPostingOffsets = 11,   // (num_nodes+1) x u64 into 12
   kSectionPostings = 12,         // {u32 k, u32 community} per node, (k,id) asc
   kSectionTreeParents = 13,      // num_communities x u32 parent community id
@@ -135,13 +133,6 @@ class SnapshotView {
   std::span<const std::uint32_t> community_nodes(std::size_t k,
                                                  std::uint32_t id) const;
 
-  /// Sorted maximal-clique ids of community (k, id).
-  std::span<const std::uint32_t> community_cliques(std::size_t k,
-                                                   std::uint32_t id) const;
-
-  /// Sorted member nodes of maximal clique `c`.
-  std::span<const std::uint32_t> clique(std::uint32_t c) const;
-
   /// All (k, community) memberships of `node`, ascending (k, id). Nodes
   /// >= num_nodes() have an empty posting list by definition.
   std::span<const Posting> postings(std::uint32_t node) const;
@@ -150,9 +141,11 @@ class SnapshotView {
   /// the bottom level. Only valid when has_tree().
   std::uint32_t parent_of(std::size_t k, std::uint32_t id) const;
 
-  /// Materializes the full in-memory cpm::Result (communities, clique
-  /// table, re-derived clique→community maps, tree rebuilt via
-  /// CommunityTree::from_levels) — the round-trip read path.
+  /// Materializes what the file holds as a cpm::Result: per-k communities
+  /// (node sets only) and the tree rebuilt via CommunityTree::from_levels.
+  /// The clique table, clique ids and clique→community maps stay empty —
+  /// the shape of the reference engine's result. The writer's round-trip
+  /// oracle.
   cpm::Result to_result() const;
 
  private:
@@ -172,19 +165,12 @@ class SnapshotView {
   std::uint64_t digest_ = 0;
 
   // Typed pointers into the mapping, set up (and fully validated) once.
-  const std::uint64_t* clique_offsets_ = nullptr;
-  const std::uint32_t* clique_nodes_ = nullptr;
   const std::uint64_t* levels_ = nullptr;  // pairs {first, count}
   const std::uint64_t* comm_node_offsets_ = nullptr;
   const std::uint32_t* comm_nodes_ = nullptr;
-  const std::uint64_t* comm_clique_offsets_ = nullptr;
-  const std::uint32_t* comm_cliques_ = nullptr;
   const std::uint64_t* posting_offsets_ = nullptr;
   const Posting* postings_ = nullptr;
   const std::uint32_t* tree_parents_ = nullptr;
 };
-
-/// Convenience: full round trip (mmap + materialize + unmap).
-cpm::Result read_snapshot_file(const std::string& path);
 
 }  // namespace kcc::snapshot

@@ -15,6 +15,7 @@
 
 #include "common/error.h"
 #include "cpm/engine.h"
+#include "obs/report.h"
 #include "test_helpers.h"
 
 namespace kcc {
@@ -231,6 +232,44 @@ TEST(EngineOptions, CliqueBackendDigestInvariantAcrossEngines) {
           << info.name << " / " << clique::backend_name(backend);
     }
   }
+}
+
+
+// Run reports name the stages docs/OBSERVABILITY.md lists: every engine's
+// tree step is its own `tree` stage, after the percolation stages, and only
+// when a tree is built — including the sweep-style engines, whose tree comes
+// out of the level loop.
+TEST(EngineOptions, RunReportRecordsTheTreeStageLast) {
+  const Graph g = testing::random_graph(40, 0.25, 7);
+  obs::RunRecorder& recorder = obs::RunRecorder::instance();
+  for (const cpm::EngineInfo& info : cpm::engine_registry()) {
+    if (info.caps.exponential) continue;
+    for (const bool build_tree : {true, false}) {
+      cpm::Options options;
+      options.engine = info.name;
+      options.build_tree = build_tree;
+      recorder.clear();
+      recorder.set_enabled(true);
+      const cpm::Result result = cpm::Engine(options).run(g);
+      recorder.set_enabled(false);
+      ASSERT_GE(result.cpm.max_k, result.cpm.min_k) << info.name;
+      std::vector<std::string> names;
+      for (const obs::StageSample& stage : recorder.stages()) {
+        names.push_back(stage.name);
+      }
+      const std::string tag =
+          info.name + (build_tree ? " tree on" : " tree off");
+      ASSERT_FALSE(names.empty()) << tag;
+      EXPECT_EQ(std::count(names.begin(), names.end(), "tree"),
+                build_tree ? 1 : 0)
+          << tag;
+      if (build_tree) {
+        EXPECT_EQ(names.back(), "tree") << tag;
+      }
+      EXPECT_EQ(result.has_tree, build_tree) << tag;
+    }
+  }
+  recorder.clear();
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Snapshot round-trip identity and corruption rejection (io/snapshot.h).
 //
 // The contract under test: for every registry engine and every seeded graph
-// family, write -> mmap -> to_result() reproduces the in-memory cpm::Result
-// byte-identically under cpm::canonical_text; and any structural damage to
-// the file (truncation, bad magic, wrong version, flipped payload bytes) is
-// rejected loudly at open, never served as partial data.
+// family, write -> mmap -> to_result() reproduces what a snapshot serves of
+// the in-memory cpm::Result — per-k community node sets and the tree —
+// byte-identically under cpm::canonical_text without the clique sections;
+// and any structural damage to the file (truncation, bad magic, wrong
+// version, flipped payload bytes) is rejected loudly at open, never served
+// as partial data.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -48,12 +53,40 @@ void write_file(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-cpm::Result run_engine(const std::string& engine, const Graph& g) {
+cpm::Result run_engine(const std::string& engine, const Graph& g,
+                       std::size_t min_k = 2, std::size_t max_k = 0) {
   cpm::Options options;
   options.engine = engine;
   options.threads = 2;
+  options.min_k = min_k;
+  options.max_k = max_k;
   return cpm::Engine(options).run(g);
 }
+
+/// Highest node id + 1 over the clique table and every community.
+std::size_t in_memory_num_nodes(const cpm::Result& result) {
+  std::size_t num_nodes = 0;
+  for (const NodeSet& clique : result.cpm.cliques) {
+    if (!clique.empty()) {
+      num_nodes = std::max<std::size_t>(num_nodes, clique.back() + 1);
+    }
+  }
+  for (const CommunitySet& set : result.cpm.by_k) {
+    for (const Community& community : set.communities) {
+      if (!community.nodes.empty()) {
+        num_nodes =
+            std::max<std::size_t>(num_nodes, community.nodes.back() + 1);
+      }
+    }
+  }
+  return num_nodes;
+}
+
+/// What a snapshot serves: communities, levels and tree — no clique table,
+/// no clique ids, no clique -> community maps.
+const cpm::CanonicalOptions kServed{/*include_cliques=*/false,
+                                    /*include_clique_ids=*/false,
+                                    /*include_tree=*/true};
 
 void expect_round_trip(const cpm::Result& original, const std::string& tag) {
   TempFile file(tag + ".snap");
@@ -64,14 +97,15 @@ void expect_round_trip(const cpm::Result& original, const std::string& tag) {
   EXPECT_EQ(view.exactness(), original.exactness) << tag;
   EXPECT_EQ(view.has_tree(), original.has_tree) << tag;
   EXPECT_EQ(view.num_cliques(), original.cpm.cliques.size()) << tag;
+  EXPECT_EQ(view.num_nodes(), in_memory_num_nodes(original)) << tag;
 
   const cpm::Result reread = view.to_result();
-  // canonical_text covers cliques, per-k communities with clique ids, the
-  // clique->community maps and the full tree, so equality here is the
-  // byte-identity contract.
-  cpm::CanonicalOptions canon;
-  EXPECT_EQ(cpm::canonical_text(original, canon),
-            cpm::canonical_text(reread, canon))
+  EXPECT_TRUE(reread.cpm.cliques.empty()) << tag;
+  // Without the clique sections canonical_text still covers the per-k
+  // communities and the full tree, so equality here is the byte-identity
+  // contract of everything the file serves.
+  EXPECT_EQ(cpm::canonical_text(original, kServed),
+            cpm::canonical_text(reread, kServed))
       << tag;
 }
 
@@ -104,6 +138,31 @@ TEST(Snapshot, RoundTripSeededCorpus) {
     if (result.cpm.max_k < result.cpm.min_k) continue;  // nothing to nest
     expect_round_trip(result, "corpus" + std::to_string(index));
   }
+}
+
+TEST(Snapshot, CountsCoverCliqueNodesOutsideEveryCommunity) {
+  // A 5-clique plus a pendant path on the highest ids: at k in [3, 5] the
+  // path's nodes are in no community, yet they are clique nodes, so META's
+  // num_nodes still counts them.
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < 5; ++u) {
+    for (NodeId v = u + 1; v < 5; ++v) edges.emplace_back(u, v);
+  }
+  for (NodeId v = 4; v < 8; ++v) edges.emplace_back(v, v + 1);
+  const Graph g = Graph::from_edges(9, edges);
+  const cpm::Result result = run_engine("sweep", g, 3, 5);
+  ASSERT_EQ(result.cpm.min_k, 3u);
+  ASSERT_EQ(result.cpm.max_k, 5u);
+  std::size_t community_nodes_end = 0;
+  for (const CommunitySet& set : result.cpm.by_k) {
+    for (const Community& community : set.communities) {
+      community_nodes_end = std::max<std::size_t>(
+          community_nodes_end, community.nodes.back() + 1);
+    }
+  }
+  ASSERT_EQ(community_nodes_end, 5u);
+  ASSERT_EQ(in_memory_num_nodes(result), 9u);
+  expect_round_trip(result, "k3to5");
 }
 
 TEST(Snapshot, PostingsAndQueriesMatchResult) {
@@ -183,7 +242,6 @@ class SnapshotCorruption : public ::testing::Test {
     TempFile bad("bad_" + why + ".snap");
     write_file(bad.path, bytes);
     EXPECT_THROW(snapshot::SnapshotView view(bad.path), Error) << why;
-    EXPECT_THROW(snapshot::read_snapshot_file(bad.path), Error) << why;
   }
 
   cpm::Result result_;
@@ -211,6 +269,60 @@ TEST_F(SnapshotCorruption, RejectsWrongVersion) {
   expect_rejected(bad, "version");
 }
 
+TEST_F(SnapshotCorruption, RejectsVersionOneNamingBothVersions) {
+  // Version 1 files also carried the clique sections; this build reads only
+  // version 2, and says so rather than guess at the old layout.
+  std::string old = bytes_;
+  old[8] = 1;  // version field, little-endian u32 at offset 8
+  TempFile bad("v1.snap");
+  write_file(bad.path, old);
+  try {
+    snapshot::SnapshotView view(bad.path);
+    FAIL() << "version 1 accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "unsupported version 1 (this build reads version 2)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(SnapshotCorruption, RejectsLevelCountThatWrapsTheLevelsSize) {
+  // A forged META whose num_levels * 16 wraps to the real LEVELS size must
+  // fail the count bound, not walk `levels` past its section. The digest
+  // is recomputed, so only the count check stands between the file and
+  // the level loop.
+  std::string forged = bytes_;
+  const auto load_u64 = [&forged](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, forged.data() + at, 8);
+    return v;
+  };
+  const auto store_u64 = [&forged](std::size_t at, std::uint64_t v) {
+    std::memcpy(forged.data() + at, &v, 8);
+  };
+  const std::size_t meta = load_u64(snapshot::kHeaderBytes + 8);  // entry 0
+  const std::uint64_t levels = load_u64(meta + 16) + (std::uint64_t{1} << 60);
+  store_u64(meta + 8, load_u64(meta) + levels - 1);  // max_k
+  store_u64(meta + 16, levels);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (std::size_t i = snapshot::kHeaderBytes; i < forged.size(); ++i) {
+    digest ^= static_cast<unsigned char>(forged[i]);
+    digest *= 0x100000001b3ULL;
+  }
+  store_u64(24, digest);
+  TempFile bad("wrapped_levels.snap");
+  write_file(bad.path, forged);
+  try {
+    snapshot::SnapshotView view(bad.path);
+    FAIL() << "wrapped level count accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("implausible counts in META"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST_F(SnapshotCorruption, RejectsDigestMismatch) {
   // Flip one payload byte: the header digest no longer matches.
   std::string bad = bytes_;
@@ -234,8 +346,8 @@ TEST_F(SnapshotCorruption, RejectsMissingFile) {
 TEST_F(SnapshotCorruption, ValidFileStillLoadsAfterAllThat) {
   // Guard against the fixture accidentally testing a broken writer.
   snapshot::SnapshotView view(file_->path);
-  EXPECT_EQ(cpm::canonical_text(view.to_result()),
-            cpm::canonical_text(result_));
+  EXPECT_EQ(cpm::canonical_text(view.to_result(), kServed),
+            cpm::canonical_text(result_, kServed));
 }
 
 }  // namespace

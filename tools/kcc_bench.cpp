@@ -50,6 +50,7 @@
 #include "common/cli.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "cpm/engine.h"
 #include "graph/graph.h"
@@ -419,6 +420,7 @@ void append_trajectory(const std::string& path, const DriverOptions& o,
   out << "{\"time_unix\":" << seconds << ",\"git_sha\":\"" << manifest.git_sha
       << (manifest.git_dirty ? "+dirty" : "") << "\",\"scale\":\"" << o.scale
       << "\",\"seed\":" << o.seed << ",\"reps\":" << o.reps
+      << ",\"threads\":" << ThreadPool::resolve_threads(o.threads)
       << ",\"configs\":{";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ConfigResult& r = results[i];
