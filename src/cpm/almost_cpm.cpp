@@ -212,7 +212,6 @@ AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
                                  join, build_tree);
   out.cpm = std::move(levels.cpm);
   out.tree = std::move(levels.tree);
-  out.tree_seconds = levels.tree_seconds;
   KCC_LOG(kDebug) << "run_almost_cpm_on_cliques: " << out.cpm.cliques.size()
                   << " cliques, " << out.stats.candidate_checks
                   << " candidate checks, " << out.stats.unions << " unions, "

@@ -75,7 +75,6 @@ struct AlmostCpmResult {
   CpmResult cpm;
   CommunityTree tree;
   AlmostCpmStats stats;
-  double tree_seconds = 0.0;  ///< wall time of the tree step
 };
 
 /// Extracts almost-exact k-clique communities and the community tree over

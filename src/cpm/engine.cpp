@@ -7,7 +7,6 @@
 #include "clique/enumerator.h"
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "cpm/almost_cpm.h"
 #include "cpm/incr_cpm.h"
 #include "cpm/reference_cpm.h"
@@ -67,30 +66,44 @@ CpmResult collect_per_k(const Options& options, Fn&& communities_at) {
   return result_from_node_sets(options.min_k, std::move(by_k));
 }
 
+// The shared first stage of the engines that percolate a maximal-clique
+// table: enumeration at the configured floor and backend.
+std::vector<NodeSet> enumerate_cliques(const Options& options,
+                                       const Graph& g) {
+  KCC_SPAN("cpm_engine/cliques");
+  obs::StageScope stage("cliques");
+  ThreadPool pool(options.threads);
+  clique::Options copt;
+  copt.min_size = options.min_clique_size;
+  copt.backend = options.clique_backend;
+  copt.bitset_max_universe = options.bitset_max_universe;
+  return clique::Enumerator(g, copt).collect(pool);
+}
+
 // Adopts a sweep-shaped {cpm, tree} pair into a Result, honoring build_tree.
 template <typename SweepShaped>
-Result adopt_sweep_result(const Options& options, SweepShaped shaped,
-                          Timer& total) {
+Result adopt_sweep_result(const Options& options, SweepShaped shaped) {
   Result result;
   result.cpm = std::move(shaped.cpm);
-  result.timings.percolate_seconds = total.lap();
   if (options.build_tree && result.cpm.max_k >= result.cpm.min_k) {
-    // The engine built the tree in the same pass; adopt it, and move its
-    // time from the percolate stage to the tree stage.
     result.tree = std::move(shaped.tree);
     result.has_tree = true;
-    result.timings.tree_seconds = shaped.tree_seconds;
-    result.timings.percolate_seconds -= shaped.tree_seconds;
   }
-  result.timings.total_seconds = total.seconds();
   return result;
+}
+
+// The post-hoc tree step of the engines whose percolation builds none.
+void build_tree_post_hoc(const Options& options, Result& result) {
+  if (!options.build_tree || result.cpm.max_k < result.cpm.min_k) return;
+  obs::StageScope stage("tree");
+  result.tree = CommunityTree::build(result.cpm);
+  result.has_tree = true;
 }
 
 // ------------------------------------------------- registry run hooks
 
-Result run_reference_full(const Options& options, const Graph& g) {
+Result run_reference(const Options& options, const Graph& g) {
   KCC_SPAN("cpm_engine/reference");
-  Timer total;
   Result result;
   {
     obs::StageScope stage("percolate");
@@ -98,54 +111,39 @@ Result run_reference_full(const Options& options, const Graph& g) {
       return reference_k_clique_communities(g, k);
     });
   }
-  result.timings.percolate_seconds = total.lap();
-  if (options.build_tree && result.cpm.max_k >= result.cpm.min_k) {
-    obs::StageScope stage("tree");
-    result.tree = CommunityTree::build(result.cpm);
-    result.has_tree = true;
-    result.timings.tree_seconds = total.lap();
-  }
-  result.timings.total_seconds = total.seconds();
+  build_tree_post_hoc(options, result);
   return result;
 }
 
-Result run_sweep_cliques(const Options& options, const Graph& g,
-                         std::vector<NodeSet> cliques) {
+Result run_sweep(const Options& options, const Graph& g) {
+  std::vector<NodeSet> cliques = enumerate_cliques(options, g);
   KCC_SPAN("cpm_engine/sweep");
-  Timer total;
-  SweepCpmResult sweep = run_sweep_cpm_on_cliques(
-      g, std::move(cliques), options.cpm_options(), options.build_tree);
-  return adopt_sweep_result(options, std::move(sweep), total);
+  return adopt_sweep_result(
+      options, run_sweep_cpm_on_cliques(g, std::move(cliques),
+                                        options.cpm_options(),
+                                        options.build_tree));
 }
 
-Result run_per_k_cliques(const Options& options, const Graph& g,
-                         std::vector<NodeSet> cliques) {
+Result run_per_k(const Options& options, const Graph& g) {
+  std::vector<NodeSet> cliques = enumerate_cliques(options, g);
   KCC_SPAN("cpm_engine/per_k");
-  Timer total;
   Result result;
   {
     obs::StageScope stage("percolate");
     result.cpm =
         run_cpm_on_cliques(g, std::move(cliques), options.cpm_options());
   }
-  result.timings.percolate_seconds = total.lap();
-  if (options.build_tree && result.cpm.max_k >= result.cpm.min_k) {
-    obs::StageScope stage("tree");
-    result.tree = CommunityTree::build(result.cpm);
-    result.has_tree = true;
-    result.timings.tree_seconds = total.lap();
-  }
-  result.timings.total_seconds = total.seconds();
+  build_tree_post_hoc(options, result);
   return result;
 }
 
-Result run_almost_cliques(const Options& options, const Graph& g,
-                          std::vector<NodeSet> cliques) {
+Result run_almost(const Options& options, const Graph& g) {
+  std::vector<NodeSet> cliques = enumerate_cliques(options, g);
   KCC_SPAN("cpm_engine/almost_exact");
-  Timer total;
-  AlmostCpmResult almost = run_almost_cpm_on_cliques(
-      g, std::move(cliques), options.cpm_options(), options.build_tree);
-  return adopt_sweep_result(options, std::move(almost), total);
+  return adopt_sweep_result(
+      options, run_almost_cpm_on_cliques(g, std::move(cliques),
+                                         options.cpm_options(),
+                                         options.build_tree));
 }
 
 }  // namespace
@@ -159,7 +157,7 @@ const std::vector<EngineInfo>& engine_registry() {
       sweep.summary =
           "single descending-k union-find sweep over overlap pairs born "
           "into per-overlap buckets; tree in the same pass (default)";
-      sweep.run_on_cliques = &run_sweep_cliques;
+      sweep.run = &run_sweep;
       built_in.push_back(std::move(sweep));
     }
     {
@@ -168,7 +166,7 @@ const std::vector<EngineInfo>& engine_registry() {
       per_k.summary =
           "one independent percolation per k over the shared overlap list "
           "(the original LP-CPM structure; reference oracle)";
-      per_k.run_on_cliques = &run_per_k_cliques;
+      per_k.run = &run_per_k;
       built_in.push_back(std::move(per_k));
     }
     {
@@ -180,7 +178,6 @@ const std::vector<EngineInfo>& engine_registry() {
           "clique order";
       incremental.caps.canonical_clique_order = true;
       incremental.run = &run_incremental_full;
-      incremental.run_on_cliques = &run_incremental_on_cliques;
       built_in.push_back(std::move(incremental));
     }
     {
@@ -190,7 +187,7 @@ const std::vector<EngineInfo>& engine_registry() {
           "Baudin et al. bounded-memory percolation over per-node community "
           "candidates; no overlap join, output approximate (F1-gated)";
       almost.caps.exact = false;
-      almost.run_on_cliques = &run_almost_cliques;
+      almost.run = &run_almost;
       built_in.push_back(std::move(almost));
     }
     {
@@ -199,9 +196,8 @@ const std::vector<EngineInfo>& engine_registry() {
       reference.summary =
           "literal k-clique-graph definition; exponential, validation on "
           "small graphs only";
-      reference.caps.supports_run_on_cliques = false;
       reference.caps.exponential = true;
-      reference.run = &run_reference_full;
+      reference.run = &run_reference;
       built_in.push_back(std::move(reference));
     }
     return built_in;
@@ -257,42 +253,7 @@ Engine::Engine(Options options)
 }
 
 Result Engine::run(const Graph& g) const {
-  Result result;
-  if (info_->run != nullptr) {
-    result = info_->run(options_, g);
-  } else {
-    // Generic path: shared clique enumeration feeding run_on_cliques.
-    Timer cliques_timer;
-    std::vector<NodeSet> cliques;
-    {
-      KCC_SPAN("cpm_engine/cliques");
-      obs::StageScope stage("cliques");
-      ThreadPool pool(options_.threads);
-      clique::Options copt;
-      copt.min_size = options_.min_clique_size;
-      copt.backend = options_.clique_backend;
-      copt.bitset_max_universe = options_.bitset_max_universe;
-      cliques = clique::Enumerator(g, copt).collect(pool);
-    }
-    const double cliques_seconds = cliques_timer.seconds();
-    result = run_on_cliques(g, std::move(cliques));
-    result.timings.cliques_seconds = cliques_seconds;
-    result.timings.total_seconds += cliques_seconds;
-  }
-  result.engine_name = info_->name;
-  result.exactness =
-      info_->caps.exact ? Exactness::kExact : Exactness::kAlmostExact;
-  obs::annotate_run("cpm_engine", result.engine_name);
-  obs::annotate_run("cpm_exactness", exactness_name(result.exactness));
-  return result;
-}
-
-Result Engine::run_on_cliques(const Graph& g,
-                              std::vector<NodeSet> cliques) const {
-  require(info_->caps.supports_run_on_cliques && info_->run_on_cliques,
-          "cpm::Engine: the ", info_->name,
-          " engine enumerates k-cliques itself; use run(g)");
-  Result result = info_->run_on_cliques(options_, g, std::move(cliques));
+  Result result = info_->run(options_, g);
   result.engine_name = info_->name;
   result.exactness =
       info_->caps.exact ? Exactness::kExact : Exactness::kAlmostExact;
@@ -303,7 +264,6 @@ Result Engine::run_on_cliques(const Graph& g,
 
 Result Engine::run_weighted(const Graph& g, const EdgeWeights& weights) const {
   KCC_SPAN("cpm_engine/weighted");
-  Timer total;
   Result result;
   result.engine_name = info_->name;
   result.exactness =
@@ -316,8 +276,6 @@ Result Engine::run_weighted(const Graph& g, const EdgeWeights& weights) const {
     weighted.max_cliques = options_.max_weighted_cliques;
     return weighted_k_clique_communities(g, weights, weighted);
   });
-  result.timings.percolate_seconds = total.lap();
-  result.timings.total_seconds = total.seconds();
   // Intensity filtering can break the nesting theorem, so has_tree stays
   // false regardless of build_tree.
   return result;

@@ -7,10 +7,12 @@
 // options and result shape, and none produced the community tree. The Engine
 // facade unifies them: one Options struct selects the k range, the clique
 // floor, the intensity threshold and the engine; one Result carries
-// communities-by-k, the nesting tree, per-stage timings and exactness
-// provenance. The free functions that remain are each engine's own entry
-// over a pre-enumerated clique table (run_cpm_on_cliques is also the per-k
-// oracle); enumeration from a graph goes through the Engine.
+// communities-by-k, the nesting tree and exactness provenance; stage wall
+// times go to the run recorder (obs::StageScope), not into the Result.
+// Every registered engine runs from a graph. The free functions that remain
+// are the table entries the Engine calls after enumerating maximal cliques
+// (run_sweep_cpm_on_cliques, run_cpm_on_cliques — also the per-k oracle —
+// and run_almost_cpm_on_cliques); tests and benches may call them directly.
 //
 //   cpm::Options options;
 //   options.max_k = 12;
@@ -57,10 +59,6 @@ struct EngineCaps {
   /// applies). Approximate engines are compared by community similarity
   /// (cpm/compare.h) instead.
   bool exact = true;
-  /// Engine::run_on_cliques works (the engine consumes a pre-enumerated
-  /// maximal-clique table). False for engines that enumerate k-cliques
-  /// themselves.
-  bool supports_run_on_cliques = true;
   /// Exponential-time validation oracle: only safe on tiny graphs. Matrix
   /// generators cap the input size for these.
   bool exponential = false;
@@ -74,18 +72,13 @@ struct EngineCaps {
 };
 
 /// One registered percolation backend: name, one-line summary (used to
-/// generate --engine help text), capabilities and the dispatch hooks.
+/// generate --engine help text), capabilities and the dispatch hook.
 struct EngineInfo {
   std::string name;
   std::string summary;
   EngineCaps caps;
-  /// Full run over a graph. Null = use the generic path (shared clique
-  /// enumeration followed by run_on_cliques).
+  /// Full run over a graph; never null.
   Result (*run)(const Options&, const Graph&) = nullptr;
-  /// Run over a pre-enumerated clique table. Null iff
-  /// !caps.supports_run_on_cliques.
-  Result (*run_on_cliques)(const Options&, const Graph&,
-                           std::vector<NodeSet>) = nullptr;
 };
 
 /// The built-in engines, in a fixed order: sweep (default; one
@@ -159,14 +152,6 @@ struct Options {
   CpmOptions cpm_options() const;
 };
 
-/// Wall-clock seconds per stage of the last run.
-struct Timings {
-  double cliques_seconds = 0.0;    // maximal-clique enumeration
-  double percolate_seconds = 0.0;  // community extraction (all k)
-  double tree_seconds = 0.0;       // nesting-tree assembly
-  double total_seconds = 0.0;
-};
-
 struct Result {
   CpmResult cpm;       // communities for every k, plus the clique table
   CommunityTree tree;  // valid iff has_tree
@@ -176,7 +161,6 @@ struct Result {
   /// reports.
   std::string engine_name = "sweep";
   Exactness exactness = Exactness::kExact;
-  Timings timings;
 };
 
 class Engine {
@@ -186,13 +170,9 @@ class Engine {
   const Options& options() const { return options_; }
   const EngineInfo& info() const { return *info_; }
 
-  /// Enumerates maximal cliques of `g` and extracts communities + tree.
+  /// Extracts communities + tree from `g` with the selected engine. Stage
+  /// wall times (cliques / percolate / tree) go to obs::RunRecorder.
   Result run(const Graph& g) const;
-
-  /// Same over a pre-enumerated maximal-clique set (sorted, size >= 2).
-  /// Throws for engines with !caps.supports_run_on_cliques (reference,
-  /// which enumerates k-cliques itself).
-  Result run_on_cliques(const Graph& g, std::vector<NodeSet> cliques) const;
 
   /// CPMw: communities among k-cliques whose intensity reaches
   /// options().intensity_threshold. Intensity filtering can break the

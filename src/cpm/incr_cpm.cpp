@@ -11,9 +11,7 @@
 #include "common/error.h"
 #include "common/set_ops.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 #include "cpm/clique_index.h"
-#include "cpm/percolate_detail.h"
 #include "cpm/sweep_cpm.h"
 #include "obs/obs.h"
 #include "obs/report.h"
@@ -55,23 +53,6 @@ IncrementalCpm::IncrementalCpm(const Graph& g, Options options)
     copt.bitset_max_universe = options_.bitset_max_universe;
     cliques_ = clique::Enumerator(g, copt).collect(pool);
   }
-  bootstrap(g);
-}
-
-IncrementalCpm::IncrementalCpm(FromCliquesTag, const Graph& g,
-                               std::vector<NodeSet> cliques, Options options)
-    : options_(std::move(options)) {
-  require(options_.min_clique_size >= 2,
-          "IncrementalCpm: min_clique_size must be >= 2");
-  // The bootstrap indexes every clique's nodes before any sweep runs.
-  cpm_detail::validate_cpm_input(g.num_nodes(), options_.min_k, cliques,
-                                 "IncrementalCpm");
-  cliques_ = std::move(cliques);
-  materialize_only_ = options_.min_clique_size > 2;
-  bootstrap(g);
-}
-
-void IncrementalCpm::bootstrap(const Graph& g) {
   adjacency_.resize(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     const auto nbrs = g.neighbors(v);
@@ -166,10 +147,6 @@ void IncrementalCpm::validate(const EdgeBatch& batch) const {
 }
 
 void IncrementalCpm::apply(const EdgeBatch& batch) {
-  require(!materialize_only_,
-          "IncrementalCpm::apply: state was bootstrapped from a filtered "
-          "clique table (min_clique_size > 2); construct from the graph to "
-          "apply updates");
   validate(batch);
   KCC_SPAN("incr_cpm/apply");
   const std::uint64_t created_before = cliques_created_;
@@ -516,7 +493,6 @@ Graph IncrementalCpm::graph() const {
 
 Result IncrementalCpm::result() const {
   KCC_SPAN("incr_cpm/materialize");
-  Timer total;
   const Graph g = graph();
 
   // Alive slots above the clique floor, in lexicographic order — the one
@@ -558,14 +534,10 @@ Result IncrementalCpm::result() const {
                               options_.cpm_options(), options_.build_tree);
   Result result;
   result.cpm = std::move(sweep.cpm);
-  result.timings.percolate_seconds = total.lap();
   if (options_.build_tree && result.cpm.max_k >= result.cpm.min_k) {
     result.tree = std::move(sweep.tree);
     result.has_tree = true;
-    result.timings.tree_seconds = sweep.tree_seconds;
-    result.timings.percolate_seconds -= sweep.tree_seconds;
   }
-  result.timings.total_seconds = total.seconds();
   result.engine_name = "incremental";
   result.exactness = Exactness::kExact;
   return result;
@@ -573,7 +545,6 @@ Result IncrementalCpm::result() const {
 
 Result run_incremental_full(const Options& options, const Graph& g) {
   KCC_SPAN("cpm_engine/incremental");
-  Timer total;
   // The bootstrap/apply stage closes before result(), whose sweep tail
   // records its own percolate and tree stages.
   const IncrementalCpm state = [&] {
@@ -592,27 +563,7 @@ Result run_incremental_full(const Options& options, const Graph& g) {
     if (!batch.empty()) live.apply(batch);
     return live;
   }();
-  Result result = state.result();
-  result.timings.percolate_seconds =
-      total.lap() - result.timings.tree_seconds;
-  result.timings.total_seconds = total.seconds();
-  return result;
-}
-
-Result run_incremental_on_cliques(const Options& options, const Graph& g,
-                                  std::vector<NodeSet> cliques) {
-  KCC_SPAN("cpm_engine/incremental");
-  Timer total;
-  const IncrementalCpm state = [&] {
-    obs::StageScope stage("percolate");
-    return IncrementalCpm(IncrementalCpm::FromCliquesTag{}, g,
-                          std::move(cliques), options);
-  }();
-  Result result = state.result();
-  result.timings.percolate_seconds =
-      total.lap() - result.timings.tree_seconds;
-  result.timings.total_seconds = total.seconds();
-  return result;
+  return state.result();
 }
 
 }  // namespace kcc::cpm

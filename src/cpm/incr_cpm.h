@@ -120,18 +120,6 @@ class IncrementalCpm {
   std::uint64_t batches_applied() const { return batches_applied_; }
 
  private:
-  friend Result run_incremental_on_cliques(const Options&, const Graph&,
-                                           std::vector<NodeSet>);
-  struct FromCliquesTag {};
-  /// Materialize-only bootstrap over a pre-enumerated table (the registry
-  /// run_on_cliques hook). The table may already be min_clique_size
-  /// filtered, so apply() is not supported on a state built this way.
-  IncrementalCpm(FromCliquesTag, const Graph& g, std::vector<NodeSet> cliques,
-                 Options options);
-
-  /// Shared ctor tail: copies the adjacency of `g` and builds the per-node
-  /// index, overlap lists and scratch over the already-set clique table.
-  void bootstrap(const Graph& g);
   void validate(const EdgeBatch& batch) const;
   void add_edge(NodeId u, NodeId v);
   void remove_edge(NodeId u, NodeId v);
@@ -204,23 +192,16 @@ class IncrementalCpm {
   std::vector<std::uint32_t> node_count_;
   std::uint64_t node_epoch_ = 0;
 
-  /// Set by the FromCliquesTag ctor when the given table was already
-  /// min_clique_size filtered — apply() then refuses (the update theorems
-  /// need the full size >= 2 table).
-  bool materialize_only_ = false;
-
   std::uint64_t batches_applied_ = 0;
   std::uint64_t cliques_created_ = 0;
   std::uint64_t cliques_retired_ = 0;
 };
 
-/// Registry hooks for the `incremental` engine (caps.exact,
-/// caps.canonical_clique_order). The full-run hook deliberately exercises
-/// churn: it bootstraps on the graph minus a held-back suffix of edges and
-/// apply()s them as one batch, so every differential-matrix run covers the
-/// patch path, not just the bootstrap.
+/// Registry hook for the `incremental` engine (caps.exact,
+/// caps.canonical_clique_order). It deliberately exercises churn: it
+/// bootstraps on the graph minus a held-back suffix of edges and apply()s
+/// them as one batch, so every differential-matrix run covers the patch
+/// path, not just the bootstrap.
 Result run_incremental_full(const Options& options, const Graph& g);
-Result run_incremental_on_cliques(const Options& options, const Graph& g,
-                                  std::vector<NodeSet> cliques);
 
 }  // namespace kcc::cpm

@@ -7,7 +7,6 @@
 
 #include "common/error.h"
 #include "common/set_ops.h"
-#include "common/timer.h"
 #include "common/union_find.h"
 #include "graph/graph_algorithms.h"
 #include "obs/metrics.h"
@@ -273,9 +272,7 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
 
   const obs::StageScope tree_stage("tree");
   const obs::ScopedSpan span(prefix + "/tree");
-  const Timer tree_timer;
   out.tree = emitter.tree();
-  out.tree_seconds = tree_timer.seconds();
   return out;
 }
 

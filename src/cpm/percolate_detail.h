@@ -69,7 +69,6 @@ struct LevelJoin {
 struct LevelSweep {
   CpmResult cpm;
   CommunityTree tree;  ///< empty unless the tree step ran
-  double tree_seconds = 0.0;  ///< wall time of the `<spans>/tree` step
 };
 
 /// The descending-k loop of the sweep-style engines (paper Sec. 3.1: each

@@ -180,7 +180,6 @@ SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
       g, std::move(cliques), options, caller, "sweep_cpm", join, build_tree);
   out.cpm = std::move(levels.cpm);
   out.tree = std::move(levels.tree);
-  out.tree_seconds = levels.tree_seconds;
   if (buckets) {
     cpm_detail::note_join_ops(stats.pairs + stats.edge_links);
     SweepMetrics& m = sweep_metrics();

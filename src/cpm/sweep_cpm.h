@@ -74,7 +74,6 @@ struct SweepCpmResult {
   CpmResult cpm;
   CommunityTree tree;
   SweepCpmStats stats;
-  double tree_seconds = 0.0;  ///< wall time of the tree step
 };
 
 /// Extracts all k-clique communities and the community tree in one

@@ -2,7 +2,7 @@
 // and the registry/similarity machinery it forced into the API:
 //   * registry round-trip — every registered name parses, constructs an
 //     Engine and runs on a smoke graph with correct provenance;
-//   * Engine::run_on_cliques across all capable engines;
+//   * every non-exponential engine agrees with per_k on one graph;
 //   * almost-exact semantics — coarsening of the exact partition, exact at
 //     k=2, deterministic, nesting tree, F1 >= 0.99 on seeded families;
 //   * cpm::compare_results unit behavior.
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.h"
 #include "cpm/almost_cpm.h"
 #include "cpm/compare.h"
 #include "cpm/engine.h"
@@ -66,27 +65,14 @@ TEST(EngineRegistry, EveryRegisteredEngineRoundTrips) {
             std::string::npos);
 }
 
-TEST(EngineRegistry, RunOnCliquesAgreesAcrossEnginesAndBackends) {
+TEST(EngineRegistry, EveryEngineAgreesWithPerKOnOneGraph) {
   const Graph g = random_graph(40, 0.35, 9);
-  const std::vector<NodeSet> cliques = testing::clique_table(g);
-
-  cpm::Options baseline_options;
-  baseline_options.engine = "per_k";
-  const cpm::Result baseline =
-      cpm::Engine(baseline_options).run_on_cliques(g, cliques);
+  const cpm::Result baseline = run_engine("per_k", g);
 
   for (const cpm::EngineInfo& info : cpm::engine_registry()) {
-    if (!info.caps.supports_run_on_cliques) {
-      cpm::Options options;
-      options.engine = info.name;
-      EXPECT_THROW(cpm::Engine(options).run_on_cliques(g, cliques), Error)
-          << info.name;
-      continue;
-    }
-    cpm::Options options;
-    options.engine = info.name;
-    const cpm::Result result =
-        cpm::Engine(options).run_on_cliques(g, cliques);
+    // Exponential engines get their own small-graph checks.
+    if (info.caps.exponential) continue;
+    const cpm::Result result = run_engine(info.name, g);
     EXPECT_EQ(result.engine_name, info.name);
     if (info.caps.exact) {
       if (info.caps.canonical_clique_order) {

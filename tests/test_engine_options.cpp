@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/timer.h"
 #include "cpm/engine.h"
 #include "obs/report.h"
 #include "test_helpers.h"
@@ -238,7 +239,9 @@ TEST(EngineOptions, CliqueBackendDigestInvariantAcrossEngines) {
 // Run reports name the stages docs/OBSERVABILITY.md lists: every engine's
 // tree step is its own `tree` stage, after the percolation stages, and only
 // when a tree is built — including the sweep-style engines, whose tree comes
-// out of the level loop.
+// out of the level loop. kcc_bench's stage columns read these samples, so
+// the percolate stage must take measurable time and the stage walls must fit
+// inside the run.
 TEST(EngineOptions, RunReportRecordsTheTreeStageLast) {
   const Graph g = testing::random_graph(40, 0.25, 7);
   obs::RunRecorder& recorder = obs::RunRecorder::instance();
@@ -250,16 +253,25 @@ TEST(EngineOptions, RunReportRecordsTheTreeStageLast) {
       options.build_tree = build_tree;
       recorder.clear();
       recorder.set_enabled(true);
+      const Timer timer;
       const cpm::Result result = cpm::Engine(options).run(g);
+      const double run_seconds = timer.seconds();
       recorder.set_enabled(false);
       ASSERT_GE(result.cpm.max_k, result.cpm.min_k) << info.name;
       std::vector<std::string> names;
+      double percolate_seconds = 0.0;
+      double stage_seconds = 0.0;
       for (const obs::StageSample& stage : recorder.stages()) {
         names.push_back(stage.name);
+        if (stage.name == "percolate") percolate_seconds += stage.wall_seconds;
+        stage_seconds += stage.wall_seconds;
       }
       const std::string tag =
           info.name + (build_tree ? " tree on" : " tree off");
       ASSERT_FALSE(names.empty()) << tag;
+      EXPECT_GT(percolate_seconds, 0.0) << tag;
+      // The stages do not nest, so their walls fit inside the run.
+      EXPECT_LE(stage_seconds, run_seconds + 1e-9) << tag;
       EXPECT_EQ(std::count(names.begin(), names.end(), "tree"),
                 build_tree ? 1 : 0)
           << tag;

@@ -243,6 +243,11 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
       // must attach to the child task itself (inherit=1 then covers the
       // thread-pool workers the engine spawns below).
       const obs::HwCounterSet counters;
+      // The stage columns are the run-report stages. A forked child starts
+      // with a copy of the parent's recorder, so start it empty.
+      obs::RunRecorder& recorder = obs::RunRecorder::instance();
+      recorder.clear();
+      recorder.set_enabled(true);
       const std::uint64_t rss_baseline = obs::peak_rss_bytes();
       const obs::HwCounterValues hw_start = counters.read();
       Timer timer;
@@ -250,15 +255,20 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
       const double wall_ms = timer.seconds() * 1e3;
       const obs::HwCounterValues hw = counters.read() - hw_start;
       const std::uint64_t peak_delta = obs::peak_rss_bytes() - rss_baseline;
+      // Summed by name: the incremental engine records `percolate` twice.
+      std::map<std::string, double> stage_ms;
+      for (const obs::StageSample& stage : recorder.stages()) {
+        stage_ms[stage.name] += stage.wall_seconds * 1e3;
+      }
       // Digest in canonical clique order (outside the timed window) so the
       // cross-config identity gate compares engines that preserve
       // enumeration order and engines that cannot (caps.
       // canonical_clique_order, e.g. incremental) on equal footing.
       cpm::canonicalise_clique_order(result);
       std::ostringstream line;
-      line << wall_ms << ' ' << result.timings.cliques_seconds * 1e3 << ' '
-           << result.timings.percolate_seconds * 1e3 << ' '
-           << result.timings.tree_seconds * 1e3 << ' ' << peak_delta << ' '
+      line << wall_ms << ' ' << stage_ms["cliques"] << ' '
+           << stage_ms["percolate"] << ' ' << stage_ms["tree"] << ' '
+           << peak_delta << ' '
            << cpm::canonical_digest(result) << ' '
            << result.cpm.total_communities() << ' '
            << (hw.available ? 1 : 0) << ' ' << hw.cycles << ' '
