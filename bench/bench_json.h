@@ -93,7 +93,6 @@ inline Json manifest_json(const obs::RunManifest& m) {
   out.add("cpu_model", m.cpu_model);
   out.add("cpu_logical_cores", static_cast<std::uint64_t>(m.cpu_logical_cores));
   out.add("hostname", m.hostname);
-  out.add("hw_counters", m.hw_counters);
   return out;
 }
 

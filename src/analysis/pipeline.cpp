@@ -22,8 +22,8 @@ PipelineResult analyze_ecosystem(AsEcosystem eco, const cpm::Options& cpm_opts) 
   result.eco = std::move(eco);
   {
     KCC_SPAN("pipeline/cpm");
-    // The sweep engine emits the nesting tree in the same pass; other
-    // engines reconstruct it post-hoc inside the facade.
+    // Every tree-building engine returns the nesting tree with the
+    // communities (cpm::Result::tree).
     cpm::Result engine_result =
         cpm::Engine(cpm_opts).run(result.eco.topology.graph);
     result.cpm = std::move(engine_result.cpm);

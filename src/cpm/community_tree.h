@@ -63,11 +63,10 @@ class CommunityTree {
   /// search.
   static CommunityTree build(const CpmResult& cpm);
 
-  /// Assembles the tree from per-level parent links already resolved by an
-  /// engine — the sweep engine produces these directly from its union-find
-  /// state, so no post-hoc reconstruction pass over the CPM result is
-  /// needed. levels[i] describes the communities at k = min_k + i in
-  /// canonical id order; parent ids refer to the level below.
+  /// Assembles the tree from per-level parent links already resolved —
+  /// by build(), or read back from a snapshot, which stores the links and
+  /// no clique ids. levels[i] describes the communities at k = min_k + i
+  /// in canonical id order; parent ids refer to the level below.
   static CommunityTree from_levels(
       std::size_t min_k, const std::vector<std::vector<TreeParentLink>>& levels);
 

@@ -156,7 +156,7 @@ const std::vector<EngineInfo>& engine_registry() {
       sweep.name = "sweep";
       sweep.summary =
           "single descending-k union-find sweep over overlap pairs born "
-          "into per-overlap buckets; tree in the same pass (default)";
+          "into per-overlap buckets; tree from the levels (default)";
       sweep.run = &run_sweep;
       built_in.push_back(std::move(sweep));
     }

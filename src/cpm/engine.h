@@ -83,7 +83,7 @@ struct EngineInfo {
 
 /// The built-in engines, in a fixed order: sweep (default; one
 /// descending-k union-find sweep over overlap pairs born into per-overlap
-/// buckets, tree in the same pass), per_k (one independent percolation per
+/// buckets, tree from the levels), per_k (one independent percolation per
 /// k, run in parallel across k, over the pairs of the same per-clique join;
 /// the original LP-CPM structure, kept as the reference oracle),
 /// incremental (live clique/overlap state patched under edge batches —
@@ -185,8 +185,8 @@ class Engine {
 };
 
 /// What the canonical serialization covers. The reference engine produces
-/// node sets only (no clique table, no clique ids, no in-pass tree), so
-/// comparisons against it drop those sections.
+/// node sets only (no clique table, no clique ids; its tree is resolved by
+/// node containment), so comparisons against it drop those sections.
 struct CanonicalOptions {
   bool include_cliques = true;
   bool include_clique_ids = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -493,6 +494,10 @@ Graph IncrementalCpm::graph() const {
 
 Result IncrementalCpm::result() const {
   KCC_SPAN("incr_cpm/materialize");
+  // Rebuilding the graph, table and pair list is a `percolate` stage of its
+  // own, closed before the sweep tail opens its own: nesting two stages of
+  // one name would count this time twice.
+  std::optional<obs::StageScope> prepare_stage(std::in_place, "percolate");
   const Graph g = graph();
 
   // Alive slots above the clique floor, in lexicographic order — the one
@@ -529,6 +534,7 @@ Result IncrementalCpm::result() const {
     }
   }
 
+  prepare_stage.reset();
   SweepCpmResult sweep =
       run_sweep_cpm_prejoined(g, std::move(table), std::move(pairs),
                               options_.cpm_options(), options_.build_tree);
@@ -545,8 +551,8 @@ Result IncrementalCpm::result() const {
 
 Result run_incremental_full(const Options& options, const Graph& g) {
   KCC_SPAN("cpm_engine/incremental");
-  // The bootstrap/apply stage closes before result(), whose sweep tail
-  // records its own percolate and tree stages.
+  // The bootstrap/apply stage closes before result(), which records its own
+  // percolate stages (preparation, then the sweep tail) and tree stage.
   const IncrementalCpm state = [&] {
     obs::StageScope stage("percolate");
     // Hold back a suffix of edges and apply() them as one batch, so every

@@ -105,7 +105,9 @@ class IncrementalCpm {
 
   /// Materializes the Result for the current graph by running the sweep
   /// tail (run_sweep_cpm_prejoined) over the maintained clique table and
-  /// overlap multiset, clique table in lexicographic order.
+  /// overlap multiset, clique table in lexicographic order. The table and
+  /// pair preparation and the sweep tail are two `percolate` run-report
+  /// stages (obs::StageScope); the tree step is the `tree` stage.
   Result result() const;
 
   /// The current graph, rebuilt from the maintained adjacency.

@@ -75,49 +75,6 @@ class Snapshotter {
   std::uint32_t epoch_ = 0;
 };
 
-// Stores the canonical levels of a descending-k run — from max_k down —
-// and wires each level's communities to their nesting parents in the
-// level emitted next, through one representative clique per community.
-class LevelEmitter {
- public:
-  explicit LevelEmitter(CpmResult& result)
-      : result_(result), links_(result.by_k.size()) {}
-
-  void emit(CommunitySet set) {
-    note_community_set(set);
-    const std::size_t i = set.k - result_.min_k;
-    if (set.k < result_.max_k) {
-      for (std::size_t r = 0; r < reps_above_.size(); ++r) {
-        links_[i + 1][r].parent_id = set.community_of_clique[reps_above_[r]];
-        require(links_[i + 1][r].parent_id != CommunitySet::kNoCommunity,
-                "descend_levels: nesting parent missing");
-      }
-    }
-    links_[i].resize(set.count());
-    for (CommunityId id = 0; id < set.count(); ++id) {
-      links_[i][id].size = set.communities[id].size();
-    }
-    // The lowest level has no level below it to resolve against (and at
-    // k = 2 a component may hold no clique of a filtered table).
-    reps_above_.clear();
-    if (set.k > result_.min_k) {
-      for (const Community& community : set.communities) {
-        reps_above_.push_back(community.clique_ids.front());
-      }
-    }
-    result_.by_k[i] = std::move(set);
-  }
-
-  CommunityTree tree() const {
-    return CommunityTree::from_levels(result_.min_k, links_);
-  }
-
- private:
-  CpmResult& result_;
-  std::vector<std::vector<TreeParentLink>> links_;
-  std::vector<CliqueId> reps_above_;
-};
-
 }  // namespace
 
 void note_community_set(const CommunitySet& set) {
@@ -221,7 +178,11 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
   result.max_k = resolve_max_k(options.min_k, options.max_k, result.cliques);
   if (result.max_k < result.min_k) return out;
   result.by_k.resize(result.max_k - result.min_k + 1);
-  LevelEmitter emitter(result);
+  // Stores one canonical level; levels arrive from max_k down.
+  auto emit = [&result](CommunitySet set) {
+    note_community_set(set);
+    result.by_k[set.k - result.min_k] = std::move(set);
+  };
   const std::string prefix = spans;
 
   // ---- the k >= 3 levels: one union-find, coarsened level by level ----
@@ -258,21 +219,21 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
       // After level k's merges, the components over the live cliques ARE
       // the k-clique communities.
       const obs::ScopedSpan span(prefix + "/emit_k=" + std::to_string(k));
-      emitter.emit(snapshotter.snapshot(k, uf, live, result.cliques));
+      emit(snapshotter.snapshot(k, uf, live, result.cliques));
     }
   }
 
   // ---- the k = 2 level: connected components ----
   if (result.min_k == 2) {
     const obs::ScopedSpan span(prefix + "/percolate_k2");
-    emitter.emit(percolate_k2(g, result.cliques));
+    emit(percolate_k2(g, result.cliques));
   }
   percolate_stage.reset();
   if (!build_tree) return out;
 
   const obs::StageScope tree_stage("tree");
   const obs::ScopedSpan span(prefix + "/tree");
-  out.tree = emitter.tree();
+  out.tree = CommunityTree::build(result);
   return out;
 }
 

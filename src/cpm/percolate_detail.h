@@ -79,7 +79,8 @@ struct LevelSweep {
 /// `join.unite_level(k, ...)`, and snapshot the components over the live
 /// cliques as level k when k is requested. Then the k = 2 level when
 /// min_k == 2, and — when `build_tree` is set and the range is not empty —
-/// the nesting tree wired through each level's representative cliques.
+/// the nesting tree, built from the finished levels by
+/// CommunityTree::build.
 /// Every level is canonicalised, so engines that unite the same pairs emit
 /// byte-identical output. `where` names the caller in error messages; span
 /// names are `<spans>/sweep`, `<spans>/emit_k=<k>`, `<spans>/percolate_k2`

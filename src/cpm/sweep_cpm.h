@@ -24,10 +24,10 @@
 //     components over the live cliques ARE the k-clique communities at k —
 //     a per-k snapshot of a single evolving structure rather than an
 //     independent percolation;
-//  3. materialize each requested level from that snapshot, and resolve each
-//     (k+1)-community's nesting parent against the freshly emitted level —
-//     so the full community tree (Fig. 4.2) falls out of the same pass
-//     instead of being reconstructed post-hoc.
+//  3. materialize each requested level from that snapshot; then build the
+//     community tree (Fig. 4.2) from the finished levels with
+//     CommunityTree::build, which resolves each k-community's nesting
+//     parent through one member clique's community at level k-1.
 //
 // Steps 2 and 3 are the descending-k level loop shared with the
 // almost-exact engine (cpm_detail::descend_levels); this engine supplies
@@ -67,7 +67,7 @@ struct SweepCpmStats {
 };
 
 /// Output of the single-sweep engine: the standard CPM result plus the
-/// nesting tree, built during the sweep itself. When the k range is empty
+/// nesting tree, built right after the levels. When the k range is empty
 /// or the tree was not asked for, the tree is default-constructed (no
 /// nodes).
 struct SweepCpmResult {

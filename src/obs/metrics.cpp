@@ -6,6 +6,10 @@
 #include <ostream>
 #include <sstream>
 
+#if defined(__linux__) || defined(__APPLE__)
+#include <time.h>
+#endif
+
 #include "common/error.h"
 
 namespace kcc::obs {
@@ -288,5 +292,16 @@ std::uint64_t proc_status_bytes([[maybe_unused]] const char* field) {
 std::uint64_t peak_rss_bytes() { return proc_status_bytes("VmHWM"); }
 
 std::uint64_t current_rss_bytes() { return proc_status_bytes("VmRSS"); }
+
+double process_cpu_seconds() {
+#if defined(__linux__) || defined(__APPLE__)
+  timespec ts{};
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0) {
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+  }
+#endif
+  return 0.0;
+}
 
 }  // namespace kcc::obs

@@ -169,4 +169,8 @@ std::uint64_t peak_rss_bytes();
 /// run itself rather than of the whole process lifetime.
 std::uint64_t current_rss_bytes();
 
+/// CPU time this process has used so far, user + system summed over all
+/// its threads, in seconds (CLOCK_PROCESS_CPUTIME_ID; 0 where unsupported).
+double process_cpu_seconds();
+
 }  // namespace kcc::obs

@@ -9,7 +9,6 @@
 
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 

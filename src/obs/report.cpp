@@ -83,15 +83,6 @@ std::string host_name() {
   return "";
 }
 
-void write_hw_values_json(std::ostream& out, const HwCounterValues& hw) {
-  out << "{\"available\":" << (hw.available ? "true" : "false")
-      << ",\"cycles\":" << hw.cycles
-      << ",\"instructions\":" << hw.instructions
-      << ",\"branch_misses\":" << hw.branch_misses
-      << ",\"cache_misses\":" << hw.cache_misses
-      << ",\"task_clock_ns\":" << hw.task_clock_ns << "}";
-}
-
 }  // namespace
 
 RunManifest collect_manifest(const std::string& tool) {
@@ -106,8 +97,6 @@ RunManifest collect_manifest(const std::string& tool) {
   m.cpu_model = cpu_model_name();
   m.cpu_logical_cores = std::thread::hardware_concurrency();
   m.hostname = host_name();
-  const HwCounterSet& hw = HwCounterSet::global();
-  m.hw_counters = hw.status();
   return m;
 }
 
@@ -130,8 +119,6 @@ void write_manifest_json(std::ostream& out, const RunManifest& manifest) {
   out << ",\"cpu_logical_cores\":" << manifest.cpu_logical_cores;
   out << ",\"hostname\":";
   write_json_string(out, manifest.hostname);
-  out << ",\"hw_counters\":";
-  write_json_string(out, manifest.hw_counters);
   out << "}";
 }
 
@@ -182,49 +169,23 @@ double monotonic_seconds() {
   return epoch->seconds();
 }
 
-// Cached hw_*_total registry counters (registration takes a mutex).
-Counter* hw_total_counter(int index) {
-  static Counter* counters[kHwCounterCount] = {};
-  static std::once_flag once;
-  std::call_once(once, [] {
-    for (int i = 0; i < kHwCounterCount; ++i) {
-      counters[i] = &metrics().counter(
-          std::string("hw_") + hw_counter_names()[i] + "_total");
-    }
-  });
-  return counters[index];
-}
-
 }  // namespace
 
 StageScope::StageScope(const char* name)
-    : name_(name),
-      start_seconds_(monotonic_seconds()),
-      hw_live_(HwCounterSet::global().available()),
-      recording_(RunRecorder::instance().enabled()) {
-  if (hw_live_) start_ = HwCounterSet::global().read();
+    : name_(name), recording_(RunRecorder::instance().enabled()) {
+  if (!recording_) return;
+  start_seconds_ = monotonic_seconds();
+  start_cpu_seconds_ = process_cpu_seconds();
 }
 
 StageScope::~StageScope() {
-  const double wall = monotonic_seconds() - start_seconds_;
-  HwCounterValues delta;
-  if (hw_live_) {
-    delta = HwCounterSet::global().read() - start_;
-    const std::uint64_t raw[kHwCounterCount] = {
-        delta.cycles, delta.instructions, delta.branch_misses,
-        delta.cache_misses, delta.task_clock_ns};
-    for (int i = 0; i < kHwCounterCount; ++i) {
-      if (raw[i] > 0) hw_total_counter(i)->inc(raw[i]);
-    }
-  }
-  if (recording_) {
-    StageSample sample;
-    sample.name = name_;
-    sample.wall_seconds = wall;
-    sample.hw = delta;
-    sample.rss_after_bytes = current_rss_bytes();
-    RunRecorder::instance().record(std::move(sample));
-  }
+  if (!recording_) return;
+  StageSample sample;
+  sample.name = name_;
+  sample.wall_seconds = monotonic_seconds() - start_seconds_;
+  sample.cpu_seconds = process_cpu_seconds() - start_cpu_seconds_;
+  sample.rss_after_bytes = current_rss_bytes();
+  RunRecorder::instance().record(std::move(sample));
 }
 
 void write_run_report(std::ostream& out, const RunManifest& manifest) {
@@ -238,9 +199,8 @@ void write_run_report(std::ostream& out, const RunManifest& manifest) {
     out << "{\"name\":";
     write_json_string(out, stages[i].name);
     out << ",\"wall_seconds\":" << format_double(stages[i].wall_seconds)
-        << ",\"rss_after_bytes\":" << stages[i].rss_after_bytes << ",\"hw\":";
-    write_hw_values_json(out, stages[i].hw);
-    out << "}";
+        << ",\"cpu_seconds\":" << format_double(stages[i].cpu_seconds)
+        << ",\"rss_after_bytes\":" << stages[i].rss_after_bytes << "}";
   }
   out << "],\"annotations\":{";
   const std::map<std::string, std::string> annotations =
@@ -255,8 +215,6 @@ void write_run_report(std::ostream& out, const RunManifest& manifest) {
   }
   out << "},\"rss\":{\"current_bytes\":" << current_rss_bytes()
       << ",\"peak_bytes\":" << peak_rss_bytes() << "}";
-  out << ",\"hw\":";
-  write_hw_values_json(out, HwCounterSet::global().read());
   out << ",\"metrics\":";
   metrics().write_json(out);
   out << "}";

@@ -1,17 +1,16 @@
 // Run reports: one versioned JSON document per run that makes any two runs
 // comparable — manifest (git sha, build type/flags, CPU, thread budget),
-// per-stage wall times with hardware-counter deltas and RSS, and the final
-// metrics-registry snapshot.
+// per-stage wall and CPU times with RSS, and the final metrics-registry
+// snapshot.
 //
 // Three pieces:
 //   * RunManifest / collect_manifest() — the configure-time build facts
 //     (generated obs/build_info.h) joined with runtime host facts
 //     (/proc/cpuinfo model, logical cores, hostname).
 //   * RunRecorder + StageScope — engines wrap each stage (cliques /
-//     percolate / tree) in a StageScope; the scope always exports the
-//     hw-counter delta to the registry (`hw_*_total`) and, when a recorder
-//     is enabled (--report-out), appends a StageSample. Like the Tracer,
-//     the recorder is a process-global so stage producers need no plumbing.
+//     percolate / tree) in a StageScope; when a recorder is enabled
+//     (--report-out), the scope appends a StageSample. Like the Tracer, the
+//     recorder is a process-global so stage producers need no plumbing.
 //   * write_run_report() — serializes everything as schema-versioned JSON
 //     (`kcc_run_report_version`), and parse_json_flat() reads any such
 //     document back as dotted-path → value maps (the kcc_bench --compare
@@ -28,13 +27,11 @@
 #include <string>
 #include <vector>
 
-#include "obs/perf_counters.h"
-
 namespace kcc::obs {
 
 /// Schema version written into every run report / bench report. Bump when a
 /// field changes meaning; readers reject documents with a newer version.
-constexpr int kRunReportVersion = 1;
+constexpr int kRunReportVersion = 2;
 
 /// Everything needed to attribute a measurement to a build + host + config.
 struct RunManifest {
@@ -48,7 +45,6 @@ struct RunManifest {
   std::string cpu_model;   // /proc/cpuinfo "model name" ("" elsewhere)
   std::size_t cpu_logical_cores = 0;
   std::string hostname;
-  std::string hw_counters;  // "available" or the disabled reason
 };
 
 /// Fills a manifest from build_info.h + the running host.
@@ -57,11 +53,11 @@ RunManifest collect_manifest(const std::string& tool);
 /// Writes the manifest as one JSON object (no trailing newline).
 void write_manifest_json(std::ostream& out, const RunManifest& manifest);
 
-/// One instrumented stage: wall clock, hw-counter delta, RSS after.
+/// One instrumented stage: wall clock, process CPU time, RSS after.
 struct StageSample {
   std::string name;
   double wall_seconds = 0.0;
-  HwCounterValues hw;
+  double cpu_seconds = 0.0;  // user + system, summed over all threads
   std::uint64_t rss_after_bytes = 0;
 };
 
@@ -102,10 +98,9 @@ class RunRecorder {
 /// unconditionally.
 void annotate_run(const std::string& key, std::string value);
 
-/// RAII stage instrumentation. On destruction: adds the hw-counter delta to
-/// the `hw_*_total` registry counters (when counters are live) and appends a
-/// StageSample to the RunRecorder (when enabled). Cheap when both are off:
-/// two flag loads and one clock read.
+/// RAII stage instrumentation. On destruction, appends a StageSample to the
+/// RunRecorder when it was enabled at construction. The clocks are read only
+/// then, so a scope with the recorder off costs one relaxed flag load.
 class StageScope {
  public:
   explicit StageScope(const char* name);
@@ -116,14 +111,13 @@ class StageScope {
 
  private:
   const char* name_;
-  double start_seconds_;
-  HwCounterValues start_;
-  bool hw_live_;
   bool recording_;
+  double start_seconds_ = 0.0;
+  double start_cpu_seconds_ = 0.0;
 };
 
 /// Serializes the full run report: manifest, recorded stages, RSS
-/// (current + peak), hw availability, and the metrics-registry snapshot.
+/// (current + peak), and the metrics-registry snapshot.
 void write_run_report(std::ostream& out, const RunManifest& manifest);
 
 /// write_run_report to `path` ("-" = stdout). Throws kcc::Error on I/O

@@ -241,7 +241,8 @@ TEST(EngineOptions, CliqueBackendDigestInvariantAcrossEngines) {
 // when a tree is built — including the sweep-style engines, whose tree comes
 // out of the level loop. kcc_bench's stage columns read these samples, so
 // the percolate stage must take measurable time and the stage walls must fit
-// inside the run.
+// inside the run. The incremental engine's three `percolate` stages
+// (bootstrap and batch, result preparation, sweep tail) must not nest.
 TEST(EngineOptions, RunReportRecordsTheTreeStageLast) {
   const Graph g = testing::random_graph(40, 0.25, 7);
   obs::RunRecorder& recorder = obs::RunRecorder::instance();
@@ -277,6 +278,11 @@ TEST(EngineOptions, RunReportRecordsTheTreeStageLast) {
           << tag;
       if (build_tree) {
         EXPECT_EQ(names.back(), "tree") << tag;
+      }
+      if (info.name == "incremental" && build_tree) {
+        EXPECT_EQ(names, (std::vector<std::string>{"percolate", "percolate",
+                                                   "percolate", "tree"}))
+            << tag;
       }
       EXPECT_EQ(result.has_tree, build_tree) << tag;
     }

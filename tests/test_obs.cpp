@@ -530,7 +530,7 @@ TEST(ObsPipelineSmoke, InstrumentationFiresEndToEnd) {
   EXPECT_GE(span_count["clique/parallel_enumerate"], 1);
   EXPECT_GE(span_count["cpm/overlap_join"], 1);
   // The pipeline runs the sweep engine: one snapshot span per emitted k >= 3,
-  // plus the k=2 component pass and the in-pass tree assembly.
+  // plus the k=2 component pass and the tree build.
   for (const char* stage :
        {"cpm_engine/sweep", "sweep_cpm/clique_overlaps", "sweep_cpm/sweep",
         "sweep_cpm/percolate_k2", "sweep_cpm/tree"}) {

@@ -1,10 +1,8 @@
-// Run reports and hardware counters: manifest collection, StageScope /
-// RunRecorder capture, run-report JSON round-tripped through the flat
-// parser, the KCC_HW_COUNTERS=off fallback, histogram quantiles, and the
-// tracer's span-overflow drop counter.
+// Run reports: manifest collection, StageScope / RunRecorder capture of
+// wall and CPU time, run-report JSON round-tripped through the flat parser,
+// histogram quantiles, and the tracer's span-overflow drop counter.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,7 +54,6 @@ TEST(RunManifest, CollectsBuildAndHostFacts) {
   EXPECT_FALSE(m.build_type.empty());
   EXPECT_FALSE(m.compiler.empty());
   EXPECT_GT(m.cpu_logical_cores, 0u);
-  EXPECT_FALSE(m.hw_counters.empty());
 
   std::ostringstream out;
   obs::write_manifest_json(out, m);
@@ -65,44 +62,6 @@ TEST(RunManifest, CollectsBuildAndHostFacts) {
   EXPECT_EQ(doc.string("git_sha"), m.git_sha);
   EXPECT_DOUBLE_EQ(doc.number("cpu_logical_cores"),
                    static_cast<double>(m.cpu_logical_cores));
-}
-
-// ------------------------------------------------- hw counters + fallback
-
-TEST(HwCounterSet, EnvOverrideDisablesCountersButStaysValid) {
-  // The env override is read at construction, so a locally constructed set
-  // observes it regardless of what the process-global one decided.
-  ASSERT_EQ(setenv("KCC_HW_COUNTERS", "off", 1), 0);
-  {
-    obs::HwCounterSet counters;
-    EXPECT_FALSE(counters.available());
-    EXPECT_EQ(counters.disabled_reason(), "KCC_HW_COUNTERS=off");
-    EXPECT_EQ(counters.status(), "KCC_HW_COUNTERS=off");
-    const obs::HwCounterValues v = counters.read();
-    EXPECT_FALSE(v.available);
-    EXPECT_EQ(v.cycles, 0u);
-    EXPECT_EQ(v.instructions, 0u);
-    EXPECT_EQ(v.task_clock_ns, 0u);
-  }
-  ASSERT_EQ(unsetenv("KCC_HW_COUNTERS"), 0);
-}
-
-TEST(HwCounterSet, ValuesSubtractFieldwise) {
-  obs::HwCounterValues a;
-  a.available = true;
-  a.cycles = 100;
-  a.instructions = 200;
-  a.branch_misses = 30;
-  a.cache_misses = 40;
-  a.task_clock_ns = 5000;
-  obs::HwCounterValues b = a;
-  b.cycles = 150;
-  b.instructions = 260;
-  const obs::HwCounterValues d = b - a;
-  EXPECT_TRUE(d.available);
-  EXPECT_EQ(d.cycles, 50u);
-  EXPECT_EQ(d.instructions, 60u);
-  EXPECT_EQ(d.branch_misses, 0u);
 }
 
 // --------------------------------------------- recorder + report document
@@ -128,6 +87,24 @@ TEST(RunRecorder, StageScopeRecordsOnlyWhenEnabled) {
   recorder.clear();
 }
 
+TEST(RunRecorder, StageScopeRecordsProcessCpuTime) {
+  obs::RunRecorder& recorder = obs::RunRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  {
+    obs::StageScope scope("busy");
+    const double start = obs::process_cpu_seconds();
+    while (obs::process_cpu_seconds() - start < 0.01) {
+    }
+  }
+  recorder.set_enabled(false);
+  const std::vector<obs::StageSample> stages = recorder.stages();
+  ASSERT_EQ(stages.size(), 1u);
+  EXPECT_GE(stages[0].cpu_seconds, 0.01);
+  EXPECT_GE(stages[0].wall_seconds, 0.0);
+  recorder.clear();
+}
+
 TEST(RunReport, RoundTripsThroughFlatParser) {
   obs::RunRecorder& recorder = obs::RunRecorder::instance();
   recorder.clear();
@@ -145,12 +122,9 @@ TEST(RunReport, RoundTripsThroughFlatParser) {
   EXPECT_EQ(doc.string("stages.0.name"), "stage_a");
   EXPECT_EQ(doc.string("stages.1.name"), "stage_b");
   EXPECT_TRUE(doc.has_number("stages.0.wall_seconds"));
-  EXPECT_TRUE(doc.has_number("stages.0.hw.cycles"));
+  EXPECT_TRUE(doc.has_number("stages.0.cpu_seconds"));
   EXPECT_TRUE(doc.has_number("rss.peak_bytes"));
   EXPECT_GT(doc.number("rss.peak_bytes"), 0.0);
-  // The hw block states availability either way; with counters off the
-  // report is still complete (satellite: graceful degradation).
-  EXPECT_TRUE(doc.has_number("hw.available"));
   // The metrics snapshot rides along.
   EXPECT_TRUE(doc.has_number("metrics.gauges.process_peak_rss_bytes.value"));
   recorder.clear();

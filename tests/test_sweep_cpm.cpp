@@ -1,6 +1,6 @@
 // The single-sweep engine against the per-k oracle: set-identical
 // communities for every k on a spread of graph families and seeds, the
-// nesting invariant of the in-pass community tree, and the cpm::Engine
+// nesting invariant of the sweep's community tree, and the cpm::Engine
 // facade that fronts the engines.
 #include <gtest/gtest.h>
 
@@ -57,7 +57,7 @@ void check_graph(const Graph& g, const std::string& label,
   if (sweep.cpm.max_k < sweep.cpm.min_k) return;  // nothing to arrange
   expect_nesting(sweep.cpm, sweep.tree, label);
 
-  // from_levels (in-pass) must agree with the post-hoc construction.
+  // The sweep's tree must agree with the one built from the per-k oracle.
   expect_same_tree(CommunityTree::build(oracle), sweep.tree, label);
 }
 

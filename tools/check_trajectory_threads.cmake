@@ -1,8 +1,9 @@
 # Fails unless the last line of a kcc_bench --trajectory file carries a
 # "threads" field holding a worker count >= 1, and every config in it has
-# percolate_ms > 0 and tree_ms > 0. The stage columns are summed from the
-# run recorder's stage samples in each forked repetition, so a recorder
-# left disabled there would write silent zeros. Used by the
+# percolate_ms > 0, tree_ms > 0 and cpu_ms > 0. The stage columns are summed
+# from the run recorder's stage samples in each forked repetition, so a
+# recorder left disabled there would write silent zeros, and cpu_ms is the
+# child's CPU-clock delta around the engine run. Used by the
 # kcc_bench_trajectory_threads ctest:
 #
 #   cmake -DTRAJECTORY=path/to/trajectory.jsonl -P check_trajectory_threads.cmake
@@ -23,7 +24,7 @@ if(NOT configs)
   message(FATAL_ERROR "last trajectory row holds no config:\n${last}")
 endif()
 foreach(config IN LISTS configs)
-  foreach(stage percolate_ms tree_ms)
+  foreach(stage percolate_ms tree_ms cpu_ms)
     if(NOT config MATCHES "\"${stage}\":([0-9.eE+-]+)[,}]")
       message(FATAL_ERROR "trajectory config has no ${stage}:\n${config}")
     endif()

@@ -9,8 +9,8 @@
 //       Extract k-clique communities from an edge list; print a summary and
 //       optionally save the result (io/result_io format).
 //   kcc tree --edges=FILE [--dot=FILE] [--min-k-shown=6]
-//       Build and print the community tree (emitted by the sweep engine in
-//       the same pass as the communities); optionally export DOT.
+//       Build and print the community tree (returned by the engine with the
+//       communities); optionally export DOT.
 //   kcc analyze --edges=FILE --ixps=FILE --countries=FILE --geo=FILE
 //       Full paper analysis over on-disk datasets.
 //   kcc info --edges=FILE

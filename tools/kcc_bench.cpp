@@ -2,7 +2,7 @@
 //
 // Runs an engine × clique-backend matrix over a synthetic ecosystem with N
 // repetitions each (every repetition in a forked child so peak-RSS deltas
-// and hw-counter windows are clean), reports median + MAD noise bands per
+// and CPU-time windows are clean), reports median + MAD noise bands per
 // metric, writes a versioned run-report JSON, optionally appends one line
 // to a bench/trajectory/ history file, and — with --compare — gates the
 // run against a baseline report, exiting nonzero on statistically
@@ -209,15 +209,14 @@ struct RepSample {
   double cliques_ms = 0.0;
   double percolate_ms = 0.0;
   double tree_ms = 0.0;
+  double cpu_ms = 0.0;  // process CPU time, all threads
   std::uint64_t peak_rss_bytes = 0;  // VmHWM growth during the run
   std::uint64_t digest = 0;
   std::uint64_t communities = 0;
-  int hw_available = 0;
-  obs::HwCounterValues hw;
 };
 
 // One engine run in a fresh child: VmHWM is monotonic per process, and the
-// hw-counter window must not include sibling repetitions.
+// CPU-time window must not include sibling repetitions.
 RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
                            std::size_t threads) {
   int fds[2];
@@ -238,22 +237,17 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
       options.engine = config.engine;
       options.clique_backend = config.backend;
       options.threads = threads;
-      // A fresh set owned by this child: counts inherited from the parent's
-      // set do not aggregate into a forked child's live reads, so events
-      // must attach to the child task itself (inherit=1 then covers the
-      // thread-pool workers the engine spawns below).
-      const obs::HwCounterSet counters;
       // The stage columns are the run-report stages. A forked child starts
       // with a copy of the parent's recorder, so start it empty.
       obs::RunRecorder& recorder = obs::RunRecorder::instance();
       recorder.clear();
       recorder.set_enabled(true);
       const std::uint64_t rss_baseline = obs::peak_rss_bytes();
-      const obs::HwCounterValues hw_start = counters.read();
+      const double cpu_start = obs::process_cpu_seconds();
       Timer timer;
       cpm::Result result = cpm::Engine(options).run(g);
       const double wall_ms = timer.seconds() * 1e3;
-      const obs::HwCounterValues hw = counters.read() - hw_start;
+      const double cpu_ms = (obs::process_cpu_seconds() - cpu_start) * 1e3;
       const std::uint64_t peak_delta = obs::peak_rss_bytes() - rss_baseline;
       // Summed by name: the incremental engine records `percolate` twice.
       std::map<std::string, double> stage_ms;
@@ -268,12 +262,9 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
       std::ostringstream line;
       line << wall_ms << ' ' << stage_ms["cliques"] << ' '
            << stage_ms["percolate"] << ' ' << stage_ms["tree"] << ' '
-           << peak_delta << ' '
+           << cpu_ms << ' ' << peak_delta << ' '
            << cpm::canonical_digest(result) << ' '
-           << result.cpm.total_communities() << ' '
-           << (hw.available ? 1 : 0) << ' ' << hw.cycles << ' '
-           << hw.instructions << ' ' << hw.branch_misses << ' '
-           << hw.cache_misses << ' ' << hw.task_clock_ns << '\n';
+           << result.cpm.total_communities() << '\n';
       text = line.str();
       exit_code = 0;
     } catch (const std::exception& e) {
@@ -300,14 +291,9 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
     return sample;
   }
   std::istringstream fields(text);
-  std::uint64_t task_clock_ns = 0;
   fields >> sample.wall_ms >> sample.cliques_ms >> sample.percolate_ms >>
-      sample.tree_ms >> sample.peak_rss_bytes >> sample.digest >>
-      sample.communities >> sample.hw_available >> sample.hw.cycles >>
-      sample.hw.instructions >> sample.hw.branch_misses >>
-      sample.hw.cache_misses >> task_clock_ns;
-  sample.hw.task_clock_ns = task_clock_ns;
-  sample.hw.available = sample.hw_available != 0;
+      sample.tree_ms >> sample.cpu_ms >> sample.peak_rss_bytes >>
+      sample.digest >> sample.communities;
   sample.ok = !fields.fail();
   return sample;
 }
@@ -343,7 +329,6 @@ struct ConfigResult {
   BenchConfig config;
   std::uint64_t digest = 0;
   std::uint64_t communities = 0;
-  bool hw_available = false;
   // Insertion-ordered (metric name, stats): wall_ms, cliques_ms, ...
   std::vector<std::pair<std::string, Stat>> metrics;
 
@@ -407,7 +392,6 @@ void write_report(std::ostream& out, const DriverOptions& o,
         << "\"";
     out << ",\"digest\":\"" << digest_hex(r.digest) << "\"";
     out << ",\"communities\":" << r.communities;
-    out << ",\"hw_available\":" << (r.hw_available ? "true" : "false");
     out << ",\"metrics\":{";
     for (std::size_t m = 0; m < r.metrics.size(); ++m) {
       if (m > 0) out << ",";
@@ -464,8 +448,6 @@ int run_matrix(const DriverOptions& o, std::vector<ConfigResult>& results,
             << graph.num_edges() << " edges; reference-capped graph "
             << tiny.num_nodes() << " nodes / " << tiny.num_edges()
             << " edges\n";
-  std::cout << "kcc_bench: hw counters: "
-            << obs::HwCounterSet::global().status() << "\n";
 
   const std::vector<BenchConfig> matrix = build_matrix(o);
   for (const BenchConfig& config : matrix) {
@@ -491,7 +473,6 @@ int run_matrix(const DriverOptions& o, std::vector<ConfigResult>& results,
                   << "nondeterministic\n";
         return 2;
       }
-      result.hw_available = result.hw_available || sample.hw.available;
       samples.push_back(std::move(sample));
     }
 
@@ -515,28 +496,8 @@ int run_matrix(const DriverOptions& o, std::vector<ConfigResult>& results,
         "peak_rss_bytes", collect([](const RepSample& s) {
           return static_cast<double>(s.peak_rss_bytes);
         }));
-    if (result.hw_available) {
-      result.metrics.emplace_back(
-          "hw_cycles", collect([](const RepSample& s) {
-            return static_cast<double>(s.hw.cycles);
-          }));
-      result.metrics.emplace_back(
-          "hw_instructions", collect([](const RepSample& s) {
-            return static_cast<double>(s.hw.instructions);
-          }));
-      result.metrics.emplace_back(
-          "hw_branch_misses", collect([](const RepSample& s) {
-            return static_cast<double>(s.hw.branch_misses);
-          }));
-      result.metrics.emplace_back(
-          "hw_cache_misses", collect([](const RepSample& s) {
-            return static_cast<double>(s.hw.cache_misses);
-          }));
-      result.metrics.emplace_back(
-          "hw_task_clock_ms", collect([](const RepSample& s) {
-            return static_cast<double>(s.hw.task_clock_ns) / 1e6;
-          }));
-    }
+    result.metrics.emplace_back(
+        "cpu_ms", collect([](const RepSample& s) { return s.cpu_ms; }));
 
     const Stat* wall = result.find("wall_ms");
     const Stat* rss = result.find("peak_rss_bytes");
