@@ -61,13 +61,16 @@ IncrementalCpm::IncrementalCpm(const Graph& g, Options options)
   }
   num_edges_ = g.num_edges();
 
-  alive_.assign(cliques_.size(), 1);
-  alive_count_ = cliques_.size();
   gen_.assign(cliques_.size(), 0);
   cliques_of_node_.assign(adjacency_.size(), {});
   for (CliqueId c = 0; c < cliques_.size(); ++c) {
     for (NodeId x : cliques_[c]) cliques_of_node_[x].push_back({c, 0});
   }
+  order_.reserve(cliques_.size());
+  for (CliqueId c = 0; c < cliques_.size(); ++c) order_.push_back({c, 0});
+  std::sort(order_.begin(), order_.end(), [&](CliqueRef a, CliqueRef b) {
+    return cliques_[a.clique] < cliques_[b.clique];
+  });
   overlaps_.assign(cliques_.size(), {});
   for_each_clique_overlaps(cliques_, adjacency_.size(), kMinLinkOverlap,
                            [&](std::span<const CliqueOverlap> pairs) {
@@ -160,6 +163,7 @@ void IncrementalCpm::apply(const EdgeBatch& batch) {
     const auto [u, v] = canon(e);
     add_edge(u, v);
   }
+  merge_newborns();
   compact_if_needed();
   ++batches_applied_;
   obs::metrics().counter("cpm_incr_batches_total").inc(1);
@@ -379,7 +383,6 @@ CliqueId IncrementalCpm::new_slot() {
   } else {
     c = static_cast<CliqueId>(cliques_.size());
     cliques_.emplace_back();
-    alive_.push_back(0);
     gen_.push_back(0);
     overlaps_.emplace_back();
   }
@@ -394,9 +397,8 @@ void IncrementalCpm::link(CliqueId c, CliqueId d, std::uint32_t shared) {
 
 void IncrementalCpm::index_clique(CliqueId c, NodeSet nodes) {
   for (NodeId x : nodes) cliques_of_node_[x].push_back({c, gen_[c]});
+  born_.push_back({c, gen_[c]});
   cliques_[c] = std::move(nodes);
-  alive_[c] = 1;
-  ++alive_count_;
   ++cliques_created_;
 }
 
@@ -448,11 +450,27 @@ std::vector<IncrementalCpm::OverlapEntry> IncrementalCpm::retire_clique(
   overlaps_[c].clear();
   cliques_[c].clear();
   ++gen_[c];
-  alive_[c] = 0;
   free_slots_.push_back(c);
-  --alive_count_;
   ++cliques_retired_;
   return overlaps;
+}
+
+void IncrementalCpm::merge_newborns() {
+  // Every clique retired this batch left a stale ref in one of the two
+  // lists; the generation check drops it, also where a newborn reused the
+  // slot or the clique was born and retired within the batch.
+  const auto stale = [&](CliqueRef e) { return !valid(e); };
+  std::erase_if(order_, stale);
+  std::erase_if(born_, stale);
+  const auto lex = [&](CliqueRef a, CliqueRef b) {
+    return cliques_[a.clique] < cliques_[b.clique];
+  };
+  std::sort(born_.begin(), born_.end(), lex);
+  const auto kept = static_cast<std::ptrdiff_t>(order_.size());
+  order_.insert(order_.end(), born_.begin(), born_.end());
+  std::inplace_merge(order_.begin(), order_.begin() + kept, order_.end(),
+                     lex);
+  born_.clear();
 }
 
 void IncrementalCpm::compact_if_needed() {
@@ -494,49 +512,45 @@ Graph IncrementalCpm::graph() const {
 
 Result IncrementalCpm::result() const {
   KCC_SPAN("incr_cpm/materialize");
-  // Rebuilding the graph, table and pair list is a `percolate` stage of its
-  // own, closed before the sweep tail opens its own: nesting two stages of
-  // one name would count this time twice.
+  // Rebuilding the graph and copying the table is a `percolate` stage of
+  // its own, closed before the sweep tail opens its own: nesting two stages
+  // of one name would count this time twice.
   std::optional<obs::StageScope> prepare_stage(std::in_place, "percolate");
   const Graph g = graph();
 
-  // Alive slots above the clique floor, in lexicographic order — the one
-  // table order churn can reproduce deterministically (see
-  // EngineCaps::canonical_clique_order).
-  std::vector<CliqueId> kept;
-  kept.reserve(alive_count_);
-  for (CliqueId c = 0; c < cliques_.size(); ++c) {
-    if (alive_[c] != 0 && cliques_[c].size() >= options_.min_clique_size) {
-      kept.push_back(c);
-    }
-  }
-  std::sort(kept.begin(), kept.end(), [&](CliqueId a, CliqueId b) {
-    return cliques_[a] < cliques_[b];
-  });
-  std::vector<CliqueId> new_id(cliques_.size(), 0);
-  std::vector<char> is_kept(cliques_.size(), 0);
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    new_id[kept[i]] = static_cast<CliqueId>(i);
-    is_kept[kept[i]] = 1;
-  }
+  // The table: alive cliques above the clique floor in the kept
+  // lexicographic order, the one table order churn can reproduce
+  // deterministically (see EngineCaps::canonical_clique_order). id_of maps
+  // a slot to its table id, kNotKept for dead and filtered slots.
+  constexpr CliqueId kNotKept = std::numeric_limits<CliqueId>::max();
+  std::vector<CliqueId> id_of(cliques_.size(), kNotKept);
   std::vector<NodeSet> table;
-  table.reserve(kept.size());
-  for (CliqueId c : kept) table.push_back(cliques_[c]);
-
-  std::vector<CliqueOverlap> pairs;
-  for (std::size_t i = 0; i < kept.size(); ++i) {
-    for (const OverlapEntry& e : overlaps_[kept[i]]) {
-      if (!valid(e) || is_kept[e.clique] == 0) continue;
-      const CliqueId j = new_id[e.clique];
-      if (static_cast<CliqueId>(i) < j) {
-        pairs.push_back({static_cast<CliqueId>(i), j, e.overlap});
+  table.reserve(order_.size());
+  for (const CliqueRef e : order_) {
+    const NodeSet& q = cliques_[e.clique];
+    if (q.size() < options_.min_clique_size) continue;
+    id_of[e.clique] = static_cast<CliqueId>(table.size());
+    table.push_back(q);
+  }
+  // The pairs go from the live overlap lists straight into the sweep's
+  // buckets. Slots are walked in ascending order and each symmetric pair
+  // is taken once, from its lower slot's list, before any lookup touches
+  // the other clique.
+  const OverlapSource pairs = [&](std::size_t min_overlap, OverlapSink& sink) {
+    for (CliqueId c = 0; c < overlaps_.size(); ++c) {
+      const CliqueId a = id_of[c];
+      if (a == kNotKept) continue;
+      for (const OverlapEntry& e : overlaps_[c]) {
+        if (e.clique < c || e.overlap < min_overlap || !valid(e)) continue;
+        const CliqueId b = id_of[e.clique];
+        if (b != kNotKept) sink.add(a, b, e.overlap);
       }
     }
-  }
+  };
 
   prepare_stage.reset();
   SweepCpmResult sweep =
-      run_sweep_cpm_prejoined(g, std::move(table), std::move(pairs),
+      run_sweep_cpm_prejoined(g, std::move(table), pairs,
                               options_.cpm_options(), options_.build_tree);
   Result result;
   result.cpm = std::move(sweep.cpm);

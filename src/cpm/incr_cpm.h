@@ -40,13 +40,19 @@
 // instead of O(sum of neighbor lists), which is the difference between
 // milliseconds and minutes when an edge removal inside the dense AS core
 // retires thousands of mutually-overlapping cliques at once.
-// Materialization then re-enters
-// the sweep engine over the maintained table + pairs
-// (run_sweep_cpm_prejoined) — the communities, ids, maps and tree are
-// produced by literally the same code as a from-scratch sweep, so
-// exactness reduces to the clique/overlap maintenance above. The
-// check::churn_differential harness re-proves the digest identity against
-// a from-scratch run after every batch of every fuzzed schedule.
+//
+// Materialization then re-enters the sweep engine over the maintained
+// table + pairs (run_sweep_cpm_prejoined) — the communities, ids, maps and
+// tree are produced by literally the same code as a from-scratch sweep, so
+// exactness reduces to the clique/overlap maintenance above. It re-derives
+// nothing a batch left unchanged: the alive cliques are kept in
+// lexicographic order across batches (sorted once at bootstrap; a batch
+// sorts only its newborns and merges them in), the overlap lists are the
+// sweep's pair source (walked straight into its buckets, no flat pair
+// copy), and each level is emitted from the distinct nodes of its
+// communities' cliques. The check::churn_differential harness re-proves
+// the digest identity against a from-scratch run after every batch of
+// every fuzzed schedule.
 //
 // One serialization caveat: the table is emitted in lexicographic order
 // (churn cannot preserve enumeration order), so digest comparisons against
@@ -98,15 +104,17 @@ class IncrementalCpm {
   explicit IncrementalCpm(const Graph& g, Options options = {});
 
   /// Applies one edge batch: removes first, then adds, each patching the
-  /// clique table, per-node index and overlap multiset locally. Throws
+  /// clique table, per-node index and overlap multiset locally, then
+  /// merges the batch's new cliques into the kept order. Throws
   /// kcc::Error on an invalid batch (see EdgeBatch) with the state
   /// untouched.
   void apply(const EdgeBatch& batch);
 
   /// Materializes the Result for the current graph by running the sweep
-  /// tail (run_sweep_cpm_prejoined) over the maintained clique table and
-  /// overlap multiset, clique table in lexicographic order. The table and
-  /// pair preparation and the sweep tail are two `percolate` run-report
+  /// tail (run_sweep_cpm_prejoined) over the maintained clique table, in
+  /// the lexicographic order kept across batches (no sort here), with the
+  /// overlap lists as its pair source (no flat pair vector). The graph and
+  /// table preparation and the sweep tail are two `percolate` run-report
   /// stages (obs::StageScope); the tree step is the `tree` stage.
   Result result() const;
 
@@ -118,7 +126,7 @@ class IncrementalCpm {
   std::size_t num_edges() const { return num_edges_; }
   /// Maintained maximal cliques of size >= 2 (before the min_clique_size
   /// materialization filter).
-  std::size_t num_cliques() const { return alive_count_; }
+  std::size_t num_cliques() const { return order_.size(); }
   std::uint64_t batches_applied() const { return batches_applied_; }
 
  private:
@@ -156,6 +164,9 @@ class IncrementalCpm {
   bool valid(const OverlapEntry& e) const { return gen_[e.clique] == e.gen; }
   /// Retires clique slot `c` and hands back its overlap list.
   std::vector<OverlapEntry> retire_clique(CliqueId c);
+  /// End of a batch: drops the stale refs from order_ and born_, sorts the
+  /// newborns and merges them into order_.
+  void merge_newborns();
   /// Rebuilds every node/overlap list without its stale entries once the
   /// stale fraction crosses 1/2 (amortized O(1) per staleness created).
   void compact_if_needed();
@@ -165,12 +176,17 @@ class IncrementalCpm {
   std::size_t num_edges_ = 0;
 
   // Slotted clique table: retired slots go to the free list and are reused
-  // by later inserts; `alive_` masks them out everywhere else.
+  // by later inserts; order_ lists the alive ones.
   std::vector<NodeSet> cliques_;
-  std::vector<char> alive_;
   std::vector<CliqueId> free_slots_;
-  std::size_t alive_count_ = 0;
   std::vector<std::uint32_t> gen_;  // bumped per retire; see CliqueRef
+
+  /// The alive cliques in lexicographic order of their node sets: sorted
+  /// once at bootstrap and kept across batches by merge_newborns(), so
+  /// materialization never sorts the table.
+  std::vector<CliqueRef> order_;
+  /// Cliques indexed during the current batch, some retired again since.
+  std::vector<CliqueRef> born_;
 
   std::vector<std::vector<CliqueRef>> cliques_of_node_;  // unsorted
   /// overlaps_[c] = (d, |c ∩ d|) for every alive d sharing >= 3 nodes with

@@ -35,11 +35,16 @@ CpmMetrics& cpm_metrics() {
 // Groups the live cliques by union-find root into level k, node sets
 // materialized from `cliques`. `live` is ascending, so every community's
 // clique ids are too. The root -> community-slot map is epoch-stamped, so
-// a snapshot is O(|live|) with no per-level clearing.
+// a snapshot is O(|live|) with no per-level clearing. A community's node
+// set is the distinct nodes of its cliques: a per-node stamp (one epoch per
+// community) drops the repeats as they are gathered, so only the distinct
+// nodes are sorted, not the clique-node multiset, which in the dense core
+// is many times larger.
 class Snapshotter {
  public:
-  explicit Snapshotter(std::size_t num_cliques)
-      : stamp_(num_cliques, 0), slot_(num_cliques, 0) {}
+  Snapshotter(std::size_t num_cliques, std::size_t num_nodes)
+      : stamp_(num_cliques, 0), slot_(num_cliques, 0),
+        node_stamp_(num_nodes, 0) {}
 
   CommunitySet snapshot(std::size_t k, UnionFind& uf,
                         const std::vector<CliqueId>& live,
@@ -59,11 +64,16 @@ class Snapshotter {
       set.communities[slot_[root]].clique_ids.push_back(c);
     }
     for (Community& community : set.communities) {
+      const std::uint64_t mark = ++node_epoch_;
       for (CliqueId c : community.clique_ids) {
-        community.nodes.insert(community.nodes.end(), cliques[c].begin(),
-                               cliques[c].end());
+        for (NodeId x : cliques[c]) {
+          if (node_stamp_[x] != mark) {
+            node_stamp_[x] = mark;
+            community.nodes.push_back(x);
+          }
+        }
       }
-      sort_unique(community.nodes);
+      std::sort(community.nodes.begin(), community.nodes.end());
     }
     canonicalise(set, cliques.size());
     return set;
@@ -73,6 +83,8 @@ class Snapshotter {
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> slot_;
   std::uint32_t epoch_ = 0;
+  std::vector<std::uint64_t> node_stamp_;
+  std::uint64_t node_epoch_ = 0;
 };
 
 }  // namespace
@@ -202,7 +214,7 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
 
     const obs::ScopedSpan sweep_span(prefix + "/sweep");
     UnionFind uf(num_cliques);
-    Snapshotter snapshotter(num_cliques);
+    Snapshotter snapshotter(num_cliques, g.num_nodes());
     std::vector<CliqueId> live;  // cliques of size >= k, ascending
     for (std::size_t k = max_size; k >= lowest; --k) {
       // Activate the cliques of size k; both ranges are ascending, so one

@@ -39,14 +39,22 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t bytes) {
   return hash;
 }
 
+// Appends `count` values as their raw (little-endian) bytes with one
+// resize and one copy.
+template <typename T>
+void append(std::vector<std::uint8_t>& out, const T* values,
+            std::size_t count) {
+  const std::size_t at = out.size();
+  out.resize(at + count * sizeof(T));
+  if (count > 0) std::memcpy(out.data() + at, values, count * sizeof(T));
+}
+
 void append_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+  append(out, &v, 1);
 }
 
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&v);
-  out.insert(out.end(), p, p + sizeof(v));
+  append(out, &v, 1);
 }
 
 std::size_t align8(std::size_t offset) { return (offset + 7) & ~std::size_t{7}; }
@@ -160,62 +168,64 @@ void write_snapshot(std::ostream& out, const cpm::Result& result,
     buf.assign(manifest.begin(), manifest.end());
   }
   {
-    auto& levels = section(kSectionLevels);
+    std::vector<std::uint64_t> levels;
+    levels.reserve(2 * data.by_k.size());
     std::uint64_t first = 0;
     for (const CommunitySet& set : data.by_k) {
-      append_u64(levels, first);
-      append_u64(levels, set.count());
+      levels.push_back(first);
+      levels.push_back(set.count());
       first += set.count();
     }
+    append(section(kSectionLevels), levels.data(), levels.size());
   }
   {
-    auto& offsets = section(kSectionCommNodeOffsets);
+    std::vector<std::uint64_t> offsets;
+    offsets.reserve(num_communities + 1);
     std::uint64_t total = 0;
-    append_u64(offsets, 0);
+    offsets.push_back(0);
     for (const CommunitySet& set : data.by_k) {
       for (const Community& community : set.communities) {
         total += community.nodes.size();
-        append_u64(offsets, total);
+        offsets.push_back(total);
       }
     }
-  }
-  {
+    append(section(kSectionCommNodeOffsets), offsets.data(), offsets.size());
     auto& nodes = section(kSectionCommNodes);
+    nodes.reserve(total * sizeof(NodeId));
     for (const CommunitySet& set : data.by_k) {
       for (const Community& community : set.communities) {
-        for (NodeId v : community.nodes) append_u32(nodes, v);
+        append(nodes, community.nodes.data(), community.nodes.size());
       }
     }
   }
   {
-    // Per-node postings, built by walking levels in (k asc, id asc) order so
-    // each node's list is already sorted the way queries want it.
-    std::vector<std::vector<Posting>> per_node(num_nodes);
+    // Per-node postings as one CSR: count each node's postings, prefix-sum
+    // the counts into the offsets, then fill by walking levels in (k asc,
+    // id asc) order so each node's list is already sorted the way queries
+    // want it.
+    std::vector<std::uint64_t> offsets(num_nodes + 1, 0);
+    for (const CommunitySet& set : data.by_k) {
+      for (const Community& community : set.communities) {
+        for (NodeId v : community.nodes) ++offsets[v + 1];
+      }
+    }
+    for (std::size_t v = 0; v < num_nodes; ++v) offsets[v + 1] += offsets[v];
+    std::vector<Posting> postings(offsets[num_nodes]);
+    std::vector<std::uint64_t> next(offsets.begin(), offsets.end() - 1);
     for (const CommunitySet& set : data.by_k) {
       for (const Community& community : set.communities) {
         for (NodeId v : community.nodes) {
-          per_node[v].push_back({static_cast<std::uint32_t>(set.k),
-                                 static_cast<std::uint32_t>(community.id)});
+          postings[next[v]++] = {static_cast<std::uint32_t>(set.k),
+                                 static_cast<std::uint32_t>(community.id)};
         }
       }
     }
-    auto& offsets = section(kSectionPostingOffsets);
-    std::uint64_t total = 0;
-    append_u64(offsets, 0);
-    for (const auto& list : per_node) {
-      total += list.size();
-      append_u64(offsets, total);
-    }
-    auto& postings = section(kSectionPostings);
-    for (const auto& list : per_node) {
-      for (const Posting& p : list) {
-        append_u32(postings, p.k);
-        append_u32(postings, p.community);
-      }
-    }
+    append(section(kSectionPostingOffsets), offsets.data(), offsets.size());
+    append(section(kSectionPostings), postings.data(), postings.size());
   }
   if (result.has_tree) {
-    auto& parents = section(kSectionTreeParents);
+    std::vector<std::uint32_t> parents;
+    parents.reserve(num_communities);
     for (const CommunitySet& set : data.by_k) {
       for (const Community& community : set.communities) {
         std::uint32_t parent = kNoParent;
@@ -228,19 +238,19 @@ void write_snapshot(std::ostream& out, const cpm::Result& result,
                   "write_snapshot: tree parent missing above min_k");
           parent = result.tree.nodes()[parent_index].community_id;
         }
-        append_u32(parents, parent);
+        parents.push_back(parent);
       }
     }
+    append(section(kSectionTreeParents), parents.data(), parents.size());
   }
 
   // Lay the sections out after the table, 8-byte aligned, and assemble the
   // payload (table + sections) so the digest can cover it in one pass.
   const std::size_t table_bytes = sections.size() * kSectionEntryBytes;
-  std::vector<std::uint8_t> payload;
-  for (const SectionBuf& s : sections) {
-    (void)s;
-    payload.resize(payload.size() + kSectionEntryBytes);
-  }
+  std::size_t end = kHeaderBytes + table_bytes;
+  for (const SectionBuf& s : sections) end = align8(end) + s.bytes.size();
+  std::vector<std::uint8_t> payload(table_bytes);
+  payload.reserve(end - kHeaderBytes);
   std::size_t offset = kHeaderBytes + table_bytes;
   for (std::size_t i = 0; i < sections.size(); ++i) {
     offset = align8(offset);

@@ -21,8 +21,9 @@ using testing::complete_graph;
 
 using TableEntry = CpmResult (*)(const Graph&, std::vector<NodeSet>);
 
-// The table entries cpm::Engine calls after enumeration, plus the
-// prejoined sweep entry the incremental engine materializes through.
+// The table entries cpm::Engine calls after enumeration, plus both
+// prejoined sweep entries: the flat pair vector and the pair source the
+// incremental engine materializes through.
 const std::vector<std::pair<std::string, TableEntry>>& table_entries() {
   static const std::vector<std::pair<std::string, TableEntry>> entries{
       {"run_sweep_cpm_on_cliques",
@@ -31,7 +32,15 @@ const std::vector<std::pair<std::string, TableEntry>>& table_entries() {
        }},
       {"run_sweep_cpm_prejoined",
        [](const Graph& g, std::vector<NodeSet> table) {
-         return run_sweep_cpm_prejoined(g, std::move(table), {}).cpm;
+         return run_sweep_cpm_prejoined(g, std::move(table),
+                                        std::vector<CliqueOverlap>{})
+             .cpm;
+       }},
+      {"run_sweep_cpm_prejoined (pair source)",
+       [](const Graph& g, std::vector<NodeSet> table) {
+         return run_sweep_cpm_prejoined(g, std::move(table),
+                                        [](std::size_t, OverlapSink&) {})
+             .cpm;
        }},
       {"run_cpm_on_cliques",
        [](const Graph& g, std::vector<NodeSet> table) {

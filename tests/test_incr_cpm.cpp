@@ -179,6 +179,52 @@ TEST(IncrCpm, BatchThenInverseRestoresDigest) {
   EXPECT_EQ(state.batches_applied(), 2u);
 }
 
+/// The table result() emits is the kept lexicographic order: strictly
+/// increasing (no stale repeat) and exactly the mirrored graph's maximal
+/// cliques.
+void expect_kept_order(const IncrementalCpm& state, const Mirror& mirror,
+                       const std::string& label) {
+  const std::vector<NodeSet> table = state.result().cpm.cliques;
+  for (std::size_t i = 1; i < table.size(); ++i) {
+    ASSERT_LT(table[i - 1], table[i]) << label << ": table row " << i;
+  }
+  std::vector<NodeSet> alive = testing::clique_table(mirror.build());
+  std::sort(alive.begin(), alive.end());
+  EXPECT_EQ(table, alive) << label;
+}
+
+TEST(IncrCpm, KeptCliqueOrderSurvivesSlotReuseAndShortLivedCliques) {
+  // The triangle {0, 1, 2} plus the edge (2, 3). Removing (0, 1) retires
+  // {0, 1, 2} and inserts its fragments {0, 2} and {1, 2}, the first into
+  // the slot just freed. Adding (0, 3) in the same batch absorbs the
+  // newborn {0, 2} and the old {2, 3} into {0, 2, 3}: a clique born and
+  // retired within one batch, whose freed slot is reused again.
+  const Graph g = Graph::from_edges(4, {{0, 1}, {0, 2}, {1, 2}, {2, 3}});
+  Mirror mirror(g);
+  IncrementalCpm state(g);
+  expect_kept_order(state, mirror, "bootstrap");
+  EdgeBatch batch;
+  batch.remove.emplace_back(0, 1);
+  batch.add.emplace_back(0, 3);
+  apply_and_check(state, mirror, batch, {}, "reuse");
+  expect_kept_order(state, mirror, "reuse");
+  apply_and_check(state, mirror, batch.inverse(), {}, "inverse");
+  expect_kept_order(state, mirror, "inverse");
+
+  // Mixed batches on a dense graph retire and create many cliques each.
+  const Graph dense = testing::random_graph(30, 0.35, 5);
+  Mirror dense_mirror(dense);
+  IncrementalCpm dense_state(dense);
+  Rng rng(9);
+  for (int b = 0; b < 6; ++b) {
+    EdgeBatch mixed = remove_batch(dense_mirror, 4, rng);
+    mixed.add = add_batch(dense_mirror, 4, rng).add;
+    const std::string label = "mixed batch " + std::to_string(b);
+    apply_and_check(dense_state, dense_mirror, mixed, {}, label);
+    expect_kept_order(dense_state, dense_mirror, label);
+  }
+}
+
 TEST(IncrCpm, LevelThreeOnlyLinksFollowChurn) {
   // Two K4s, A = {0..3} and B = {4..7}, with the edges (3, 4) and (2, 5)
   // between them. Adding (3, 5) creates the triangles {2, 3, 5} and

@@ -145,6 +145,56 @@ TEST(SweepCpm, PrejoinedPairsRunTheSameLoop) {
   EXPECT_EQ(joined.stats.pairs, prejoined.stats.pairs);
 }
 
+TEST(SweepCpm, EmitsTheDistinctNodesOfEachCommunitysCliques) {
+  // Dense random graphs: most nodes sit in many cliques of one community,
+  // so its clique-node multiset repeats them many times over.
+  for (std::uint64_t seed : {13u, 14u, 15u}) {
+    const Graph g = random_graph(24, 0.7, seed);
+    const std::vector<NodeSet> cliques = clique_table(g);
+    const SweepCpmResult sweep = run_sweep_cpm_on_cliques(g, cliques, {});
+    ASSERT_GE(sweep.cpm.max_k, 5u) << "seed " << seed;
+    for (std::size_t k = sweep.cpm.min_k; k <= sweep.cpm.max_k; ++k) {
+      for (const Community& community : sweep.cpm.at(k).communities) {
+        NodeSet nodes;
+        for (CliqueId c : community.clique_ids) {
+          nodes.insert(nodes.end(), cliques[c].begin(), cliques[c].end());
+        }
+        sort_unique(nodes);
+        EXPECT_EQ(community.nodes, nodes)
+            << "seed " << seed << " k=" << k << " community " << community.id;
+      }
+    }
+  }
+}
+
+TEST(SweepCpm, PairSourceAndFlatPairsGiveTheSameCanonicalText) {
+  const Graph g = random_graph(40, 0.45, 29);
+  const std::vector<NodeSet> cliques = clique_table(g);
+  const std::vector<CliqueOverlap> pairs =
+      joined_pairs(cliques, g.num_nodes(), 3);
+  const auto text = [](SweepCpmResult sweep) {
+    cpm::Result result;
+    result.cpm = std::move(sweep.cpm);
+    result.tree = std::move(sweep.tree);
+    result.has_tree = true;
+    result.engine_name = "sweep";
+    return cpm::canonical_text(result);
+  };
+  const std::string flat =
+      text(run_sweep_cpm_prejoined(g, cliques, pairs, {}));
+  // The source adds the pairs backwards, endpoints swapped.
+  const std::string sourced = text(run_sweep_cpm_prejoined(
+      g, cliques,
+      [&](std::size_t min_overlap, OverlapSink& sink) {
+        for (auto p = pairs.rbegin(); p != pairs.rend(); ++p) {
+          if (p->overlap >= min_overlap) sink.add(p->b, p->a, p->overlap);
+        }
+      },
+      {}));
+  EXPECT_EQ(flat, sourced);
+  EXPECT_EQ(flat, text(run_sweep_cpm_on_cliques(g, cliques, {})));
+}
+
 TEST(SweepCpm, StatsReportPairsAndPeak) {
   const Graph g = overlapping_cliques(6, 5, 3);
   const SweepCpmResult sweep = run_sweep_cpm_on_cliques(g, clique_table(g), {});

@@ -202,6 +202,16 @@ Graph tiny_reference_graph(std::uint64_t seed) {
 
 // ------------------------------------------------------- per-rep execution
 
+// K4: the smallest graph that reaches every engine step (levels k = 2..4,
+// an overlap pair, the tree).
+Graph warmup_graph() {
+  GraphBuilder b(4);
+  for (NodeId i = 0; i < 4; ++i) {
+    for (NodeId j = i + 1; j < 4; ++j) b.add_edge(i, j);
+  }
+  return b.build();
+}
+
 // Everything one forked repetition reports back through its pipe.
 struct RepSample {
   bool ok = false;
@@ -240,8 +250,13 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
       // The stage columns are the run-report stages. A forked child starts
       // with a copy of the parent's recorder, so start it empty.
       obs::RunRecorder& recorder = obs::RunRecorder::instance();
-      recorder.clear();
       recorder.set_enabled(true);
+      // The engine builds process-wide state on first use: registered
+      // metrics, function-local instrument structs, recorder storage. None
+      // of it belongs to one run's footprint, so a run on a 4-clique builds
+      // it before the VmHWM baseline is read.
+      cpm::Engine(options).run(warmup_graph());
+      recorder.clear();
       const std::uint64_t rss_baseline = obs::peak_rss_bytes();
       const double cpu_start = obs::process_cpu_seconds();
       Timer timer;
