@@ -1,7 +1,8 @@
 // Microbenchmarks: the graph substrate underneath everything — degeneracy
 // peeling (Bron–Kerbosch front end and the k-core baseline), connected
 // components (k=2 percolation fast path), triangle counting, edge tests,
-// and induced subgraphs (tag analysis).
+// induced subgraphs (tag analysis), and loading: CSR build and edge-list
+// parse.
 //
 // Special mode:
 //   perf_graph --verify-has-edge
@@ -14,6 +15,7 @@
 
 #include <cstring>
 #include <iostream>
+#include <sstream>
 
 #include "common/rng.h"
 #include "common/timer.h"
@@ -21,6 +23,7 @@
 #include "graph/degeneracy.h"
 #include "graph/graph_algorithms.h"
 #include "graph/subgraph.h"
+#include "io/edge_list.h"
 #include "synth/as_topology.h"
 
 namespace {
@@ -82,6 +85,28 @@ void BM_GraphBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphBuild);
+
+// The same graph as edge-list text, in shuffled line and endpoint order
+// with labels id + 1, as a topology file arrives.
+void BM_ReadEdgeList(benchmark::State& state) {
+  auto edges = ecosystem_graph().edges();
+  Rng rng(5);
+  rng.shuffle(edges);
+  std::ostringstream out;
+  for (const auto& [u, v] : edges) {
+    const bool flip = rng.next_bool(0.5);
+    out << (flip ? v : u) + 1 << ' ' << (flip ? u : v) + 1 << '\n';
+  }
+  const std::string text = out.str();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    const LabeledGraph g = read_edge_list(in);
+    benchmark::DoNotOptimize(g.graph.num_edges());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReadEdgeList);
 
 void BM_EcosystemGeneration(benchmark::State& state) {
   SynthParams params = SynthParams::test_scale();

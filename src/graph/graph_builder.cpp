@@ -18,34 +18,62 @@ void GraphBuilder::add_edge(NodeId u, NodeId v) {
   ensure_nodes(static_cast<std::size_t>(v) + 1);
 }
 
+// Two counting passes, no comparison sort: O(n + m).
 Graph GraphBuilder::build() {
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-
+  const std::size_t n = num_nodes_;
   Graph g;
-  g.offsets_.assign(num_nodes_ + 1, 0);
+  auto& offsets = g.offsets_;
+  auto& adjacency = g.adjacency_;
+  offsets.assign(n + 1, 0);
   for (const auto& [u, v] : edges_) {
-    ++g.offsets_[u + 1];
-    ++g.offsets_[v + 1];
+    ++offsets[u + 1];
+    ++offsets[v + 1];
   }
-  for (std::size_t i = 1; i <= num_nodes_; ++i) g.offsets_[i] += g.offsets_[i - 1];
+  for (std::size_t i = 1; i <= n; ++i) offsets[i] += offsets[i - 1];
 
-  g.adjacency_.resize(edges_.size() * 2);
-  std::vector<std::size_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+  // Pass 1: bucket the source of every arc by its destination.
+  std::vector<NodeId> sources(edges_.size() * 2);
+  std::vector<std::size_t> cursor(offsets.begin(), offsets.end() - 1);
   for (const auto& [u, v] : edges_) {
-    g.adjacency_[cursor[u]++] = v;
-    g.adjacency_[cursor[v]++] = u;
+    sources[cursor[v]++] = u;
+    sources[cursor[u]++] = v;
   }
-  // Edges were processed in (u, v)-sorted order, so each node's neighbour
-  // list of larger ids is sorted, but smaller-id neighbours interleave;
-  // sort each list to establish the invariant.
-  for (std::size_t v = 0; v < num_nodes_; ++v) {
-    std::sort(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v]),
-              g.adjacency_.begin() + static_cast<std::ptrdiff_t>(g.offsets_[v + 1]));
-  }
-
+  std::vector<std::pair<NodeId, NodeId>>().swap(edges_);
   num_nodes_ = 0;
-  edges_.clear();
+
+  // Pass 2: walk the destinations in ascending order, appending each to its
+  // source's list, so every list comes out sorted and a duplicate edge
+  // lands next to its twin, where it is skipped.
+  adjacency.resize(sources.size());
+  std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
+  for (std::size_t d = 0; d < n; ++d) {
+    const auto dest = static_cast<NodeId>(d);
+    for (std::size_t i = offsets[d]; i < offsets[d + 1]; ++i) {
+      const NodeId s = sources[i];
+      if (cursor[s] == offsets[s] || adjacency[cursor[s] - 1] != dest) {
+        adjacency[cursor[s]++] = dest;
+      }
+    }
+  }
+
+  // Compaction: close the gaps the skipped duplicates left.
+  std::size_t out = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::size_t begin = offsets[v];
+    const std::size_t end = cursor[v];
+    offsets[v] = out;
+    if (out != begin) {
+      std::copy(adjacency.begin() + static_cast<std::ptrdiff_t>(begin),
+                adjacency.begin() + static_cast<std::ptrdiff_t>(end),
+                adjacency.begin() + static_cast<std::ptrdiff_t>(out));
+    }
+    out += end - begin;
+  }
+  offsets[n] = out;
+  if (out != adjacency.size()) {
+    adjacency.resize(out);
+    adjacency.shrink_to_fit();
+  }
   return g;
 }
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <charconv>
 #include <fstream>
-#include <map>
+#include <numeric>
 #include <string_view>
+#include <utility>
 
 #include "common/error.h"
+#include "obs/trace.h"
 
 namespace kcc {
 
@@ -34,6 +36,33 @@ std::uint64_t parse_label(std::string_view token, std::size_t line_no) {
   return value;
 }
 
+/// The endpoint indices of `labels` in ascending label order: a stable
+/// LSD radix sort, 16 bits per pass, that skips the passes above the
+/// largest label. AS numbers below 65,536 take one pass, and no pass
+/// compares two labels.
+std::vector<std::size_t> radix_order(const std::vector<std::uint64_t>& labels,
+                                     std::uint64_t max_label) {
+  constexpr unsigned kBits = 16;
+  constexpr std::uint64_t kMask = (std::uint64_t{1} << kBits) - 1;
+  std::vector<std::size_t> order(labels.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  if (labels.size() < 2) return order;
+  std::vector<std::size_t> scratch(labels.size());
+  std::vector<std::size_t> start(std::size_t{1} << kBits);
+  for (unsigned shift = 0; shift < 64 && (max_label >> shift) != 0;
+       shift += kBits) {
+    std::fill(start.begin(), start.end(), 0);
+    for (const std::size_t i : order) ++start[(labels[i] >> shift) & kMask];
+    std::size_t sum = 0;
+    for (std::size_t& s : start) sum += std::exchange(s, sum);
+    for (const std::size_t i : order) {
+      scratch[start[(labels[i] >> shift) & kMask]++] = i;
+    }
+    order.swap(scratch);
+  }
+  return order;
+}
+
 }  // namespace
 
 NodeId LabeledGraph::node_of(std::uint64_t label) const {
@@ -44,7 +73,10 @@ NodeId LabeledGraph::node_of(std::uint64_t label) const {
 }
 
 LabeledGraph read_edge_list(std::istream& in) {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> raw_edges;
+  KCC_SPAN("io/read_edge_list");
+  // Endpoint 2e is edge e's first label, 2e + 1 its second.
+  std::vector<std::uint64_t> endpoints;
+  std::uint64_t max_label = 0;
   std::string line;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -70,26 +102,28 @@ LabeledGraph read_edge_list(std::istream& in) {
     const std::uint64_t u = parse_label(tokens[0], line_no);
     const std::uint64_t v = parse_label(tokens[1], line_no);
     if (u == v) continue;  // spurious self-loop: drop
-    raw_edges.emplace_back(u, v);
+    endpoints.push_back(u);
+    endpoints.push_back(v);
+    max_label = std::max({max_label, u, v});
   }
 
-  // Dense relabelling, sorted by external label for determinism.
-  std::vector<std::uint64_t> labels;
-  labels.reserve(raw_edges.size() * 2);
-  for (const auto& [u, v] : raw_edges) {
-    labels.push_back(u);
-    labels.push_back(v);
-  }
-  std::sort(labels.begin(), labels.end());
-  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-
+  // Dense relabelling, sorted by external label for determinism: one
+  // radix sort, then each run of equal labels becomes the next dense id,
+  // written over the endpoint's label.
   LabeledGraph out;
-  out.labels = std::move(labels);
-  GraphBuilder builder(out.labels.size());
-  for (const auto& [u, v] : raw_edges) {
-    builder.add_edge(out.node_of(u), out.node_of(v));
+  for (const std::size_t i : radix_order(endpoints, max_label)) {
+    if (out.labels.empty() || out.labels.back() != endpoints[i]) {
+      out.labels.push_back(endpoints[i]);
+    }
+    endpoints[i] = out.labels.size() - 1;
   }
-  builder.ensure_nodes(out.labels.size());
+
+  GraphBuilder builder(out.labels.size());
+  for (std::size_t i = 0; i < endpoints.size(); i += 2) {
+    builder.add_edge(static_cast<NodeId>(endpoints[i]),
+                     static_cast<NodeId>(endpoints[i + 1]));
+  }
+  std::vector<std::uint64_t>().swap(endpoints);
   out.graph = builder.build();
   return out;
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <vector>
+
 #include "common/error.h"
 #include "test_helpers.h"
 
@@ -108,6 +112,66 @@ TEST(Graph, LargeStarDegrees) {
   EXPECT_EQ(g.degree(0), 1000u);
   EXPECT_EQ(g.max_degree(), 1000u);
   EXPECT_EQ(g.num_edges(), 1000u);
+}
+
+/// Sorted adjacency of a multigraph, derived with a std::set.
+std::vector<std::vector<NodeId>> naive_adjacency(
+    std::size_t num_nodes,
+    const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::set<std::pair<NodeId, NodeId>> arcs;
+  for (const auto& [u, v] : edges) {
+    arcs.emplace(u, v);
+    arcs.emplace(v, u);
+  }
+  std::vector<std::vector<NodeId>> adjacency(num_nodes);
+  for (const auto& [u, v] : arcs) adjacency[u].push_back(v);
+  return adjacency;
+}
+
+void expect_adjacency(const Graph& g,
+                      const std::vector<std::vector<NodeId>>& expected) {
+  ASSERT_EQ(g.num_nodes(), expected.size());
+  std::size_t arcs = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto adj = g.neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(adj.begin(), adj.end()), expected[v])
+        << "node " << v;
+    arcs += expected[v].size();
+  }
+  EXPECT_EQ(g.num_edges() * 2, arcs);
+}
+
+TEST(Graph, BuilderMatchesNaiveAdjacencyOnRandomMultigraphs) {
+  std::mt19937_64 rng(20250611);
+  GraphBuilder builder;  // one builder, reused after every build()
+  for (int round = 0; round < 200; ++round) {
+    const std::size_t n = 1 + rng() % 80;
+    const std::size_t isolated = rng() % 4;  // nodes only ensure_nodes adds
+    const std::size_t m = rng() % (3 * n + 1);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (std::size_t i = 0; i < m && n > 1; ++i) {
+      const auto u = static_cast<NodeId>(rng() % n);
+      const auto v = static_cast<NodeId>(rng() % n);
+      if (u == v) continue;
+      edges.emplace_back(u, v);
+      if (rng() % 3 == 0) edges.emplace_back(v, u);  // reversed duplicate
+      if (rng() % 5 == 0) edges.emplace_back(u, v);  // same-way duplicate
+    }
+    for (const auto& [u, v] : edges) builder.add_edge(u, v);
+    builder.ensure_nodes(n + isolated);
+    const Graph g = builder.build();
+    EXPECT_EQ(builder.num_nodes(), 0u);
+    expect_adjacency(g, naive_adjacency(n + isolated, edges));
+    expect_adjacency(Graph::from_edges(n + isolated, edges),
+                     naive_adjacency(n + isolated, edges));
+  }
+}
+
+TEST(Graph, BuilderWithOnlyIsolatedNodes) {
+  GraphBuilder b(4);
+  const Graph g = b.build();
+  expect_adjacency(g, std::vector<std::vector<NodeId>>(4));
+  expect_adjacency(GraphBuilder().build(), {});
 }
 
 }  // namespace

@@ -236,7 +236,10 @@ int cmd_cpm(const CliArgs& args) {
   require(!edges.empty(), "cpm: --edges is required");
   // Built first so bad engine options fail before the edge list is read.
   const cpm::Engine engine(cpm_options_from_args(args));
-  const LabeledGraph g = read_edge_list_file(edges);
+  const LabeledGraph g = [&edges] {
+    const obs::StageScope stage("parse");
+    return read_edge_list_file(edges);
+  }();
   const Timer timer;
   const cpm::Result run = engine.run(g.graph);
   const double seconds = timer.seconds();

@@ -17,7 +17,9 @@
 // The regression gate: for each config label present in both reports and
 // each gated metric (wall_ms, peak_rss_bytes), the new median regresses iff
 //   new_median - base_median > max(rel_tol * base_median,
-//                                  mad_k * max(base_mad, new_mad)).
+//                                  mad_k * max(base_mad, new_mad), floor),
+// where floor is one 4096 B page for peak_rss_bytes (VmHWM's resolution)
+// and 0 for wall_ms.
 // The MAD term absorbs machine noise (a metric that genuinely jitters gets
 // a proportionally wider band); the relative term is the floor for very
 // stable metrics. --in=REPORT.json skips the fresh run and compares two
@@ -549,10 +551,20 @@ int run_matrix(const DriverOptions& o, std::vector<ConfigResult>& results,
 
 // ---------------------------------------------------------- compare gate
 
+/// A gated metric and the least threshold it is ever given.
+struct GatedMetric {
+  std::string name;
+  double min_threshold;
+};
+
 // Metrics the gate fails on; lower is better for all of them. Everything
-// else in the report is context, not a gate.
-const std::vector<std::string>& gated_metrics() {
-  static const std::vector<std::string> metrics{"wall_ms", "peak_rss_bytes"};
+// else in the report is context, not a gate. VmHWM moves in whole 4096 B
+// pages, so peak RSS cannot resolve less than one page: without that
+// floor, a baseline reading 0 B with no spread (the reference configs'
+// tiny graph) would flag any one-page move.
+const std::vector<GatedMetric>& gated_metrics() {
+  static const std::vector<GatedMetric> metrics{{"wall_ms", 0.0},
+                                                {"peak_rss_bytes", 4096.0}};
   return metrics;
 }
 
@@ -598,7 +610,7 @@ int compare_reports(const obs::FlatJson& base, const obs::FlatJson& fresh,
                 << base_digest << " -> " << fresh_digest << ")\n";
     }
 
-    for (const std::string& metric : gated_metrics()) {
+    for (const auto& [metric, min_threshold] : gated_metrics()) {
       const std::string base_m = base_prefix + ".metrics." + metric;
       const std::string fresh_m = fresh_prefix + ".metrics." + metric;
       if (!base.has_number(base_m + ".median") ||
@@ -612,7 +624,7 @@ int compare_reports(const obs::FlatJson& base, const obs::FlatJson& fresh,
           o.mad_k * std::max(base.number(base_m + ".mad"),
                              fresh.number(fresh_m + ".mad"));
       const double threshold =
-          std::max(o.rel_tol * base_median, noise_band);
+          std::max({o.rel_tol * base_median, noise_band, min_threshold});
       const double delta = fresh_median - base_median;
       const bool regressed = delta > threshold;
       if (regressed) ++regressions;
@@ -631,7 +643,8 @@ int compare_reports(const obs::FlatJson& base, const obs::FlatJson& fresh,
     std::cerr << "kcc_bench: FAIL — " << regressions
               << " statistically significant regression(s) vs baseline "
               << "(threshold = max(rel_tol=" << o.rel_tol
-              << " * base, mad_k=" << o.mad_k << " * MAD)); see "
+              << " * base, mad_k=" << o.mad_k
+              << " * MAD, 4096 B for peak_rss_bytes)); see "
               << "docs/TESTING.md#reading-a-compare-failure\n";
     return 1;
   }

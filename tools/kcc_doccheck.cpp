@@ -31,6 +31,9 @@
 //      appear as a word in docs/OBSERVABILITY.md, so an instrument cannot
 //      ship without its catalog entry. Names built at run time (the
 //      per-k gauges, the hw_* counters) are the catalog's own business.
+//   7. Span and stage names: every whole string literal passed to
+//      KCC_SPAN( or to a StageScope in a source under src/ or tools/ must
+//      appear as an inline code span (`name`) in docs/OBSERVABILITY.md.
 //
 // Findings print as file:line: message, one per line; exit is non-zero if
 // anything failed. Run by the `docs_consistency` ctest with the built
@@ -449,6 +452,35 @@ void check_metric_names(const fs::path& root,
   }
 }
 
+/// Check 7: each literal span or stage name under src/ or tools/ that is
+/// not a code span of docs/OBSERVABILITY.md is a finding at its line.
+/// Mentions inside // comments are not instruments.
+void check_span_names(const fs::path& root, std::vector<Finding>& findings) {
+  static const std::regex call(
+      "(KCC_SPAN|StageScope\\s+\\w+)\\(\\s*\"([^\"]+)\"\\s*\\)");
+  const fs::path catalog = root / "docs" / "OBSERVABILITY.md";
+  const std::string documented = fs::exists(catalog) ? read_file(catalog) : "";
+  for (const fs::path& file : sources_under(root, {"src", "tools"})) {
+    const std::string text = read_file(file);
+    for (std::sregex_iterator it(text.begin(), text.end(), call), end;
+         it != end; ++it) {
+      const auto at = static_cast<std::size_t>(it->position(0));
+      const std::size_t line_start = text.rfind('\n', at) + 1;  // npos + 1 = 0
+      if (text.substr(line_start, at - line_start).find("//") !=
+          std::string::npos) {
+        continue;
+      }
+      const std::string name = (*it)[2].str();
+      if (documented.find("`" + name + "`") != std::string::npos) continue;
+      const auto line = 1 + std::count(text.begin(), text.begin() + at, '\n');
+      findings.push_back(
+          {file.string(), static_cast<std::size_t>(line),
+           "span or stage `" + name + "` is not in docs/OBSERVABILITY.md "
+           "(add it to the span catalog or the stage list)"});
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -492,6 +524,7 @@ int main(int argc, char** argv) {
     for (const fs::path& source : sources) lint_source(source, findings);
     check_reachability(root, findings);
     check_metric_names(root, findings);
+    check_span_names(root, findings);
 
     for (const Finding& f : findings) {
       std::cerr << f.file << ":" << f.line << ": " << f.message << "\n";
