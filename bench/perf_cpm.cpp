@@ -181,7 +181,10 @@ bool same_communities(const CpmResult& a, const CpmResult& b) {
         return false;
       }
     }
-    if (sa.community_of_clique != sb.community_of_clique) return false;
+    if (clique_community_map(sa, a.cliques.size()) !=
+        clique_community_map(sb, b.cliques.size())) {
+      return false;
+    }
   }
   return true;
 }

@@ -142,13 +142,16 @@ std::string inject_fault(cpm::Result& result, const std::string& kind) {
     return {};
   }
   if (kind == "clique-map") {
+    // Breaks the level's clique partition: a clique of size >= k that no
+    // community lists. Any graph with a clique has one to drop.
     for (CommunitySet& set : result.cpm.by_k) {
-      if (!set.community_of_clique.empty()) {
-        CommunityId& entry = set.community_of_clique[0];
-        entry = entry == CommunitySet::kNoCommunity
-                    ? CommunityId{0}
-                    : CommunitySet::kNoCommunity;
-        return "flipped community_of_clique[0] at k=" + std::to_string(set.k);
+      for (Community& c : set.communities) {
+        if (!c.clique_ids.empty()) {
+          const CliqueId clique = c.clique_ids.back();
+          c.clique_ids.pop_back();
+          return "unlisted clique " + std::to_string(clique) + " from k=" +
+                 std::to_string(set.k) + " community " + std::to_string(c.id);
+        }
       }
     }
     return {};

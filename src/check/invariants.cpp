@@ -133,7 +133,8 @@ void check_community_shape(const Graph& g, const CpmResult& cpm,
                            Report& report) {
   for (const CommunitySet& set : cpm.by_k) {
     const std::size_t k = set.k;
-    std::vector<bool> clique_seen(cpm.cliques.size(), false);
+    // Communities listing each clique at this level.
+    std::vector<std::uint32_t> listings(cpm.cliques.size(), 0);
     for (CommunityId id = 0; id < set.count(); ++id) {
       const Community& c = set.communities[id];
       report.invariants_checked += 5;
@@ -183,19 +184,7 @@ void check_community_shape(const Graph& g, const CpmResult& cpm,
           cliques_ok = false;
           break;
         }
-        if (clique_seen[q]) {
-          report.add("community-partition",
-                     "clique " + std::to_string(q) +
-                         " appears in two communities at k=" +
-                         std::to_string(k));
-        }
-        clique_seen[q] = true;
-        if (cpm.cliques[q].size() < k) {
-          report.add("community-cliques",
-                     at(k, id) + " contains clique " + std::to_string(q) +
-                         " of size " + std::to_string(cpm.cliques[q].size()) +
-                         " < k");
-        }
+        ++listings[q];
         covered = set_union(covered, cpm.cliques[q]);
       }
       if (cliques_ok && covered != c.nodes) {
@@ -206,41 +195,19 @@ void check_community_shape(const Graph& g, const CpmResult& cpm,
       }
     }
 
+    // Partition: the level's clique ids list every clique of size >= k in
+    // exactly one community and no smaller clique in any. The community
+    // tree and the canonical map line both read this partition.
     if (cpm.cliques.empty()) continue;
-    ++report.invariants_checked;
-    if (set.community_of_clique.size() != cpm.cliques.size()) {
-      report.add("clique-map", "k=" + std::to_string(k) +
-                                   " community_of_clique has " +
-                                   std::to_string(set.community_of_clique.size()) +
-                                   " entries for " +
-                                   std::to_string(cpm.cliques.size()) +
-                                   " cliques");
-      continue;
-    }
     for (CliqueId q = 0; q < cpm.cliques.size(); ++q) {
       ++report.invariants_checked;
-      const CommunityId mapped = set.community_of_clique[q];
-      if (cpm.cliques[q].size() < k) {
-        if (mapped != CommunitySet::kNoCommunity) {
-          report.add("clique-map",
-                     "k=" + std::to_string(k) + " maps undersized clique " +
-                         std::to_string(q) + " to community " +
-                         std::to_string(mapped));
-        }
-        continue;
-      }
-      if (mapped == CommunitySet::kNoCommunity || mapped >= set.count()) {
-        report.add("clique-map",
-                   "k=" + std::to_string(k) + " leaves eligible clique " +
-                       std::to_string(q) + " unmapped");
-        continue;
-      }
-      if (!contains(set.communities[mapped].clique_ids, q)) {
-        report.add("clique-map",
-                   "k=" + std::to_string(k) + " maps clique " +
-                       std::to_string(q) + " to community " +
-                       std::to_string(mapped) + " which does not list it");
-      }
+      const bool eligible = cpm.cliques[q].size() >= k;
+      if (listings[q] == (eligible ? 1u : 0u)) continue;
+      report.add("clique-map",
+                 "k=" + std::to_string(k) + " lists " +
+                     (eligible ? "" : "undersized ") + "clique " +
+                     std::to_string(q) + " in " +
+                     std::to_string(listings[q]) + " communities");
     }
   }
 }
@@ -338,6 +305,8 @@ void check_nesting(const CpmResult& cpm, Report& report) {
   for (std::size_t k = cpm.min_k + 1; k <= cpm.max_k; ++k) {
     const CommunitySet& fine = cpm.at(k);
     const CommunitySet& coarse = cpm.at(k - 1);
+    const std::vector<CommunityId> coarse_of_clique =
+        clique_community_map(coarse, cpm.cliques.size());
     for (const Community& child : fine.communities) {
       ++report.invariants_checked;
       std::size_t containing = 0;
@@ -350,19 +319,21 @@ void check_nesting(const CpmResult& cpm, Report& report) {
                        "nesting theorem requires one");
         continue;
       }
-      if (child.clique_ids.empty() ||
-          coarse.community_of_clique.size() != cpm.cliques.size()) {
+      if (child.clique_ids.empty() || cpm.cliques.empty()) {
         continue;  // reference result: node sets are all we have
       }
       // Clique-level uniqueness: every clique of the child percolates into
       // the same (k-1)-community, and the child's nodes sit inside it.
       ++report.invariants_checked;
-      const CommunityId parent_id =
-          coarse.community_of_clique[child.clique_ids[0]];
+      const auto coarse_of = [&](CliqueId q) {
+        return q < coarse_of_clique.size() ? coarse_of_clique[q]
+                                           : CommunitySet::kNoCommunity;
+      };
+      const CommunityId parent_id = coarse_of(child.clique_ids[0]);
       bool unique = parent_id != CommunitySet::kNoCommunity &&
                     parent_id < coarse.count();
       for (CliqueId q : child.clique_ids) {
-        unique = unique && coarse.community_of_clique[q] == parent_id;
+        unique = unique && coarse_of(q) == parent_id;
       }
       if (!unique ||
           !is_subset(child.nodes, coarse.communities[parent_id].nodes)) {

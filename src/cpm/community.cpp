@@ -28,4 +28,15 @@ std::vector<std::size_t> CpmResult::unique_community_ks() const {
   return out;
 }
 
+std::vector<CommunityId> clique_community_map(const CommunitySet& set,
+                                              std::size_t num_cliques) {
+  std::vector<CommunityId> map(num_cliques, CommunitySet::kNoCommunity);
+  for (const Community& community : set.communities) {
+    for (CliqueId c : community.clique_ids) {
+      if (c < num_cliques) map[c] = community.id;
+    }
+  }
+  return map;
+}
+
 }  // namespace kcc

@@ -4,7 +4,10 @@
 // k-cliques reachable from one another through adjacent k-cliques (sharing
 // k-1 nodes). We represent a community by (a) its member node set and (b)
 // the ids of the maximal cliques whose k-cliques compose it; the clique ids
-// are what lets the community tree resolve nesting parents exactly.
+// are what lets the community tree resolve nesting parents exactly. No
+// level stores the inverse (clique -> community): it would cost one entry
+// per clique per level, and its readers derive it from the clique ids with
+// clique_community_map() when they need it.
 #pragma once
 
 #include <cstddef>
@@ -31,10 +34,6 @@ struct CommunitySet {
 
   std::size_t count() const { return communities.size(); }
 
-  /// community id for each maximal clique id, or kNoCommunity for cliques of
-  /// size < k. Sized to the global clique count.
-  std::vector<CommunityId> community_of_clique;
-
   static constexpr CommunityId kNoCommunity = static_cast<CommunityId>(-1);
 };
 
@@ -57,5 +56,12 @@ struct CpmResult {
   /// k values that have exactly one community (paper: 2, 21, 22, 25, 36).
   std::vector<std::size_t> unique_community_ks() const;
 };
+
+/// The inverse of one level's clique ids over a table of `num_cliques`
+/// cliques: the id of the community listing each clique, kNoCommunity for
+/// cliques the level lists in no community (those of size < k). Clique ids
+/// at or past `num_cliques` are skipped.
+std::vector<CommunityId> clique_community_map(const CommunitySet& set,
+                                              std::size_t num_cliques);
 
 }  // namespace kcc

@@ -37,11 +37,26 @@ CommunityTree CommunityTree::build(const CpmResult& cpm) {
   require(cpm.max_k >= cpm.min_k && !cpm.by_k.empty(),
           "CommunityTree::build: CPM result covers no k");
   std::vector<std::vector<TreeParentLink>> levels(cpm.max_k - cpm.min_k + 1);
+  // Community of each clique at the level below, written just before each
+  // level reads it. No reset between levels: a level-k witness has size
+  // >= k, so level k-1 lists it and overwrites its entry, and the total
+  // work is the sum of the levels' clique ids.
+  std::vector<CommunityId> below_of_clique(cpm.cliques.size(),
+                                           CommunitySet::kNoCommunity);
 
   for (std::size_t k = cpm.min_k; k <= cpm.max_k; ++k) {
     const CommunitySet& set = cpm.at(k);
     auto& level = levels[k - cpm.min_k];
     level.reserve(set.count());
+    if (k > cpm.min_k) {
+      for (const Community& parent : cpm.at(k - 1).communities) {
+        for (CliqueId c : parent.clique_ids) {
+          require(c < below_of_clique.size(),
+                  "CommunityTree::build: clique id outside the table");
+          below_of_clique[c] = parent.id;
+        }
+      }
+    }
     for (const Community& community : set.communities) {
       TreeParentLink link;
       link.size = community.size();
@@ -52,7 +67,9 @@ CommunityTree CommunityTree::build(const CpmResult& cpm) {
           // Nesting theorem: all cliques of this community live in one
           // (k-1)-level component; any member clique resolves the parent.
           const CliqueId witness = community.clique_ids.front();
-          link.parent_id = cpm.at(k - 1).community_of_clique[witness];
+          require(witness < below_of_clique.size(),
+                  "CommunityTree::build: clique id outside the table");
+          link.parent_id = below_of_clique[witness];
         }
         require(link.parent_id != CommunitySet::kNoCommunity,
                 "CommunityTree::build: nesting parent missing");

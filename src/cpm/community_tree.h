@@ -57,10 +57,11 @@ class CommunityTree {
  public:
   /// Builds the tree from a CPM result. When several communities exist at
   /// the maximum k, the apex is the canonical first one (largest size).
-  /// Requires cpm to cover a non-empty contiguous k range. Parents are
-  /// resolved through the clique -> community maps; communities that carry
-  /// no clique ids (reference-oracle results) fall back to node-containment
-  /// search.
+  /// Requires cpm to cover a non-empty contiguous k range. A community's
+  /// parent is the community that lists its first clique at the level below,
+  /// read from one clique -> community map rebuilt level by level;
+  /// communities that carry no clique ids (reference-oracle results) fall
+  /// back to node-containment search.
   static CommunityTree build(const CpmResult& cpm);
 
   /// Assembles the tree from per-level parent links already resolved —

@@ -66,7 +66,7 @@ CommunitySet percolate_k(std::size_t k, const std::vector<NodeSet>& cliques,
     sort_unique(community.nodes);
     set.communities.push_back(std::move(community));
   }
-  canonicalise(set, cliques.size());
+  canonicalise(set);
   return set;
 }
 

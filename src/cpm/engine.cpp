@@ -307,8 +307,10 @@ std::string canonical_text(const Result& result,
       out << '\n';
     }
     if (options.include_clique_ids) {
+      // Each clique's community at this level, derived from the clique ids;
+      // a result without a clique table prints an empty map.
       out << "map";
-      for (CommunityId id : set.community_of_clique) {
+      for (CommunityId id : clique_community_map(set, cpm.cliques.size())) {
         if (id == CommunitySet::kNoCommunity) {
           out << " -";
         } else {
@@ -364,21 +366,13 @@ void canonicalise_clique_order(Result& result) {
     table[i] = std::move(cpm.cliques[order[i]]);
   }
   cpm.cliques = std::move(table);
+  // Community order is (size desc, nodes lex), independent of clique ids,
+  // so the communities keep their ids.
   for (CommunitySet& set : cpm.by_k) {
     for (Community& community : set.communities) {
       for (CliqueId& c : community.clique_ids) c = new_id[c];
       // Every engine emits clique ids ascending; restore that after remap.
       std::sort(community.clique_ids.begin(), community.clique_ids.end());
-    }
-    // Community order is (size desc, nodes lex) — clique-id independent —
-    // so only the clique->community map needs permuting.
-    if (!set.community_of_clique.empty()) {
-      std::vector<CommunityId> map(n, CommunitySet::kNoCommunity);
-      for (std::size_t c = 0; c < set.community_of_clique.size() && c < n;
-           ++c) {
-        map[new_id[c]] = set.community_of_clique[c];
-      }
-      set.community_of_clique = std::move(map);
     }
   }
 }

@@ -206,13 +206,12 @@ std::string canonical_text(const Result& result,
 std::uint64_t canonical_digest(const Result& result,
                                const CanonicalOptions& options = {});
 
-/// Re-orders Result::cpm.cliques lexicographically and remaps every clique
-/// id (community clique_ids, re-sorted ascending, and community_of_clique)
-/// accordingly. Community node sets, community order and the tree are
-/// untouched. After this, an exact enumeration-ordered Result is
-/// byte-identical (canonical_text) to the same run from an engine with
-/// caps.canonical_clique_order — the equivalence check::differential and
-/// check::churn_differential rely on.
+/// Re-orders Result::cpm.cliques lexicographically and remaps every
+/// community's clique_ids accordingly (re-sorted ascending). Community node
+/// sets, community order and the tree are untouched. After this, an exact
+/// enumeration-ordered Result is byte-identical (canonical_text) to the
+/// same run from an engine with caps.canonical_clique_order — the
+/// equivalence check::differential and check::churn_differential rely on.
 void canonicalise_clique_order(Result& result);
 
 /// Flag names of the shared engine CLI surface (--k-min, --k-max, --engine,

@@ -75,7 +75,7 @@ class Snapshotter {
       }
       std::sort(community.nodes.begin(), community.nodes.end());
     }
-    canonicalise(set, cliques.size());
+    canonicalise(set);
     return set;
   }
 
@@ -104,19 +104,15 @@ void note_join_ops(std::uint64_t join_ops) {
   cpm_metrics().join_ops.inc(join_ops);
 }
 
-void canonicalise(CommunitySet& set, std::size_t num_cliques) {
+void canonicalise(CommunitySet& set) {
   std::sort(set.communities.begin(), set.communities.end(),
             [](const Community& a, const Community& b) {
               if (a.nodes.size() != b.nodes.size())
                 return a.nodes.size() > b.nodes.size();
               return a.nodes < b.nodes;
             });
-  set.community_of_clique.assign(num_cliques, CommunitySet::kNoCommunity);
   for (CommunityId id = 0; id < set.communities.size(); ++id) {
     set.communities[id].id = id;
-    for (CliqueId c : set.communities[id].clique_ids) {
-      set.community_of_clique[c] = id;
-    }
   }
 }
 
@@ -150,7 +146,7 @@ CommunitySet percolate_k2(const Graph& g, const std::vector<NodeSet>& cliques) {
             "percolate_k2: clique in a size-1 component");
     set.communities[idx].clique_ids.push_back(c);  // ascending c => sorted
   }
-  canonicalise(set, cliques.size());
+  canonicalise(set);
   return set;
 }
 

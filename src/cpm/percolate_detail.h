@@ -24,10 +24,10 @@ class UnionFind;
 namespace kcc::cpm_detail {
 
 /// Orders communities by descending size, ties by smallest member node, and
-/// reassigns dense ids + the clique -> community map. The order is
-/// independent of union-find internals and thread scheduling, so CPM output
-/// is bit-stable across thread counts and across engines.
-void canonicalise(CommunitySet& set, std::size_t num_cliques);
+/// reassigns dense ids. The order is independent of union-find internals and
+/// thread scheduling, so CPM output is bit-stable across thread counts and
+/// across engines.
+void canonicalise(CommunitySet& set);
 
 /// k = 2: communities are connected components with at least one edge.
 CommunitySet percolate_k2(const Graph& g, const std::vector<NodeSet>& cliques);

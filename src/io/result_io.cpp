@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "common/error.h"
 #include "common/set_ops.h"
@@ -95,6 +96,9 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
   }
 
   result.by_k.resize(result.max_k - result.min_k + 1);
+  // The level that last listed each clique: one stamp per clique, reused
+  // across levels, finds a clique listed twice in one level.
+  std::vector<std::size_t> listed_at(result.cliques.size(), 0);
   for (std::size_t k = result.min_k; k <= result.max_k; ++k) {
     require(static_cast<bool>(std::getline(in, line)),
             "read_cpm_result: truncated set section");
@@ -105,8 +109,6 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
             "read_cpm_result: malformed set line for k ", k);
     CommunitySet& set = result.at(k);
     set.k = k;
-    set.community_of_clique.assign(result.cliques.size(),
-                                   CommunitySet::kNoCommunity);
     for (CommunityId id = 0; id < count; ++id) {
       require(static_cast<bool>(std::getline(in, line)),
               "read_cpm_result: truncated community section");
@@ -131,14 +133,26 @@ CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes_out) {
       while (cs >> c) {
         require(c < result.cliques.size(),
                 "read_cpm_result: community clique id out of range");
+        require(listed_at[c] != k, "read_cpm_result: k=", k, " lists clique ",
+                c, " in two communities");
+        require(result.cliques[c].size() >= k, "read_cpm_result: k=", k,
+                " lists clique ", c, " of size ", result.cliques[c].size(),
+                " < k");
+        listed_at[c] = k;
         community.clique_ids.push_back(c);
-        set.community_of_clique[c] = id;
       }
       require(is_sorted_unique(community.nodes) &&
                   is_sorted_unique(community.clique_ids) &&
                   !community.clique_ids.empty(),
               "read_cpm_result: community sections must be sorted sets");
       set.communities.push_back(std::move(community));
+    }
+    // Level k partitions the cliques of size >= k: each one it omits would
+    // leave the community tree without its parent.
+    for (CliqueId c = 0; c < result.cliques.size(); ++c) {
+      require(result.cliques[c].size() < k || listed_at[c] == k,
+              "read_cpm_result: k=", k, " lists clique ", c,
+              " in no community");
     }
   }
   if (num_nodes_out != nullptr) *num_nodes_out = num_nodes;

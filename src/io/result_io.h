@@ -26,9 +26,10 @@ namespace kcc {
 void write_cpm_result(std::ostream& out, const CpmResult& result);
 void write_cpm_result_file(const std::string& path, const CpmResult& result);
 
-/// Reads a CpmResult back; validates structure and re-derives
-/// community_of_clique. `num_nodes` from the file header is returned via
-/// the out-parameter when non-null.
+/// Reads a CpmResult back and validates its structure: at each k, every
+/// clique of size >= k is listed in exactly one community and no smaller
+/// clique in any. `num_nodes` from the file header is returned via the
+/// out-parameter when non-null.
 CpmResult read_cpm_result(std::istream& in, std::size_t* num_nodes = nullptr);
 CpmResult read_cpm_result_file(const std::string& path,
                                std::size_t* num_nodes = nullptr);

@@ -57,13 +57,42 @@ TEST(CheckInvariants, CatchesForeignCommunityNode) {
 }
 
 TEST(CheckInvariants, CatchesCorruptCliqueMap) {
+  // K5 and K4 sharing two nodes: two communities at k = 4. Listing the
+  // K5's clique under the K4's community too breaks the level's partition.
   const Graph g = overlapping_cliques(5, 4, 2);
   cpm::Result result = run_engine(g);
-  auto& map = result.cpm.by_k[0].community_of_clique;
-  ASSERT_FALSE(map.empty());
-  map[0] = map[0] == 0 ? 1 : 0;
+  const std::uint64_t clean = cpm::canonical_digest(result);
+  CommunitySet& set = result.cpm.at(4);
+  ASSERT_EQ(set.count(), 2u);
+  std::vector<CliqueId>& ids = set.communities[1].clique_ids;
+  const CliqueId clique = set.communities[0].clique_ids.front();
+  ids.insert(std::lower_bound(ids.begin(), ids.end(), clique), clique);
+  EXPECT_NE(cpm::canonical_digest(result), clean);
   const check::Report report = check::check_invariants(g, result, {});
   ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(std::any_of(report.failures.begin(), report.failures.end(),
+                          [](const check::Failure& f) {
+                            return f.invariant == "clique-map";
+                          }))
+      << report.to_string();
+}
+
+// The differential runner's clique-map fault (KCC_CHECK_INJECT_FAULT) must
+// move the digest and trip the same invariant, even on a one-clique graph.
+TEST(CheckInvariants, CatchesInjectedCliqueMapFault) {
+  for (const Graph& g : {overlapping_cliques(5, 4, 2),
+                         make_graph(2, {{0, 1}})}) {
+    cpm::Result result = run_engine(g);
+    const std::uint64_t clean = cpm::canonical_digest(result);
+    ASSERT_FALSE(check::detail::inject_fault(result, "clique-map").empty());
+    EXPECT_NE(cpm::canonical_digest(result), clean);
+    const check::Report report = check::check_invariants(g, result, {});
+    EXPECT_TRUE(std::any_of(report.failures.begin(), report.failures.end(),
+                            [](const check::Failure& f) {
+                              return f.invariant == "clique-map";
+                            }))
+        << report.to_string();
+  }
 }
 
 TEST(CheckInvariants, CatchesNonMaximalClique) {

@@ -114,7 +114,8 @@ inline void expect_same_cpm(const CpmResult& oracle, const CpmResult& other,
       EXPECT_EQ(b.communities[id].id, id) << label << " k=" << k;
       EXPECT_EQ(b.communities[id].k, k) << label << " k=" << k;
     }
-    EXPECT_EQ(a.community_of_clique, b.community_of_clique)
+    EXPECT_EQ(clique_community_map(a, oracle.cliques.size()),
+              clique_community_map(b, other.cliques.size()))
         << label << " k=" << k;
   }
 }

@@ -28,7 +28,8 @@ void expect_equal_results(const CpmResult& a, const CpmResult& b) {
       EXPECT_EQ(sa.communities[i].k, sb.communities[i].k);
       EXPECT_EQ(sa.communities[i].id, sb.communities[i].id);
     }
-    EXPECT_EQ(sa.community_of_clique, sb.community_of_clique);
+    EXPECT_EQ(clique_community_map(sa, a.cliques.size()),
+              clique_community_map(sb, b.cliques.size()));
   }
 }
 

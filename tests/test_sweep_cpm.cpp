@@ -443,6 +443,84 @@ TEST(CpmEngine, ReferenceEngineAgreesOnNodeSets) {
   expect_nesting(ref.cpm, ref.tree, "reference tree");
 }
 
+// The canonical text, map lines included, pinned literally: `kcc cpm --out`
+// prints no map line, so only this test fixes its bytes. A K4, two
+// triangles sharing an edge and a pendant edge give undersized cliques
+// (`-`) at k = 3 and 4 and a community of two cliques at k = 3.
+TEST(CpmEngine, CanonicalTextPinsTheMapLines) {
+  const Graph g =
+      make_graph(8, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}, {3, 4},
+                     {3, 5}, {4, 5}, {4, 6}, {5, 6}, {6, 7}});
+  const std::string tree_lines =
+      "tree 4\n"
+      "t 0 k=2 id=0 size=8 parent=-1 main=1 ch 1 2\n"
+      "t 1 k=3 id=0 size=4 parent=0 main=1 ch 3\n"
+      "t 2 k=3 id=1 size=4 parent=0 main=0 ch\n"
+      "t 3 k=4 id=0 size=4 parent=1 main=1 ch\n";
+  cpm::Options options;
+  options.threads = 1;
+  cpm::Result result = cpm::Engine(options).run(g);
+  EXPECT_EQ(cpm::canonical_text(result),
+            "exactness exact\n"
+            "k 2 4\n"
+            "cliques 4\n"
+            "q 0 6 7\n"
+            "q 1 4 5 6\n"
+            "q 2 3 4 5\n"
+            "q 3 0 1 2 3\n"
+            "level 2 1\n"
+            "m 0 n 0 1 2 3 4 5 6 7 c 0 1 2 3\n"
+            "map 0 0 0 0\n"
+            "level 3 2\n"
+            "m 0 n 0 1 2 3 c 3\n"
+            "m 1 n 3 4 5 6 c 1 2\n"
+            "map - 1 1 0\n"
+            "level 4 1\n"
+            "m 0 n 0 1 2 3 c 3\n"
+            "map - - - 0\n" +
+                tree_lines);
+
+  // The map follows the clique ids through a lexicographic reorder.
+  cpm::canonicalise_clique_order(result);
+  EXPECT_EQ(cpm::canonical_text(result),
+            "exactness exact\n"
+            "k 2 4\n"
+            "cliques 4\n"
+            "q 0 0 1 2 3\n"
+            "q 1 3 4 5\n"
+            "q 2 4 5 6\n"
+            "q 3 6 7\n"
+            "level 2 1\n"
+            "m 0 n 0 1 2 3 4 5 6 7 c 0 1 2 3\n"
+            "map 0 0 0 0\n"
+            "level 3 2\n"
+            "m 0 n 0 1 2 3 c 0\n"
+            "m 1 n 3 4 5 6 c 1 2\n"
+            "map 0 1 1 -\n"
+            "level 4 1\n"
+            "m 0 n 0 1 2 3 c 0\n"
+            "map 0 - - -\n" +
+                tree_lines);
+
+  // A reference result has no clique table: every map line is empty.
+  options.engine = "reference";
+  EXPECT_EQ(cpm::canonical_text(cpm::Engine(options).run(g)),
+            "exactness exact\n"
+            "k 2 4\n"
+            "cliques 0\n"
+            "level 2 1\n"
+            "m 0 n 0 1 2 3 4 5 6 7 c\n"
+            "map\n"
+            "level 3 2\n"
+            "m 0 n 0 1 2 3 c\n"
+            "m 1 n 3 4 5 6 c\n"
+            "map\n"
+            "level 4 1\n"
+            "m 0 n 0 1 2 3 c\n"
+            "map\n" +
+                tree_lines);
+}
+
 TEST(CpmEngine, PerKLoopStopsAtTheFirstEmptyLevel) {
   // A max_k far past the largest clique must not walk every empty level.
   cpm::Options options;

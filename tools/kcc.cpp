@@ -174,7 +174,7 @@ int usage(std::ostream& out, int rc) {
       "           text when FILE ends in .prom)\n"
       "  --report-out=FILE\n"
       "           write a versioned run report on exit: build/host manifest,\n"
-      "           per-stage wall + hardware counters + RSS, metrics snapshot\n"
+      "           wall time, CPU time and RSS per stage, metrics snapshot\n"
       "           (schema in docs/OBSERVABILITY.md)\n"
       "  (every FILE above accepts - for stdout)\n"
       "\n"
