@@ -212,7 +212,9 @@ void check_community_shape(const Graph& g, const CpmResult& cpm,
   }
 }
 
-// Connected components with >= 2 nodes, hand-rolled BFS (k = 2 oracle).
+// Connected components with >= 2 nodes, hand-rolled BFS over the graph:
+// the k = 2 oracle, independent of the clique table every engine derives
+// its k = 2 level from.
 std::vector<NodeSet> derive_k2_communities(const Graph& g) {
   std::vector<NodeSet> out;
   std::vector<bool> seen(g.num_nodes(), false);

@@ -207,7 +207,7 @@ AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
     filter.unite_level(k, uf, live);
   };
   cpm_detail::LevelSweep levels =
-      cpm_detail::descend_levels(g, std::move(cliques), options,
+      cpm_detail::descend_levels(g.num_nodes(), std::move(cliques), options,
                                  "run_almost_cpm_on_cliques", "almost_cpm",
                                  join, build_tree);
   out.cpm = std::move(levels.cpm);

@@ -28,8 +28,8 @@
 // filter and verify pass is this engine's join in the descending-k level
 // loop it shares with sweep_cpm (cpm_detail::descend_levels), so each
 // level coarsens the one above and the Fig. 4.2 community tree is valid by
-// construction. The k = 2 level (connected components) is computed
-// exactly.
+// construction. The k = 2 level (the components of the cliques' nodes,
+// percolate_k2) is computed exactly.
 //
 // The gap is measured, not trusted: cpm/compare.h scores almost-exact
 // results against an exact engine per k (best-match Jaccard / community
@@ -81,8 +81,8 @@ struct AlmostCpmResult {
 /// a pre-enumerated maximal-clique set (each clique sorted, size >= 2,
 /// nodes < g.num_nodes()) in one descending-k pass. Options are shared
 /// with the exact engines; percolation is sequential, so `options.threads`
-/// is unused. `g` is still needed for the exact k = 2 special case.
-/// `build_tree` = false skips the tree step.
+/// is unused. Only `g.num_nodes()` is read; the exact k = 2 level comes
+/// from the clique table. `build_tree` = false skips the tree step.
 AlmostCpmResult run_almost_cpm_on_cliques(const Graph& g,
                                           std::vector<NodeSet> cliques,
                                           const CpmOptions& options = {},

@@ -107,7 +107,7 @@ CpmResult run_cpm_on_cliques(const Graph& g, std::vector<NodeSet> cliques,
     parallel_for(pool, result.by_k.size(), [&](std::size_t i) {
       const std::size_t k = result.min_k + i;
       const obs::ScopedSpan span("cpm/percolate_k=" + std::to_string(k));
-      result.by_k[i] = k == 2 ? percolate_k2(g, result.cliques)
+      result.by_k[i] = k == 2 ? percolate_k2(g.num_nodes(), result.cliques)
                               : percolate_k(k, result.cliques, overlaps);
       cpm_detail::note_community_set(result.by_k[i]);
     });

@@ -36,7 +36,9 @@ namespace kcc {
 
 struct CpmOptions {
   /// Smallest community order to extract. Must be >= 2. k = 2 communities
-  /// are the connected components (with >= 2 nodes) of the graph.
+  /// are the components of the clique table's nodes, which for a full
+  /// maximal-clique table are the graph's connected components with >= 2
+  /// nodes.
   std::size_t min_k = 2;
 
   /// Largest community order; 0 means "up to the maximum clique size".
@@ -52,8 +54,8 @@ struct CpmOptions {
 CpmResult run_cpm(const Graph& g, const CpmOptions& options = {});
 
 /// Same, over a pre-enumerated maximal-clique set (each clique sorted, size
-/// >= 2, defined over a graph with `num_nodes` nodes). `g` is still needed
-/// for the k = 2 special case (connected components).
+/// >= 2, nodes < g.num_nodes()). Only `g.num_nodes()` is read: every
+/// level, k = 2 included, comes from the clique table.
 CpmResult run_cpm_on_cliques(const Graph& g, std::vector<NodeSet> cliques,
                              const CpmOptions& options = {});
 

@@ -250,6 +250,11 @@ Engine::Engine(Options options)
   require(options_.min_k >= 2, "cpm::Engine: min_k must be >= 2");
   require(options_.min_clique_size >= 2,
           "cpm::Engine: min_clique_size must be >= 2");
+  // The clique table defines every level, k = 2 included; below the floor
+  // it is truncated.
+  require(options_.min_clique_size <= options_.min_k,
+          "cpm::Engine: min_clique_size ", options_.min_clique_size,
+          " must be <= min_k ", options_.min_k);
 }
 
 Result Engine::run(const Graph& g) const {

@@ -116,6 +116,9 @@ struct Options {
 
   /// Maximal cliques smaller than this are dropped before percolation
   /// (>= 2). Raising it prunes the overlap index when only high k matters.
+  /// Must be <= min_k (Engine and IncrementalCpm throw kcc::Error naming
+  /// both values otherwise): every level, k = 2 included, percolates the
+  /// clique table, so a level below the floor would read a truncated one.
   std::size_t min_clique_size = 2;
 
   /// Worker threads; 0 means hardware concurrency, 1 forces sequential.

@@ -42,6 +42,9 @@ IncrementalCpm::IncrementalCpm(const Graph& g, Options options)
   require(options_.min_k >= 2, "IncrementalCpm: min_k must be >= 2");
   require(options_.min_clique_size >= 2,
           "IncrementalCpm: min_clique_size must be >= 2");
+  require(options_.min_clique_size <= options_.min_k,
+          "IncrementalCpm: min_clique_size ", options_.min_clique_size,
+          " must be <= min_k ", options_.min_k);
   KCC_SPAN("incr_cpm/bootstrap");
   {
     ThreadPool pool(options_.threads);
@@ -512,11 +515,10 @@ Graph IncrementalCpm::graph() const {
 
 Result IncrementalCpm::result() const {
   KCC_SPAN("incr_cpm/materialize");
-  // Rebuilding the graph and copying the table is a `percolate` stage of
-  // its own, closed before the sweep tail opens its own: nesting two stages
-  // of one name would count this time twice.
+  // Copying the table is a `percolate` stage of its own, closed before the
+  // sweep tail opens its own: nesting two stages of one name would count
+  // this time twice.
   std::optional<obs::StageScope> prepare_stage(std::in_place, "percolate");
-  const Graph g = graph();
 
   // The table: alive cliques above the clique floor in the kept
   // lexicographic order, the one table order churn can reproduce
@@ -550,7 +552,7 @@ Result IncrementalCpm::result() const {
 
   prepare_stage.reset();
   SweepCpmResult sweep =
-      run_sweep_cpm_prejoined(g, std::move(table), pairs,
+      run_sweep_cpm_prejoined(num_nodes(), std::move(table), pairs,
                               options_.cpm_options(), options_.build_tree);
   Result result;
   result.cpm = std::move(sweep.cpm);

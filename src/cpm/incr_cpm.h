@@ -100,7 +100,9 @@ class IncrementalCpm {
   /// bitset_max_universe / build_tree; options.engine is ignored (this
   /// state IS the engine). The k range and clique floor only filter
   /// materialization — the maintained table always holds every maximal
-  /// clique of size >= 2, which the update theorems require.
+  /// clique of size >= 2, which the update theorems require. Throws
+  /// kcc::Error naming both values when min_clique_size > min_k (see
+  /// Options::min_clique_size).
   explicit IncrementalCpm(const Graph& g, Options options = {});
 
   /// Applies one edge batch: removes first, then adds, each patching the
@@ -113,12 +115,14 @@ class IncrementalCpm {
   /// Materializes the Result for the current graph by running the sweep
   /// tail (run_sweep_cpm_prejoined) over the maintained clique table, in
   /// the lexicographic order kept across batches (no sort here), with the
-  /// overlap lists as its pair source (no flat pair vector). The graph and
-  /// table preparation and the sweep tail are two `percolate` run-report
+  /// overlap lists as its pair source (no flat pair vector) and the node
+  /// count as the only thing it reads of the graph: no Graph is rebuilt.
+  /// The table copy and the sweep tail are two `percolate` run-report
   /// stages (obs::StageScope); the tree step is the `tree` stage.
   Result result() const;
 
-  /// The current graph, rebuilt from the maintained adjacency.
+  /// The current graph, rebuilt from the maintained adjacency (for
+  /// oracles that re-run an engine from scratch; result() needs none).
   Graph graph() const;
 
   const Options& options() const { return options_; }

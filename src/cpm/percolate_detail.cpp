@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "common/set_ops.h"
 #include "common/union_find.h"
-#include "graph/graph_algorithms.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -116,35 +115,32 @@ void canonicalise(CommunitySet& set) {
   }
 }
 
-CommunitySet percolate_k2(const Graph& g, const std::vector<NodeSet>& cliques) {
+CommunitySet percolate_k2(std::size_t num_nodes,
+                          const std::vector<NodeSet>& cliques) {
   CommunitySet set;
   set.k = 2;
-  const ComponentLabeling labels = connected_components(g);
-  const auto sizes = labels.sizes();
-
-  // Component id -> community index (only components with >= 2 nodes).
-  std::vector<std::uint32_t> community_of_component(labels.count,
-                                                    CommunitySet::kNoCommunity);
-  for (std::uint32_t comp = 0; comp < labels.count; ++comp) {
-    if (sizes[comp] >= 2) {
-      community_of_component[comp] =
-          static_cast<std::uint32_t>(set.communities.size());
-      Community c;
-      c.k = 2;
-      set.communities.push_back(std::move(c));
-    }
+  UnionFind uf(num_nodes);
+  for (const NodeSet& q : cliques) {
+    for (std::size_t i = 1; i < q.size(); ++i) uf.unite(q[0], q[i]);
   }
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    const auto idx = community_of_component[labels.component_of[v]];
+  // Root -> community index. A node in no clique keeps kNoCommunity.
+  std::vector<std::uint32_t> community_of_root(num_nodes,
+                                               CommunitySet::kNoCommunity);
+  for (CliqueId c = 0; c < cliques.size(); ++c) {
+    std::uint32_t& idx = community_of_root[uf.find(cliques[c][0])];
+    if (idx == CommunitySet::kNoCommunity) {
+      idx = static_cast<std::uint32_t>(set.communities.size());
+      Community community;
+      community.k = 2;
+      set.communities.push_back(std::move(community));
+    }
+    set.communities[idx].clique_ids.push_back(c);  // ascending c => sorted
+  }
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const std::uint32_t idx = community_of_root[uf.find(v)];
     if (idx != CommunitySet::kNoCommunity) {
       set.communities[idx].nodes.push_back(v);  // ascending v => sorted
     }
-  }
-  for (CliqueId c = 0; c < cliques.size(); ++c) {
-    const auto idx = community_of_component[labels.component_of[cliques[c][0]]];
-    require(idx != CommunitySet::kNoCommunity,
-            "percolate_k2: clique in a size-1 component");
-    set.communities[idx].clique_ids.push_back(c);  // ascending c => sorted
   }
   canonicalise(set);
   return set;
@@ -172,13 +168,13 @@ std::size_t resolve_max_k(std::size_t min_k, std::size_t max_k,
   return resolved < min_k ? min_k - 1 : resolved;
 }
 
-LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
+LevelSweep descend_levels(std::size_t num_nodes, std::vector<NodeSet> cliques,
                           const CpmOptions& options, const char* where,
                           const char* spans, const LevelJoin& join,
                           bool build_tree) {
   // Run-report stages: the levels are `percolate`, the tree step `tree`.
   std::optional<obs::StageScope> percolate_stage(std::in_place, "percolate");
-  validate_cpm_input(g.num_nodes(), options.min_k, cliques, where);
+  validate_cpm_input(num_nodes, options.min_k, cliques, where);
   LevelSweep out;
   CpmResult& result = out.cpm;
   result.cliques = std::move(cliques);
@@ -210,7 +206,7 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
 
     const obs::ScopedSpan sweep_span(prefix + "/sweep");
     UnionFind uf(num_cliques);
-    Snapshotter snapshotter(num_cliques, g.num_nodes());
+    Snapshotter snapshotter(num_cliques, num_nodes);
     std::vector<CliqueId> live;  // cliques of size >= k, ascending
     for (std::size_t k = max_size; k >= lowest; --k) {
       // Activate the cliques of size k; both ranges are ascending, so one
@@ -231,10 +227,10 @@ LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
     }
   }
 
-  // ---- the k = 2 level: connected components ----
+  // ---- the k = 2 level: the cliques' node components ----
   if (result.min_k == 2) {
     const obs::ScopedSpan span(prefix + "/percolate_k2");
-    emit(percolate_k2(g, result.cliques));
+    emit(percolate_k2(num_nodes, result.cliques));
   }
   percolate_stage.reset();
   if (!build_tree) return out;

@@ -1,10 +1,10 @@
 // Internals shared by the CPM engines (per-k percolation in cpm.cpp, the
 // single-sweep engine in sweep_cpm.cpp and the almost-exact engine in
-// almost_cpm.cpp): canonical community ordering, the k = 2
-// connected-components special case, input validation, the common metrics
-// hooks, and the one descending-k level loop the sweep-style engines plug
-// their joins into. Not part of the public API — include cpm/cpm.h or
-// cpm/engine.h instead.
+// almost_cpm.cpp): canonical community ordering, the k = 2 level,
+// input validation, the common metrics hooks, and the one descending-k
+// level loop the sweep-style engines plug their joins into. All of them
+// read only the clique table and a node count, never a graph. Not part of
+// the public API — include cpm/cpm.h or cpm/engine.h instead.
 #pragma once
 
 #include <cstddef>
@@ -15,7 +15,6 @@
 #include "cpm/community.h"
 #include "cpm/community_tree.h"
 #include "cpm/cpm.h"
-#include "graph/graph.h"
 
 namespace kcc {
 class UnionFind;
@@ -29,8 +28,13 @@ namespace kcc::cpm_detail {
 /// across engines.
 void canonicalise(CommunitySet& set);
 
-/// k = 2: communities are connected components with at least one edge.
-CommunitySet percolate_k2(const Graph& g, const std::vector<NodeSet>& cliques);
+/// k = 2 from the clique table alone: the nodes of each clique are united,
+/// so a community is one component of the clique-node relation, its nodes
+/// ascending and its clique ids ascending. Every edge lies in some maximal
+/// clique, so over a full maximal-clique table of a graph with `num_nodes`
+/// nodes these are exactly its connected components with >= 2 nodes.
+CommunitySet percolate_k2(std::size_t num_nodes,
+                          const std::vector<NodeSet>& cliques);
 
 /// Flushes the per-k community count/size instruments for one finished set.
 void note_community_set(const CommunitySet& set);
@@ -72,21 +76,21 @@ struct LevelSweep {
 };
 
 /// The descending-k loop of the sweep-style engines (paper Sec. 3.1: each
-/// level coarsens the one above). Validates `cliques` against `g` and
-/// resolves the k range from `options`; when the range reaches k >= 3,
-/// calls `join.prepare` once and sweeps ONE union-find from the largest
-/// clique size down to max(3, min_k): activate the cliques of size k,
-/// `join.unite_level(k, ...)`, and snapshot the components over the live
-/// cliques as level k when k is requested. Then the k = 2 level when
-/// min_k == 2, and — when `build_tree` is set and the range is not empty —
-/// the nesting tree, built from the finished levels by
-/// CommunityTree::build.
+/// level coarsens the one above). Validates `cliques` against a graph of
+/// `num_nodes` nodes and resolves the k range from `options`; when the
+/// range reaches k >= 3, calls `join.prepare` once and sweeps ONE
+/// union-find from the largest clique size down to max(3, min_k): activate
+/// the cliques of size k, `join.unite_level(k, ...)`, and snapshot the
+/// components over the live cliques as level k when k is requested. Then
+/// the k = 2 level (percolate_k2) when min_k == 2, and — when `build_tree`
+/// is set and the range is not empty — the nesting tree, built from the
+/// finished levels by CommunityTree::build.
 /// Every level is canonicalised, so engines that unite the same pairs emit
 /// byte-identical output. `where` names the caller in error messages; span
 /// names are `<spans>/sweep`, `<spans>/emit_k=<k>`, `<spans>/percolate_k2`
 /// and `<spans>/tree`. The levels run under the `percolate` run-report
 /// stage and the tree step under the `tree` stage (obs::StageScope).
-LevelSweep descend_levels(const Graph& g, std::vector<NodeSet> cliques,
+LevelSweep descend_levels(std::size_t num_nodes, std::vector<NodeSet> cliques,
                           const CpmOptions& options, const char* where,
                           const char* spans, const LevelJoin& join,
                           bool build_tree);

@@ -127,7 +127,7 @@ void chain_shared_edges(const std::vector<NodeSet>& cliques,
 // with the pairs sharing >= min_overlap nodes, whose endpoints have size
 // >= k and so are already live.
 template <typename Fill>
-SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
+SweepCpmResult sweep(std::size_t num_nodes, std::vector<NodeSet> cliques,
                      const CpmOptions& options, bool build_tree,
                      const char* caller, Fill&& fill) {
   SweepCpmResult out;
@@ -153,13 +153,14 @@ SweepCpmResult sweep(const Graph& g, std::vector<NodeSet> cliques,
   join.unite_level = [&](std::size_t k, UnionFind& uf,
                          const std::vector<CliqueId>& live) {
     if (k == 3) {
-      chain_shared_edges(*table, live, g.num_nodes(), uf, stats);
+      chain_shared_edges(*table, live, num_nodes, uf, stats);
     } else {
       buckets->drain(k - 1, uf);
     }
   };
-  cpm_detail::LevelSweep levels = cpm_detail::descend_levels(
-      g, std::move(cliques), options, caller, "sweep_cpm", join, build_tree);
+  cpm_detail::LevelSweep levels =
+      cpm_detail::descend_levels(num_nodes, std::move(cliques), options,
+                                 caller, "sweep_cpm", join, build_tree);
   out.cpm = std::move(levels.cpm);
   out.tree = std::move(levels.tree);
   if (buckets) {
@@ -177,7 +178,7 @@ SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
                                         std::vector<NodeSet> cliques,
                                         const CpmOptions& options,
                                         bool build_tree) {
-  return sweep(g, std::move(cliques), options, build_tree,
+  return sweep(g.num_nodes(), std::move(cliques), options, build_tree,
                "run_sweep_cpm_on_cliques",
                [&](OverlapSink& sink, const std::vector<NodeSet>& table,
                    std::size_t min_overlap) {
@@ -191,12 +192,12 @@ SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
                });
 }
 
-SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
+SweepCpmResult run_sweep_cpm_prejoined(std::size_t num_nodes,
                                        std::vector<NodeSet> cliques,
                                        const OverlapSource& source,
                                        const CpmOptions& options,
                                        bool build_tree) {
-  return sweep(g, std::move(cliques), options, build_tree,
+  return sweep(num_nodes, std::move(cliques), options, build_tree,
                "run_sweep_cpm_prejoined",
                [&](OverlapSink& sink, const std::vector<NodeSet>&,
                    std::size_t min_overlap) { source(min_overlap, sink); });
@@ -208,7 +209,7 @@ SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
                                        const CpmOptions& options,
                                        bool build_tree) {
   return run_sweep_cpm_prejoined(
-      g, std::move(cliques),
+      g.num_nodes(), std::move(cliques),
       [&](std::size_t min_overlap, OverlapSink& sink) {
         for (const CliqueOverlap& p : overlaps) {
           if (p.overlap >= min_overlap) sink.add(p.a, p.b, p.overlap);

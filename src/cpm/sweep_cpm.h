@@ -83,8 +83,9 @@ struct SweepCpmResult {
 /// Extracts all k-clique communities and the community tree in one
 /// descending-k sweep over a pre-enumerated maximal-clique set (each
 /// clique sorted, size >= 2, nodes < g.num_nodes()). Options are shared
-/// with the per-k engine. `g` is still needed for the k = 2 special case.
-/// `build_tree` = false skips the tree step.
+/// with the per-k engine. Only `g.num_nodes()` is read: every level, k = 2
+/// included, comes from the clique table. `build_tree` = false skips the
+/// tree step.
 SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
                                         std::vector<NodeSet> cliques,
                                         const CpmOptions& options = {},
@@ -128,15 +129,15 @@ class OverlapSink {
 using OverlapSource =
     std::function<void(std::size_t min_overlap, OverlapSink& sink)>;
 
-/// run_sweep_cpm_on_cliques over a clique set whose overlap pairs are
-/// already known: skips the overlap join, lets `source` add the pairs
-/// straight into the sweep's buckets, then runs the same loop, level 3
-/// included. The incremental engine maintains the pairs across edge
-/// batches and re-enters the sweep here, walking its live overlap lists
-/// into the sink with no flat copy, so its output is the sweep engine's
-/// output by construction. The source is called only when the effective k
+/// run_sweep_cpm_on_cliques over a clique set (nodes < `num_nodes`) whose
+/// overlap pairs are already known: skips the overlap join, lets `source`
+/// add the pairs straight into the sweep's buckets, then runs the same
+/// loop, level 3 included. The incremental engine maintains the pairs
+/// across edge batches and re-enters the sweep here, walking its live
+/// overlap lists into the sink with no flat copy and building no Graph, so
+/// its output is the sweep engine's output by construction. The source is called only when the effective k
 /// range reaches 3, and its pairs are used only when it reaches 4.
-SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
+SweepCpmResult run_sweep_cpm_prejoined(std::size_t num_nodes,
                                        std::vector<NodeSet> cliques,
                                        const OverlapSource& source,
                                        const CpmOptions& options = {},

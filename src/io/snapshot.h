@@ -5,7 +5,8 @@
 // node→(k, community) postings index — so the paper's all-k communities
 // are served to many concurrent clients without recomputation. The
 // maximal-clique table and each community's clique ids are not stored;
-// the io/result_io.h text archive is the format that round-trips those.
+// the write-only io/result_io.h text file is the format that records
+// those.
 //
 // All arrays are flat and little-endian, addressable straight from the
 // mapping, so membership-at-k / community-by-id / ancestry / LCA /

@@ -8,9 +8,12 @@
 //
 // Lifecycle: construct (binds + listens), start() (spawns the accept loop),
 // then either wait() until a shutdown arrives or call shutdown() from a
-// signal handler / another thread. Shutdown closes the listening socket,
-// shuts down every live connection fd, and joins all threads; in-flight
-// requests finish, queued-but-unread frames are dropped with the socket.
+// signal handler / another thread. While serving, the accept loop joins the
+// threads of closed connections, so a long-running daemon holds one thread
+// (and stack) per open connection, not per connection ever accepted.
+// Shutdown closes the listening socket, shuts down every live connection
+// fd, and joins the remaining threads; in-flight requests finish,
+// queued-but-unread frames are dropped with the socket.
 //
 // Hot swap: the snapshot is held through a shared_ptr that every request
 // copies at its start, so try_reload() — triggered by SIGHUP (via
@@ -128,10 +131,15 @@ class Server {
   std::atomic<bool> reload_requested_{false};
   std::thread accept_thread_;
 
-  std::mutex mutex_;  // guards connections_ and threads_
+  /// Joins the threads whose connection_loop has returned.
+  void join_finished();
+
+  std::mutex mutex_;  // guards connections_, threads_ and finished_
   std::condition_variable shutdown_cv_;
   std::map<std::uint64_t, int> connections_;  // id -> live fd
-  std::vector<std::thread> threads_;
+  std::map<std::uint64_t, std::thread> threads_;  // id -> unjoined thread
+  /// Ids whose connection_loop has returned; the accept loop joins them.
+  std::vector<std::uint64_t> finished_;
   std::uint64_t next_connection_id_ = 0;
   bool started_ = false;
 };

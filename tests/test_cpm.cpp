@@ -53,16 +53,6 @@ TEST(Cpm, SharingKMinusOneMergesAtK) {
   EXPECT_EQ(r.at(4).communities[0].size(), 5u);
 }
 
-TEST(Cpm, K2IsConnectedComponents) {
-  const Graph g = make_graph(7, {{0, 1}, {1, 2}, {3, 4}});  // + isolated 5, 6
-  const CpmResult r = run_cpm(g);
-  ASSERT_TRUE(r.has_k(2));
-  const auto sets = community_node_sets(r.at(2));
-  ASSERT_EQ(sets.size(), 2u);
-  EXPECT_EQ(sets[0], (NodeSet{0, 1, 2}));
-  EXPECT_EQ(sets[1], (NodeSet{3, 4}));
-}
-
 TEST(Cpm, TriangleChain) {
   // Triangles sharing single nodes stay separate at k = 3.
   // {0,1,2} - node 2 - {2,3,4}: share 1 node < k-1 = 2.

@@ -38,7 +38,7 @@ const std::vector<std::pair<std::string, TableEntry>>& table_entries() {
        }},
       {"run_sweep_cpm_prejoined (pair source)",
        [](const Graph& g, std::vector<NodeSet> table) {
-         return run_sweep_cpm_prejoined(g, std::move(table),
+         return run_sweep_cpm_prejoined(g.num_nodes(), std::move(table),
                                         [](std::size_t, OverlapSink&) {})
              .cpm;
        }},

@@ -1,6 +1,7 @@
 // Property tests for cpm::Engine option validation and edge-case behavior:
 // every engine must agree on what an empty k range, an out-of-range max_k,
-// an empty graph or a single edge *means* — not just on big healthy inputs.
+// a clique floor, an empty graph, a single edge or a k = 2 level over
+// several components *means* — not just on big healthy inputs.
 //
 // The engine axis is generated from cpm::engine_registry(), so a newly
 // registered backend (including approximate ones) is held to the same
@@ -16,6 +17,7 @@
 #include "common/error.h"
 #include "common/timer.h"
 #include "cpm/engine.h"
+#include "cpm/incr_cpm.h"
 #include "obs/report.h"
 #include "test_helpers.h"
 
@@ -85,6 +87,55 @@ TEST(EngineOptions, MinCliqueSizeBelowTwoRejectedByEveryEngine) {
   }
 }
 
+TEST(EngineOptions, MinCliqueSizeAboveMinKRejectedByEveryEngine) {
+  // Every level, k = 2 included, percolates the clique table, so a floor
+  // above min_k would hand the lowest levels a truncated table.
+  const auto expect_floor_error = [](const auto& construct,
+                                     const std::string& label) {
+    try {
+      construct();
+      ADD_FAILURE() << label << ": expected kcc::Error";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("min_clique_size 3"), std::string::npos)
+          << label << ": " << what;
+      EXPECT_NE(what.find("min_k 2"), std::string::npos)
+          << label << ": " << what;
+    }
+  };
+  cpm::Options options;
+  options.min_k = 2;
+  options.min_clique_size = 3;
+  for (const std::string& engine : all_engines()) {
+    options.engine = engine;
+    expect_floor_error([&] { cpm::Engine{options}; }, engine);
+  }
+  expect_floor_error(
+      [&] { cpm::IncrementalCpm(complete_graph(4), options); },
+      "IncrementalCpm");
+}
+
+TEST(EngineOptions, FloorAtMinKKeepsTheLevelsAboveIt) {
+  // min_k = min_clique_size = 4: the dropped cliques (size < 4) take part
+  // in no level k >= 4, so every engine's node sets equal those of a run
+  // at the default floor.
+  const Graph g = testing::random_graph(18, 0.5, 11);
+  const cpm::CanonicalOptions nodes_only{false, false, false};
+  for (const std::string& engine : all_engines()) {
+    cpm::Options options;
+    options.engine = engine;
+    options.min_k = 4;
+    const cpm::Result full = cpm::Engine(options).run(g);
+    ASSERT_TRUE(full.cpm.has_k(4)) << engine;
+    ASSERT_GT(full.cpm.at(4).count(), 0u) << engine;
+    options.min_clique_size = 4;
+    const cpm::Result floored = cpm::Engine(options).run(g);
+    EXPECT_EQ(cpm::canonical_text(floored, nodes_only),
+              cpm::canonical_text(full, nodes_only))
+        << engine;
+  }
+}
+
 TEST(EngineOptions, MinKAboveMaxKYieldsEmptyResultEverywhere) {
   const Graph g = complete_graph(6);
   for (const std::string& engine : all_engines()) {
@@ -147,6 +198,32 @@ TEST(EngineOptions, SingleEdgeAgreesAcrossEngines) {
   // And byte-for-byte among the exact engines, through the canonical
   // node-set projection (the exactness header keeps approximate results out
   // of digest comparisons even when the node sets coincide).
+  const cpm::CanonicalOptions nodes_only{false, false, false};
+  const std::uint64_t baseline =
+      cpm::canonical_digest(run("per_k", g), nodes_only);
+  for (const std::string& engine : exact_engines()) {
+    EXPECT_EQ(cpm::canonical_digest(run(engine, g), nodes_only), baseline)
+        << engine;
+  }
+}
+
+TEST(EngineOptions, K2IsConnectedComponentsOnEveryEngine) {
+  // Triangle {0,1,2} with a pendant edge {2,3}, a second component {4,5},
+  // isolated nodes 6 and 7. The k = 2 level comes from the clique table;
+  // it must equal the graph's components with >= 2 nodes.
+  const Graph g = make_graph(8, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {4, 5}});
+  for (const std::string& engine : all_engines()) {
+    const cpm::Result result = run(engine, g);
+    ASSERT_TRUE(result.cpm.has_k(2)) << engine;
+    const CommunitySet& level2 = result.cpm.at(2);
+    ASSERT_EQ(level2.count(), 2u) << engine;
+    EXPECT_EQ(level2.communities[0].nodes, (NodeSet{0, 1, 2, 3})) << engine;
+    EXPECT_EQ(level2.communities[1].nodes, (NodeSet{4, 5})) << engine;
+    ASSERT_TRUE(result.cpm.has_k(3)) << engine;
+    ASSERT_EQ(result.cpm.at(3).count(), 1u) << engine;
+    EXPECT_EQ(result.cpm.at(3).communities[0].nodes, (NodeSet{0, 1, 2}))
+        << engine;
+  }
   const cpm::CanonicalOptions nodes_only{false, false, false};
   const std::uint64_t baseline =
       cpm::canonical_digest(run("per_k", g), nodes_only);

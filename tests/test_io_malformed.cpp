@@ -1,9 +1,8 @@
 // Malformed-input hardening for the loaders: every bad line in an edge
 // list or a delta stream must fail loudly with the offending line number
-// (never be silently skipped or narrowed), a CPM result file must partition
-// its cliques at every level, and the CSV writer must reject structural
-// misuse. Runs under
-// the sanitize label so the parsers also get exercised under TSan/ASan.
+// (never be silently skipped or narrowed), and the CSV writer must reject
+// structural misuse. Runs under the sanitize label so the parsers also get
+// exercised under TSan/ASan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "io/csv.h"
 #include "io/delta_stream.h"
 #include "io/edge_list.h"
-#include "io/result_io.h"
 
 namespace kcc {
 namespace {
@@ -282,60 +280,6 @@ TEST(DeltaStream, RoundTripsThroughTheWriter) {
   EXPECT_EQ(write_delta_stream(parse_delta_stream(write_delta_stream(stream))),
             write_delta_stream(stream));
   EXPECT_EQ(parse_delta_stream("").name, "delta");
-}
-
-// ----------------------------------------------------------- cpm results
-
-// Two triangles and a pendant edge; `level3` is the k = 3 section, which
-// must list cliques 0 and 1 once each and never the size-2 clique 2.
-std::string cpm_result_text(const std::string& level3) {
-  return "kcc-cpm-result 1\n"
-         "meta 2 3 3 5\n"
-         "clique 0 0 1 2\n"
-         "clique 1 1 2 3\n"
-         "clique 2 3 4\n"
-         "set 2 1\n"
-         "community 2 0 nodes 0 1 2 3 4 cliques 0 1 2\n" +
-         level3;
-}
-
-std::string cpm_result_error_of(const std::string& level3) {
-  std::istringstream in(cpm_result_text(level3));
-  try {
-    read_cpm_result(in);
-  } catch (const Error& e) {
-    return e.what();
-  }
-  ADD_FAILURE() << "expected read_cpm_result to throw on: " << level3;
-  return "";
-}
-
-TEST(CpmResultMalformed, WellFormedLevelsLoad) {
-  std::istringstream in(
-      cpm_result_text("set 3 2\n"
-                      "community 3 0 nodes 0 1 2 cliques 0\n"
-                      "community 3 1 nodes 1 2 3 cliques 1\n"));
-  const CpmResult result = read_cpm_result(in);
-  EXPECT_EQ(result.at(3).count(), 2u);
-}
-
-TEST(CpmResultMalformed, CliqueListedTwiceInOneLevelIsRejected) {
-  // Accepted silently, the second listing would give the community tree a
-  // wrong witness parent for every level above.
-  EXPECT_EQ(cpm_result_error_of("set 3 2\n"
-                                "community 3 0 nodes 0 1 2 cliques 0\n"
-                                "community 3 1 nodes 0 1 2 3 cliques 0 1\n"),
-            "read_cpm_result: k=3 lists clique 0 in two communities");
-}
-
-TEST(CpmResultMalformed, UndersizedOrMissingCliquesAreRejected) {
-  EXPECT_EQ(cpm_result_error_of("set 3 2\n"
-                                "community 3 0 nodes 0 1 2 3 cliques 0 1\n"
-                                "community 3 1 nodes 3 4 cliques 2\n"),
-            "read_cpm_result: k=3 lists clique 2 of size 2 < k");
-  EXPECT_EQ(cpm_result_error_of("set 3 1\n"
-                                "community 3 0 nodes 0 1 2 cliques 0\n"),
-            "read_cpm_result: k=3 lists clique 1 in no community");
 }
 
 // ------------------------------------------------------------------- csv

@@ -2,7 +2,8 @@
 // driven through serve::Client, with every answer checked against an oracle
 // computed directly from the in-memory cpm::Result. Also covers protocol
 // abuse (malformed frames, oversized frames, out-of-range arguments),
-// pipelining, concurrent clients and both shutdown paths.
+// pipelining, concurrent clients, both shutdown paths and the joining of
+// closed connections' threads.
 
 #include <gtest/gtest.h>
 
@@ -305,6 +306,33 @@ TEST(Serve, RemoteShutdownCanBeDisabled) {
   EXPECT_EQ(client.info().engine, fixture().result.engine_name);
   live.server->shutdown();
   EXPECT_TRUE(live.server->stopping());
+}
+
+/// This process's virtual size in MB (VmSize in /proc/self/status).
+double vm_size_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stod(line.substr(7)) / 1024.0;  // the field is in kB
+    }
+  }
+  ADD_FAILURE() << "no VmSize line in /proc/self/status";
+  return 0.0;
+}
+
+TEST(Serve, ClosedConnectionsDoNotKeepTheirThreads) {
+  // Every connection thread holds a stack (8 MB of address space by
+  // default) until it is joined. A server that joins them only at shutdown
+  // grows by that much per connection ever accepted.
+  LiveServer live("reap");
+  { serve::Client(live.socket_path).info(); }  // warm up thread + stack
+  const double before = vm_size_mb();
+  for (int i = 0; i < 32; ++i) {
+    serve::Client client(live.socket_path);
+    EXPECT_EQ(client.info().engine, fixture().result.engine_name);
+  }
+  EXPECT_LT(vm_size_mb() - before, 64.0);
 }
 
 TEST(Serve, StaleSocketFileIsReplaced) {

@@ -184,7 +184,7 @@ TEST(SweepCpm, PairSourceAndFlatPairsGiveTheSameCanonicalText) {
       text(run_sweep_cpm_prejoined(g, cliques, pairs, {}));
   // The source adds the pairs backwards, endpoints swapped.
   const std::string sourced = text(run_sweep_cpm_prejoined(
-      g, cliques,
+      g.num_nodes(), cliques,
       [&](std::size_t min_overlap, OverlapSink& sink) {
         for (auto p = pairs.rbegin(); p != pairs.rend(); ++p) {
           if (p->overlap >= min_overlap) sink.add(p->b, p->a, p->overlap);
