@@ -66,6 +66,15 @@ PipelineResult run_harness(const HarnessConfig& config) {
   return result;
 }
 
+std::string community_label(std::size_t k, std::size_t id) {
+  // Appended piecewise: gcc 12 -Wrestrict misfires on "k" + std::string.
+  std::string label = "k";
+  label += std::to_string(k);
+  label += "id";
+  label += std::to_string(id);
+  return label;
+}
+
 void banner(const std::string& experiment, const std::string& paper_claim) {
   std::cout << "=== " << experiment << " ===\n";
   std::cout << "Paper: " << paper_claim << "\n\n";

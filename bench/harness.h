@@ -37,6 +37,9 @@ HarnessConfig parse_harness_args(int argc, char** argv);
 /// Runs the pipeline and prints the standard run header.
 PipelineResult run_harness(const HarnessConfig& config);
 
+/// The "k<k>id<id>" label of community `id` at level `k`.
+std::string community_label(std::size_t k, std::size_t id);
+
 /// Prints the experiment banner.
 void banner(const std::string& experiment, const std::string& paper_claim);
 

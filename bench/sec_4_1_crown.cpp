@@ -86,7 +86,7 @@ int body(const kcc::bench::HarnessConfig& config) {
       name = eco.ixps.ixp(p.max_share->ixp).name;
       share = percent(p.max_share->fraction);
     }
-    table.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id), p.size,
+    table.add(kcc::bench::community_label(p.k, p.id), p.size,
               name, share, p.full_share.empty() ? "no" : "yes");
   }
   std::cout << table;

@@ -41,7 +41,7 @@ int body(const kcc::bench::HarnessConfig& config) {
     const double wc =
         geo_tag_fraction(eco.geo, c.nodes, GeoTag::kWorldwide) +
         geo_tag_fraction(eco.geo, c.nodes, GeoTag::kContinental);
-    table.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id), p.size,
+    table.add(kcc::bench::community_label(p.k, p.id), p.size,
               p.is_main ? "yes" : "no", percent(p.on_ixp_fraction), name,
               share, fixed(mean_degree(eco.topology.graph, c.nodes), 1),
               percent(wc));

@@ -31,7 +31,10 @@ int main(int argc, char** argv) {
 
     TextTable counts({"snapshot", "communities at k=" + std::to_string(k)});
     for (std::size_t t = 0; t < summary.community_counts.size(); ++t) {
-      counts.add("t" + std::to_string(t), summary.community_counts[t]);
+      // Appended piecewise: gcc 12 -Wrestrict misfires on "t" + std::string.
+      std::string snapshot = "t";
+      snapshot += std::to_string(t);
+      counts.add(snapshot, summary.community_counts[t]);
     }
     std::cout << counts << "\n";
 

@@ -13,6 +13,20 @@
 #include "cpm/engine.h"
 #include "graph/subgraph.h"
 
+namespace {
+
+// The "k<k>id<id>" label of a community, appended piecewise: gcc 12
+// -Wrestrict misfires on "k" + std::string.
+std::string community_label(std::size_t k, std::size_t id) {
+  std::string label = "k";
+  label += std::to_string(k);
+  label += "id";
+  label += std::to_string(id);
+  return label;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace kcc;
   try {
@@ -47,8 +61,8 @@ int main(int argc, char** argv) {
       std::string full = p.full_share.empty()
                              ? "no"
                              : eco.ixps.ixp(p.full_share.front()).name;
-      crown.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id),
-                p.size, name, shared, fraction, full);
+      crown.add(community_label(p.k, p.id), p.size, name, shared, fraction,
+                full);
     }
     std::cout << crown << "\n";
 
@@ -64,8 +78,7 @@ int main(int argc, char** argv) {
       ++root_full;
       const Ixp& ixp = eco.ixps.ixp(p.full_share.front());
       if (root.row_count() < 20) {
-        root.add("k" + std::to_string(p.k) + "id" + std::to_string(p.id),
-                 p.size, ixp.name, ixp.country);
+        root.add(community_label(p.k, p.id), p.size, ixp.name, ixp.country);
       }
     }
     std::cout << root;

@@ -70,10 +70,9 @@ CommunitySet percolate_k(std::size_t k, const std::vector<NodeSet>& cliques,
   return set;
 }
 
-}  // namespace
-
-CpmResult run_cpm_on_cliques(const Graph& g, std::vector<NodeSet> cliques,
-                             const CpmOptions& options) {
+// run_cpm_on_cliques on the caller's thread budget.
+CpmResult percolate_cliques(const Graph& g, std::vector<NodeSet> cliques,
+                            const CpmOptions& options, ThreadPool& pool) {
   cpm_detail::validate_cpm_input(g.num_nodes(), options.min_k, cliques,
                                  "run_cpm_on_cliques");
 
@@ -83,8 +82,6 @@ CpmResult run_cpm_on_cliques(const Graph& g, std::vector<NodeSet> cliques,
   result.max_k =
       cpm_detail::resolve_max_k(options.min_k, options.max_k, result.cliques);
   if (result.max_k < result.min_k) return result;
-
-  ThreadPool pool(options.threads);
 
   // Overlap pairs are only needed for k >= 3 (threshold k-1 >= 2).
   std::vector<CliqueOverlap> overlaps;
@@ -104,15 +101,25 @@ CpmResult run_cpm_on_cliques(const Graph& g, std::vector<NodeSet> cliques,
   // Per-k percolations are independent: the LP-CPM parallel axis.
   {
     KCC_SPAN("cpm/percolate_all_k");
-    parallel_for(pool, result.by_k.size(), [&](std::size_t i) {
-      const std::size_t k = result.min_k + i;
-      const obs::ScopedSpan span("cpm/percolate_k=" + std::to_string(k));
-      result.by_k[i] = k == 2 ? percolate_k2(g.num_nodes(), result.cliques)
-                              : percolate_k(k, result.cliques, overlaps);
-      cpm_detail::note_community_set(result.by_k[i]);
-    });
+    parallel_for_dynamic(
+        pool, result.by_k.size(), /*grain=*/1,
+        [&](std::size_t /*worker*/, std::size_t i, std::size_t /*end*/) {
+          const std::size_t k = result.min_k + i;
+          const obs::ScopedSpan span("cpm/percolate_k=" + std::to_string(k));
+          result.by_k[i] = k == 2 ? percolate_k2(g.num_nodes(), result.cliques)
+                                  : percolate_k(k, result.cliques, overlaps);
+          cpm_detail::note_community_set(result.by_k[i]);
+        });
   }
   return result;
+}
+
+}  // namespace
+
+CpmResult run_cpm_on_cliques(const Graph& g, std::vector<NodeSet> cliques,
+                             const CpmOptions& options) {
+  ThreadPool pool(options.threads);
+  return percolate_cliques(g, std::move(cliques), options, pool);
 }
 
 CpmResult run_cpm(const Graph& g, const CpmOptions& options) {
@@ -121,7 +128,7 @@ CpmResult run_cpm(const Graph& g, const CpmOptions& options) {
   clique::Options copt;
   copt.min_size = 2;
   std::vector<NodeSet> cliques = clique::Enumerator(g, copt).collect(pool);
-  return run_cpm_on_cliques(g, std::move(cliques), options);
+  return percolate_cliques(g, std::move(cliques), options, pool);
 }
 
 }  // namespace kcc

@@ -1,5 +1,7 @@
 #include "io/dataset_io.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -27,16 +29,40 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-std::uint64_t parse_u64(const std::string& s, const std::string& context) {
-  std::size_t pos = 0;
-  std::uint64_t v = 0;
-  try {
-    v = std::stoull(s, &pos);
-  } catch (const std::exception&) {
-    throw Error(context + ": invalid number '" + s + "'");
-  }
-  require(pos == s.size(), context, ": invalid number '", s, "'");
-  return v;
+// The whitespace-separated fields of one line, which must number exactly
+// `expected`. `reader` and `line_no` locate the line in every error, and
+// `shape` names the expected fields.
+std::vector<std::string> fields_of(const std::string& line,
+                                   std::size_t expected, const char* reader,
+                                   std::size_t line_no, const char* shape) {
+  std::vector<std::string> fields;
+  std::istringstream ls(line);
+  for (std::string field; ls >> field;) fields.push_back(std::move(field));
+  const std::string_view extra =
+      fields.size() > expected ? fields[expected] : std::string_view();
+  require(fields.size() <= expected, reader, " line ", line_no,
+          ": unexpected trailing token '", extra, "'");
+  require(fields.size() == expected, reader, " line ", line_no,
+          ": expected '", shape, "', got ", fields.size(), " field(s)");
+  return fields;
+}
+
+// The node of AS label `token`: a plain decimal integer (no sign) that
+// fits in 64 bits and labels a node of `g`.
+NodeId node_of_token(const LabeledGraph& g, const std::string& token,
+                     const char* reader, std::size_t line_no) {
+  std::uint64_t label = 0;
+  const auto [ptr, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), label);
+  require(ec != std::errc::result_out_of_range, reader, " line ", line_no,
+          ": AS label '", token, "' is larger than 18446744073709551615");
+  require(ec == std::errc() && ptr == token.data() + token.size(), reader,
+          " line ", line_no, ": AS label '", token,
+          "' is not a non-negative integer");
+  require(std::binary_search(g.labels.begin(), g.labels.end(), label), reader,
+          " line ", line_no, ": AS label '", token,
+          "' is not a node of the graph");
+  return g.node_of(label);
 }
 
 }  // namespace
@@ -45,17 +71,17 @@ IxpDataset read_ixp_dataset(std::istream& in, const LabeledGraph& g) {
   std::vector<Ixp> ixps;
   std::string line;
   std::size_t line_no = 0;
+  constexpr const char* kReader = "read_ixp_dataset";
   while (std::getline(in, line)) {
     ++line_no;
     if (!prepare_line(line)) continue;
-    std::istringstream ls(line);
+    std::vector<std::string> fields =
+        fields_of(line, 3, kReader, line_no, "name country label,label,...");
     Ixp ixp;
-    std::string members;
-    require(static_cast<bool>(ls >> ixp.name >> ixp.country >> members),
-            "read_ixp_dataset: malformed line ", line_no);
-    for (const std::string& token : split_csv(members)) {
-      ixp.participants.push_back(
-          g.node_of(parse_u64(token, "read_ixp_dataset")));
+    ixp.name = std::move(fields[0]);
+    ixp.country = std::move(fields[1]);
+    for (const std::string& token : split_csv(fields[2])) {
+      ixp.participants.push_back(node_of_token(g, token, kReader, line_no));
     }
     sort_unique(ixp.participants);
     ixps.push_back(std::move(ixp));
@@ -90,19 +116,19 @@ GeoDataset read_geo_dataset(std::istream& countries_in, std::istream& geo_in,
   while (std::getline(countries_in, line)) {
     ++line_no;
     if (!prepare_line(line)) continue;
-    std::istringstream ls(line);
-    Country country;
-    require(static_cast<bool>(ls >> country.code >> country.continent),
-            "read_geo_dataset: malformed country line ", line_no);
-    countries.push_back(std::move(country));
+    std::vector<std::string> fields = fields_of(
+        line, 2, "read_geo_dataset country", line_no, "code continent");
+    countries.push_back({std::move(fields[0]), std::move(fields[1])});
   }
 
   // Temporary code -> id lookup.
-  auto find_code = [&](const std::string& code) -> CountryId {
-    for (CountryId id = 0; id < countries.size(); ++id) {
-      if (countries[id].code == code) return id;
-    }
-    throw Error("read_geo_dataset: unknown country code '" + code + "'");
+  constexpr const char* kGeoReader = "read_geo_dataset geo";
+  auto find_code = [&](const std::string& code) {
+    CountryId id = 0;
+    while (id < countries.size() && countries[id].code != code) ++id;
+    require(id < countries.size(), kGeoReader, " line ", line_no,
+            ": unknown country code '", code, "'");
+    return id;
   };
 
   std::vector<std::vector<CountryId>> locations(g.graph.num_nodes());
@@ -110,12 +136,10 @@ GeoDataset read_geo_dataset(std::istream& countries_in, std::istream& geo_in,
   while (std::getline(geo_in, line)) {
     ++line_no;
     if (!prepare_line(line)) continue;
-    std::istringstream ls(line);
-    std::string label_str, codes;
-    require(static_cast<bool>(ls >> label_str >> codes),
-            "read_geo_dataset: malformed geo line ", line_no);
-    const NodeId v = g.node_of(parse_u64(label_str, "read_geo_dataset"));
-    for (const std::string& code : split_csv(codes)) {
+    const std::vector<std::string> fields =
+        fields_of(line, 2, kGeoReader, line_no, "label code,code,...");
+    const NodeId v = node_of_token(g, fields[0], kGeoReader, line_no);
+    for (const std::string& code : split_csv(fields[1])) {
       locations[v].push_back(find_code(code));
     }
   }

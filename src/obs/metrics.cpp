@@ -15,6 +15,9 @@
 namespace kcc::obs {
 namespace {
 
+// The gauge both exporters synthesise from peak_rss_bytes() at write time.
+constexpr const char* kPeakRssGauge = "process_peak_rss_bytes";
+
 // Doubles formatted compactly but round-trippably enough for tooling.
 std::string format_double(double v) {
   char buf[64];
@@ -199,8 +202,8 @@ void MetricsRegistry::write_prometheus(std::ostream& out) const {
     out << name << " " << g->value() << "\n";
     out << name << "_max " << g->max_value() << "\n";
   }
-  out << "# TYPE process_peak_rss_bytes gauge\n";
-  out << "process_peak_rss_bytes " << peak_rss_bytes() << "\n";
+  out << "# TYPE " << kPeakRssGauge << " gauge\n";
+  out << kPeakRssGauge << " " << peak_rss_bytes() << "\n";
   for (const auto& [name, h] : histograms_) {
     out << "# TYPE " << name << " histogram\n";
     const auto counts = h->bucket_counts();
@@ -237,7 +240,8 @@ void MetricsRegistry::write_json(std::ostream& out) const {
         << "}";
   }
   if (!first) out << ",";
-  out << "\"process_peak_rss_bytes\":{\"value\":" << peak_rss_bytes()
+  write_json_string(out, kPeakRssGauge);
+  out << ":{\"value\":" << peak_rss_bytes()
       << ",\"max\":" << peak_rss_bytes() << "}";
   out << "},\"histograms\":{";
   first = true;

@@ -1,8 +1,8 @@
 // Malformed-input hardening for the loaders: every bad line in an edge
-// list or a delta stream must fail loudly with the offending line number
-// (never be silently skipped or narrowed), and the CSV writer must reject
-// structural misuse. Runs under the sanitize label so the parsers also get
-// exercised under TSan/ASan.
+// list, a delta stream or an IXP/geo dataset must fail loudly with the
+// offending line number (never be silently skipped or narrowed), and the
+// CSV writer must reject structural misuse. Runs under the sanitize label
+// so the parsers also get exercised under TSan/ASan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 
 #include "common/error.h"
 #include "io/csv.h"
+#include "io/dataset_io.h"
 #include "io/delta_stream.h"
 #include "io/edge_list.h"
 
@@ -280,6 +281,121 @@ TEST(DeltaStream, RoundTripsThroughTheWriter) {
   EXPECT_EQ(write_delta_stream(parse_delta_stream(write_delta_stream(stream))),
             write_delta_stream(stream));
   EXPECT_EQ(parse_delta_stream("").name, "delta");
+}
+
+// --------------------------------------------------------- IXP and geo data
+
+// A three-AS graph (labels 10, 20, 30) the dataset readers resolve into.
+const LabeledGraph& as_graph() {
+  static const LabeledGraph g = parse("10 20\n20 30\n");
+  return g;
+}
+
+std::string ixp_error_of(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    read_ixp_dataset(in, as_graph());
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected read_ixp_dataset to throw on: " << text;
+  return "";
+}
+
+std::string geo_error_of(const std::string& countries,
+                         const std::string& geo) {
+  std::istringstream countries_in(countries);
+  std::istringstream geo_in(geo);
+  try {
+    read_geo_dataset(countries_in, geo_in, as_graph());
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected read_geo_dataset to throw on: " << countries
+                << " / " << geo;
+  return "";
+}
+
+TEST(IxpDatasetMalformed, WellFormedLinesLoad) {
+  std::istringstream in("# name country members\nIX-A DE 30,10 # c\n\n"
+                        "IX-B NL 20\n");
+  const IxpDataset ixps = read_ixp_dataset(in, as_graph());
+  ASSERT_EQ(ixps.all().size(), 2u);
+  EXPECT_EQ(ixps.all()[0].name, "IX-A");
+  EXPECT_EQ(ixps.all()[0].participants, (std::vector<NodeId>{0, 2}));
+}
+
+TEST(IxpDatasetMalformed, SignedLabelsAreRejectedNotWrapped) {
+  EXPECT_EQ(ixp_error_of("IX-A DE 10,-5\n"),
+            "read_ixp_dataset line 1: AS label '-5' is not a non-negative "
+            "integer");
+  EXPECT_EQ(ixp_error_of("IX-A DE +10\n"),
+            "read_ixp_dataset line 1: AS label '+10' is not a non-negative "
+            "integer");
+  EXPECT_EQ(ixp_error_of("IX-A DE 10x\n"),
+            "read_ixp_dataset line 1: AS label '10x' is not a non-negative "
+            "integer");
+  EXPECT_EQ(ixp_error_of("IX-A DE 99999999999999999999\n"),
+            "read_ixp_dataset line 1: AS label '99999999999999999999' is "
+            "larger than 18446744073709551615");
+}
+
+TEST(IxpDatasetMalformed, TrailingTokenIsRejectedNotIgnored) {
+  EXPECT_EQ(ixp_error_of("IX-A DE 10\nIX-B NL 20 30\n"),
+            "read_ixp_dataset line 2: unexpected trailing token '30'");
+}
+
+TEST(IxpDatasetMalformed, MissingFieldsAreRejected) {
+  EXPECT_EQ(ixp_error_of("IX-A DE\n"),
+            "read_ixp_dataset line 1: expected 'name country "
+            "label,label,...', got 2 field(s)");
+}
+
+TEST(IxpDatasetMalformed, UnknownLabelNamesReaderLineAndToken) {
+  EXPECT_EQ(ixp_error_of("# header\nIX-A DE 10,40\n"),
+            "read_ixp_dataset line 2: AS label '40' is not a node of the "
+            "graph");
+}
+
+TEST(GeoDatasetMalformed, WellFormedLinesLoad) {
+  std::istringstream countries("DE EU\nUS NA # c\n");
+  std::istringstream geo("10 DE,US\n\n30 US\n");
+  const GeoDataset data = read_geo_dataset(countries, geo, as_graph());
+  EXPECT_EQ(data.all_countries().size(), 2u);
+  EXPECT_EQ(data.locations_of(0).size(), 2u);
+  EXPECT_TRUE(data.locations_of(1).empty());
+  EXPECT_EQ(data.locations_of(2).size(), 1u);
+}
+
+TEST(GeoDatasetMalformed, CountryLinesNeedExactlyTwoFields) {
+  EXPECT_EQ(geo_error_of("DE EU\nUS NA extra\n", ""),
+            "read_geo_dataset country line 2: unexpected trailing token "
+            "'extra'");
+  EXPECT_EQ(geo_error_of("DE\n", ""),
+            "read_geo_dataset country line 1: expected 'code continent', got "
+            "1 field(s)");
+}
+
+TEST(GeoDatasetMalformed, SignedLabelsAreRejectedNotWrapped) {
+  EXPECT_EQ(geo_error_of("DE EU\n", "-5 DE\n"),
+            "read_geo_dataset geo line 1: AS label '-5' is not a "
+            "non-negative integer");
+  EXPECT_EQ(geo_error_of("DE EU\n", "10 DE\n+20 DE\n"),
+            "read_geo_dataset geo line 2: AS label '+20' is not a "
+            "non-negative integer");
+}
+
+TEST(GeoDatasetMalformed, TrailingTokenIsRejectedNotIgnored) {
+  EXPECT_EQ(geo_error_of("DE EU\n", "10 DE US\n"),
+            "read_geo_dataset geo line 1: unexpected trailing token 'US'");
+}
+
+TEST(GeoDatasetMalformed, UnknownLabelAndCodeNameReaderLineAndToken) {
+  EXPECT_EQ(geo_error_of("DE EU\n", "# c\n40 DE\n"),
+            "read_geo_dataset geo line 2: AS label '40' is not a node of the "
+            "graph");
+  EXPECT_EQ(geo_error_of("DE EU\n", "10 DE,FR\n"),
+            "read_geo_dataset geo line 1: unknown country code 'FR'");
 }
 
 // ------------------------------------------------------------------- csv

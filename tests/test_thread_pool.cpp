@@ -3,147 +3,117 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
 
 namespace kcc {
 namespace {
 
-TEST(ThreadPool, RunsAllJobs) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.thread_count(), 4u);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 100);
+// Calls fn(i) for every index, whatever the range shape.
+void for_each_index(ThreadPool& pool, std::size_t count, std::size_t grain,
+                    const std::function<void(std::size_t)>& fn) {
+  parallel_for_dynamic(pool, count, grain,
+                       [&](std::size_t, std::size_t begin, std::size_t end) {
+                         for (std::size_t i = begin; i < end; ++i) fn(i);
+                       });
 }
 
-TEST(ThreadPool, WaitIdleOnEmptyPool) {
+TEST(ParallelForDynamic, CoversEveryIndexExactlyOnce) {
+  for (const std::size_t grain : {1u, 3u}) {
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> hits(257);
+    for_each_index(pool, hits.size(), grain,
+                   [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (auto& h : hits) EXPECT_EQ(h.load(), 1) << "grain " << grain;
+  }
+}
+
+TEST(ParallelForDynamic, ZeroCount) {
   ThreadPool pool(2);
-  pool.wait_idle();  // must not hang
-  SUCCEED();
+  std::atomic<bool> called{false};
+  parallel_for_dynamic(pool, 0, 1,
+                       [&](std::size_t, std::size_t, std::size_t) {
+                         called = true;
+                       });
+  EXPECT_FALSE(called.load());
 }
 
-TEST(ThreadPool, SingleThreadMode) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    pool.submit([&order, i] { order.push_back(i); });
-  }
-  pool.wait_idle();
-  // One worker: FIFO execution.
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(order, expected);
-}
-
-TEST(ThreadPool, ReusableAfterWait) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) pool.submit([&] { counter.fetch_add(1); });
-    pool.wait_idle();
-  }
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(257);
-  parallel_for(pool, hits.size(),
-               [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, ZeroCount) {
-  ThreadPool pool(2);
-  bool called = false;
-  parallel_for(pool, 0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ParallelFor, SingleElement) {
+TEST(ParallelForDynamic, SingleElement) {
   ThreadPool pool(8);
   std::atomic<int> value{0};
-  parallel_for(pool, 1, [&](std::size_t i) { value = int(i) + 41; });
+  for_each_index(pool, 1, 1, [&](std::size_t i) { value = int(i) + 41; });
   EXPECT_EQ(value.load(), 41);
 }
 
-TEST(ParallelFor, ResultMatchesSequential) {
+TEST(ParallelForDynamic, ResultMatchesSequential) {
   ThreadPool pool(6);
   std::vector<long> out(1000);
-  parallel_for(pool, out.size(),
-               [&](std::size_t i) { out[i] = long(i) * long(i); });
+  for_each_index(pool, out.size(), 7,
+                 [&](std::size_t i) { out[i] = long(i) * long(i); });
   for (std::size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], long(i) * long(i));
   }
 }
 
+TEST(ParallelForDynamic, ConcurrentCallsSeeDistinctWorkerIds) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> busy(pool.thread_count());
+  std::atomic<bool> shared_id{false};
+  std::atomic<bool> out_of_range{false};
+  parallel_for_dynamic(
+      pool, 64, 1, [&](std::size_t worker, std::size_t, std::size_t) {
+        if (worker >= pool.thread_count()) {
+          out_of_range = true;
+          return;
+        }
+        if (busy[worker].fetch_add(1) != 0) shared_id = true;
+        std::this_thread::yield();
+        busy[worker].fetch_sub(1);
+      });
+  EXPECT_FALSE(out_of_range.load());
+  EXPECT_FALSE(shared_id.load());
+}
+
+TEST(ParallelForDynamic, OneThreadRunsOnTheCallingThread) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::size_t calls = 0;  // unsynchronised on purpose: TSan flags a 2nd thread
+  bool elsewhere = false;
+  parallel_for_dynamic(pool, 10, 1,
+                       [&](std::size_t worker, std::size_t, std::size_t) {
+                         ++calls;
+                         if (worker != 0 ||
+                             std::this_thread::get_id() != caller) {
+                           elsewhere = true;
+                         }
+                       });
+  EXPECT_EQ(calls, 10u);
+  EXPECT_FALSE(elsewhere);
+}
+
+TEST(ParallelForDynamic, NeverMoreThreadsThanRanges) {
+  ThreadPool pool(8);
+  std::mutex mutex;
+  std::set<std::thread::id> threads;
+  std::set<std::size_t> workers;
+  // 7 items in grain-3 ranges: 3 ranges for an 8-thread budget.
+  parallel_for_dynamic(pool, 7, 3,
+                       [&](std::size_t worker, std::size_t, std::size_t) {
+                         std::lock_guard lock(mutex);
+                         threads.insert(std::this_thread::get_id());
+                         workers.insert(worker);
+                       });
+  EXPECT_LE(threads.size(), 3u);
+  EXPECT_LE(workers.size(), 3u);
+  for (std::size_t w : workers) EXPECT_LT(w, 3u);
+}
+
 TEST(ThreadPool, DefaultsToHardwareConcurrency) {
   ThreadPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
-}
-
-TEST(TaskGroup, WaitsForItsOwnJobsOnly) {
-  ThreadPool pool(4);
-  std::atomic<int> mine{0};
-  std::atomic<int> theirs{0};
-  TaskGroup group(pool);
-  for (int i = 0; i < 50; ++i) {
-    group.run([&mine] { mine.fetch_add(1); });
-    pool.submit([&theirs] { theirs.fetch_add(1); });
-  }
-  group.wait();
-  EXPECT_EQ(mine.load(), 50);  // all of the group's jobs are done...
-  pool.wait_idle();
-  EXPECT_EQ(theirs.load(), 50);  // ...regardless of the untracked ones
-}
-
-TEST(TaskGroup, TwoGroupsOverlapInFlight) {
-  // A double-buffered pipeline: wait on group a while group b still has
-  // unscheduled work, then swap.
-  ThreadPool pool(2);
-  TaskGroup a(pool);
-  TaskGroup b(pool);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 10; ++round) {
-    TaskGroup& current = round % 2 == 0 ? a : b;
-    TaskGroup& next = round % 2 == 0 ? b : a;
-    for (int i = 0; i < 8; ++i) next.run([&] { counter.fetch_add(1); });
-    current.wait();
-  }
-  a.wait();
-  b.wait();
-  EXPECT_EQ(counter.load(), 80);
-}
-
-TEST(TaskGroup, WaitOnEmptyGroupReturnsImmediately) {
-  ThreadPool pool(2);
-  TaskGroup group(pool);
-  group.wait();  // must not hang
-  SUCCEED();
-}
-
-TEST(TaskGroup, ReusableAfterWait) {
-  ThreadPool pool(3);
-  TaskGroup group(pool);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) group.run([&] { counter.fetch_add(1); });
-    group.wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 20);
-  }
-}
-
-TEST(TaskGroup, DestructorWaitsForPendingJobs) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  {
-    TaskGroup group(pool);
-    for (int i = 0; i < 30; ++i) group.run([&] { counter.fetch_add(1); });
-  }  // ~TaskGroup must block until every job ran
-  EXPECT_EQ(counter.load(), 30);
+  EXPECT_EQ(ThreadPool(3).thread_count(), 3u);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 //       Print that subcommand's usage and exit 0.
 
 #include <csignal>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -330,10 +331,22 @@ int cmd_query(const CliArgs& args) {
   require(!socket.empty(), "query: --socket is required");
   require(!op.empty(), "query: --op is required");
   const double timeout = args.get_double("timeout", 5.0);
-  auto u32 = [&args](const char* flag) {
-    require(args.has(flag), "query: --", flag, " is required");
-    return static_cast<std::uint32_t>(args.get_int(flag, 0));
+  // An id is a wire uint32: reject what a cast would wrap or truncate.
+  auto id_or_zero = [&args](const char* flag) {
+    const std::int64_t value = args.get_int(flag, 0);
+    require(value >= 0 && value <= std::int64_t{UINT32_MAX}, "query: --",
+            flag, " must be an integer in [0, 4294967295], got '",
+            args.get_string(flag, ""), "'");
+    return static_cast<std::uint32_t>(value);
   };
+  auto u32 = [&](const char* flag) {
+    require(args.has(flag), "query: --", flag, " is required");
+    return id_or_zero(flag);
+  };
+  // Every id given is checked before the client connects.
+  for (const char* flag : {"node", "k", "id", "k2", "id2", "u", "v"}) {
+    id_or_zero(flag);
+  }
 
   serve::Client client(socket, timeout);
   if (op == "info") {
@@ -343,8 +356,8 @@ int cmd_query(const CliArgs& args) {
               << info.num_communities << " communities, tree "
               << (info.has_tree ? "yes" : "no") << "\n";
   } else if (op == "membership") {
-    const auto memberships = client.membership(
-        u32("node"), static_cast<std::uint32_t>(args.get_int("k", 0)));
+    const auto memberships =
+        client.membership(u32("node"), id_or_zero("k"));
     for (const serve::Membership& m : memberships) {
       std::cout << "k=" << m.k << " community=" << m.id << "\n";
     }

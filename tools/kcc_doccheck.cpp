@@ -31,6 +31,10 @@
 //      appear as a word in docs/OBSERVABILITY.md, so an instrument cannot
 //      ship without its catalog entry. Names built at run time (the
 //      per-k gauges, the hw_* counters) are the catalog's own business.
+//      The reverse also holds: every table row of docs/OBSERVABILITY.md
+//      whose name is a plain identifier must be a whole string literal in
+//      some source under src/ or tools/ (kcc_fuzz registers one), so a
+//      deleted instrument cannot leave its catalog row behind.
 //   7. Span and stage names: every whole string literal passed to
 //      KCC_SPAN( or to a StageScope in a source under src/ or tools/ must
 //      appear as an inline code span (`name`) in docs/OBSERVABILITY.md.
@@ -452,6 +456,37 @@ void check_metric_names(const fs::path& root,
   }
 }
 
+/// Check 6, reverse: each plain-identifier table row of
+/// docs/OBSERVABILITY.md whose name no source under src/ or tools/ spells
+/// as a whole string literal is a finding at the row's line.
+void check_catalog_rows(const fs::path& root,
+                        std::vector<Finding>& findings) {
+  static const std::regex row("^\\|\\s*`([A-Za-z0-9_]+)`\\s*\\|");
+  static const std::regex literal("\"([A-Za-z0-9_]+)\"");
+  const fs::path catalog = root / "docs" / "OBSERVABILITY.md";
+  if (!fs::exists(catalog)) return;
+  std::set<std::string> literals;
+  for (const fs::path& file : sources_under(root, {"src", "tools"})) {
+    const std::string text = read_file(file);
+    for (std::sregex_iterator it(text.begin(), text.end(), literal), end;
+         it != end; ++it) {
+      literals.insert((*it)[1].str());
+    }
+  }
+  std::ifstream in(catalog);
+  std::string line;
+  std::smatch match;
+  for (std::size_t number = 1; std::getline(in, line); ++number) {
+    if (!std::regex_search(line, match, row)) continue;
+    const std::string name = match[1].str();
+    if (literals.count(name) != 0) continue;
+    findings.push_back(
+        {catalog.string(), number,
+         "catalog row `" + name + "` names a metric that no source under "
+         "src/ or tools/ registers (delete the row, or register it)"});
+  }
+}
+
 /// Check 7: each literal span or stage name under src/ or tools/ that is
 /// not a code span of docs/OBSERVABILITY.md is a finding at its line.
 /// Mentions inside // comments are not instruments.
@@ -524,6 +559,7 @@ int main(int argc, char** argv) {
     for (const fs::path& source : sources) lint_source(source, findings);
     check_reachability(root, findings);
     check_metric_names(root, findings);
+    check_catalog_rows(root, findings);
     check_span_names(root, findings);
 
     for (const Finding& f : findings) {
@@ -539,7 +575,8 @@ int main(int argc, char** argv) {
               << known.size() << " known flags, " << words.size()
               << " source words), " << sources.size()
               << " sources pass the require lint, every src/ header is "
-                 "reachable, every metric name is catalogued\n";
+                 "reachable, every metric name is catalogued and every "
+                 "catalog row registered\n";
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "kcc_doccheck: error: " << e.what() << "\n";
