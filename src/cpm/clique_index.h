@@ -9,6 +9,16 @@
 // and every percolation reads that one pair sequence. This join is the
 // only one in the library: the sweep, per_k, the incremental bootstrap and
 // weighted CPM all run it.
+//
+// The join is hub-sliced. In the AS graph a few dense-core nodes sit in
+// most large cliques (at paper scale 64 nodes carry 97.5% of the posting
+// increments), so the nodes with the longest postings become hubs: each
+// indexed clique carries a 64-bit mask of its hubs, the postings hold
+// non-hub nodes only, and |A ∩ B| = non-hub hits + |mask_A & mask_B|. A
+// pair sharing no non-hub can only join two "rich" cliques, each holding
+// >= min_overlap hubs; one bitset row per hub over the rich cliques and a
+// bit-sliced counter over a clique's hub rows find those pairs 64 at a
+// time. Either way the pair set is exactly the plain join's.
 #pragma once
 
 #include <cstddef>
@@ -41,10 +51,24 @@ std::vector<std::vector<CliqueId>> build_node_clique_index(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
     std::size_t min_size = 0);
 
+/// Most hubs a join uses: one bit each in a clique's 64-bit mask.
+inline constexpr std::size_t kMaxHubs = 64;
+/// choose_hubs' mark for a node that is not a hub.
+inline constexpr std::uint8_t kNoHub = 0xFF;
+
+/// The join's hub rule over per-node posting lengths: the nodes whose
+/// length is >= 2 and strictly above the 65th longest, so at most
+/// kMaxHubs and never part of a tie at the bar (a table without skew has
+/// no hubs). Returns each node's mask bit, numbered in node order, or
+/// kNoHub.
+std::vector<std::uint8_t> choose_hubs(
+    std::span<const std::uint32_t> posting_lengths);
+
 /// The join, one clique at a time in id order: after clique b is counted
-/// against the index of every earlier clique, `sink` receives b's pairs
-/// (a < b, overlap >= min_overlap >= 1, in the order b's probe first
-/// touched each a; the span is only valid during the call). The pair
+/// against every earlier clique, `sink` receives b's pairs (a < b,
+/// overlap >= min_overlap >= 1; the span is only valid during the call):
+/// first those sharing a non-hub node, in the order b's postings first
+/// reached each a, then those sharing hubs only, a ascending. The pair
 /// sequence is deterministic and independent of any thread count.
 void for_each_clique_overlaps(
     const std::vector<NodeSet>& cliques, std::size_t num_nodes,
