@@ -18,15 +18,20 @@ bool prepare_line(std::string& line) {
   return line.find_first_not_of(" \t\r") != std::string::npos;
 }
 
-// Splits "a,b,c" into tokens.
-std::vector<std::string> split_csv(const std::string& s) {
+// Splits "a,b,c" into tokens. An empty item ("a,,b", "a,", ",") is an
+// error naming `reader`, `line_no` and the whole field.
+std::vector<std::string> split_csv(const std::string& s, const char* reader,
+                                   std::size_t line_no) {
   std::vector<std::string> out;
-  std::string token;
-  std::istringstream ts(s);
-  while (std::getline(ts, token, ',')) {
-    if (!token.empty()) out.push_back(token);
+  for (std::size_t start = 0;;) {
+    const std::size_t comma = s.find(',', start);
+    const std::size_t end = comma == std::string::npos ? s.size() : comma;
+    require(end > start, reader, " line ", line_no, ": empty item in '", s,
+            "'");
+    out.push_back(s.substr(start, end - start));
+    if (comma == std::string::npos) return out;
+    start = comma + 1;
   }
-  return out;
 }
 
 // The whitespace-separated fields of one line, which must number exactly
@@ -80,7 +85,7 @@ IxpDataset read_ixp_dataset(std::istream& in, const LabeledGraph& g) {
     Ixp ixp;
     ixp.name = std::move(fields[0]);
     ixp.country = std::move(fields[1]);
-    for (const std::string& token : split_csv(fields[2])) {
+    for (const std::string& token : split_csv(fields[2], kReader, line_no)) {
       ixp.participants.push_back(node_of_token(g, token, kReader, line_no));
     }
     sort_unique(ixp.participants);
@@ -139,7 +144,7 @@ GeoDataset read_geo_dataset(std::istream& countries_in, std::istream& geo_in,
     const std::vector<std::string> fields =
         fields_of(line, 2, kGeoReader, line_no, "label code,code,...");
     const NodeId v = node_of_token(g, fields[0], kGeoReader, line_no);
-    for (const std::string& code : split_csv(fields[1])) {
+    for (const std::string& code : split_csv(fields[1], kGeoReader, line_no)) {
       locations[v].push_back(find_code(code));
     }
   }

@@ -5,7 +5,10 @@
 // appends completed spans to its own bounded buffer, so tracing never blocks
 // one thread on another; a global registry owns the buffers and merges them
 // at export time into a single Chrome `trace_event` JSON document that loads
-// directly in chrome://tracing or https://ui.perfetto.dev.
+// directly in chrome://tracing or https://ui.perfetto.dev. A thread that
+// exits hands its buffer, events kept, to the next thread that records, so
+// the buffers (and the trace's tids) number the threads that ran at once,
+// not every thread ever started.
 //
 // Tracing is disabled by default. When disabled, a ScopedSpan costs one
 // relaxed atomic load; no clock is read and nothing is recorded. Enable with

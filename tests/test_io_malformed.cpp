@@ -357,6 +357,17 @@ TEST(IxpDatasetMalformed, UnknownLabelNamesReaderLineAndToken) {
             "graph");
 }
 
+TEST(IxpDatasetMalformed, EmptyMemberItemsAreRejectedNotDropped) {
+  EXPECT_EQ(ixp_error_of("IX-A DE 10,,20\n"),
+            "read_ixp_dataset line 1: empty item in '10,,20'");
+  EXPECT_EQ(ixp_error_of("IX-A DE 10\nIX-B NL ,\n"),
+            "read_ixp_dataset line 2: empty item in ','");
+  EXPECT_EQ(ixp_error_of("IX-A DE 10,\n"),
+            "read_ixp_dataset line 1: empty item in '10,'");
+  EXPECT_EQ(ixp_error_of("IX-A DE ,10\n"),
+            "read_ixp_dataset line 1: empty item in ',10'");
+}
+
 TEST(GeoDatasetMalformed, WellFormedLinesLoad) {
   std::istringstream countries("DE EU\nUS NA # c\n");
   std::istringstream geo("10 DE,US\n\n30 US\n");
@@ -396,6 +407,15 @@ TEST(GeoDatasetMalformed, UnknownLabelAndCodeNameReaderLineAndToken) {
             "graph");
   EXPECT_EQ(geo_error_of("DE EU\n", "10 DE,FR\n"),
             "read_geo_dataset geo line 1: unknown country code 'FR'");
+}
+
+TEST(GeoDatasetMalformed, EmptyCodeItemsAreRejectedNotDropped) {
+  EXPECT_EQ(geo_error_of("DE EU\nUS NA\n", "10 DE,,US\n"),
+            "read_geo_dataset geo line 1: empty item in 'DE,,US'");
+  EXPECT_EQ(geo_error_of("DE EU\n", "10 DE\n30 ,\n"),
+            "read_geo_dataset geo line 2: empty item in ','");
+  EXPECT_EQ(geo_error_of("DE EU\n", "10 DE,\n"),
+            "read_geo_dataset geo line 1: empty item in 'DE,'");
 }
 
 // ------------------------------------------------------------------- csv

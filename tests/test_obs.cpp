@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "analysis/pipeline.h"
 #include "common/cli.h"
 #include "common/error.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "obs/obs.h"
 #include "synth/params.h"
@@ -458,11 +460,13 @@ TEST(Trace, SpansFromMultipleThreadsGetDistinctTids) {
   auto& tracer = obs::Tracer::instance();
   tracer.clear();
   tracer.set_enabled(true);
-  std::thread worker([] { KCC_SPAN("worker_span"); });
-  worker.join();
+  // The main thread records first, so it holds a buffer while the worker
+  // runs: only threads recording one after another share a tid.
   {
     KCC_SPAN("main_span");
   }
+  std::thread worker([] { KCC_SPAN("worker_span"); });
+  worker.join();
   tracer.set_enabled(false);
 
   std::ostringstream out;
@@ -475,6 +479,42 @@ TEST(Trace, SpansFromMultipleThreadsGetDistinctTids) {
   ASSERT_TRUE(tid_of.count("worker_span"));
   ASSERT_TRUE(tid_of.count("main_span"));
   EXPECT_NE(tid_of["worker_span"], tid_of["main_span"]);
+  tracer.clear();
+}
+
+TEST(Trace, FinishedThreadsHandTheirBuffersOn) {
+  // parallel_for_dynamic starts fresh threads on every call: 50 calls on a
+  // 4-thread budget must leave at most 4 buffers (tids), not one per
+  // thread ever started, and lose no span.
+  auto& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  ThreadPool pool(4);
+  constexpr std::size_t kLoops = 50;
+  constexpr std::size_t kTasks = 16;
+  for (std::size_t loop = 0; loop < kLoops; ++loop) {
+    parallel_for_dynamic(pool, kTasks, 1,
+                         [](std::size_t, std::size_t begin, std::size_t end) {
+                           for (std::size_t i = begin; i < end; ++i) {
+                             KCC_SPAN("budget_task");
+                           }
+                         });
+  }
+  tracer.set_enabled(false);
+
+  std::ostringstream out;
+  tracer.write_chrome_trace(out);
+  const JsonValue doc = parse_json(out.str());
+  std::size_t spans = 0;
+  std::set<double> tids;
+  for (const JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("name").string != "budget_task") continue;
+    ++spans;
+    tids.insert(e.at("tid").number);
+  }
+  EXPECT_EQ(spans, kLoops * kTasks);
+  EXPECT_LE(tids.size(), 4u);
+  EXPECT_EQ(tracer.dropped_count(), 0u);
   tracer.clear();
 }
 
