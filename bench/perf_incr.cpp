@@ -27,10 +27,13 @@
 //   * materialize — IncrementalCpm::result(), reported separately because
 //     a server only pays it when it actually refreshes its snapshot.
 //
-// The headline number is median(recompute) / median(apply). The run cannot
-// be fast-because-wrong: after the last round the materialized result is
-// digest-compared against the canonicalised from-scratch sweep, and any
-// divergence aborts with exit 1. With --json the run is written in the
+// The headline number is median(recompute) / median(apply). Beside it the
+// run reports median(apply + materialize), what one batch costs a server
+// that refreshes after every batch, and the thread count of each side:
+// the recompute enumerates on every hardware thread, apply runs on one.
+// The run cannot be fast-because-wrong: after the last round the
+// materialized result is digest-compared against the canonicalised
+// from-scratch sweep, and any divergence aborts with exit 1. With --json the run is written in the
 // BENCH_*.json manifest schema; --min-speedup turns it into a gate. The
 // committed bench-scale run is bench/expected/BENCH_incr.json:
 //
@@ -47,6 +50,7 @@
 #include "common/cli.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "cpm/engine.h"
 #include "cpm/incr_cpm.h"
@@ -171,7 +175,7 @@ int run(int argc, char** argv) {
   std::size_t num_nodes = g.num_nodes();
   Rng rng(seed);
 
-  std::vector<double> apply_s, recompute_s, materialize_s;
+  std::vector<double> apply_s, recompute_s, materialize_s, batch_s;
   cpm::Options sweep_options;
   sweep_options.engine = "sweep";
   for (std::size_t round = 0; round < rounds; ++round) {
@@ -191,6 +195,7 @@ int run(int argc, char** argv) {
     Timer materialize_timer;
     const cpm::Result live = state.result();
     materialize_s.push_back(materialize_timer.seconds());
+    batch_s.push_back(apply_s.back() + materialize_s.back());
     require(live.cpm.total_communities() == fresh.cpm.total_communities(),
             "perf_incr: community count diverged at round ", round);
   }
@@ -208,13 +213,21 @@ int run(int argc, char** argv) {
   const double apply_med = median(apply_s);
   const double recompute_med = median(recompute_s);
   const double materialize_med = median(materialize_s);
+  const double batch_med = median(batch_s);
   const double speedup = apply_med > 0.0 ? recompute_med / apply_med : 0.0;
+  // apply runs on the calling thread; the recompute's enumeration on the
+  // sweep options' thread budget (0 = every hardware thread).
+  const std::size_t apply_threads = 1;
+  const std::size_t recompute_threads =
+      ThreadPool::resolve_threads(sweep_options.threads);
 
   std::printf(
-      "perf_incr: apply %.3f ms vs recompute %.3f ms per batch (medians, "
-      "%zu ops/batch): %.1fx; materialize %.3f ms; bootstrap %.3f s\n",
-      apply_med * 1e3, recompute_med * 1e3, batch_ops, speedup,
-      materialize_med * 1e3, bootstrap_seconds);
+      "perf_incr: apply %.3f ms (%zu thread) vs recompute %.3f ms (%zu "
+      "threads) per batch (medians, %zu ops/batch): %.1fx; materialize "
+      "%.3f ms; apply + materialize %.3f ms; bootstrap %.3f s\n",
+      apply_med * 1e3, apply_threads, recompute_med * 1e3, recompute_threads,
+      batch_ops, speedup, materialize_med * 1e3, batch_med * 1e3,
+      bootstrap_seconds);
 
   if (!json_out.empty()) {
     bench::Json doc;
@@ -243,7 +256,11 @@ int run(int argc, char** argv) {
     timings.add("apply_seconds_median", apply_med);
     timings.add("recompute_seconds_median", recompute_med);
     timings.add("materialize_seconds_median", materialize_med);
+    timings.add("apply_plus_materialize_seconds_median", batch_med);
     timings.add("speedup_apply_vs_recompute", speedup);
+    timings.add("apply_threads", static_cast<std::uint64_t>(apply_threads));
+    timings.add("recompute_threads",
+                static_cast<std::uint64_t>(recompute_threads));
     doc.add("timings", timings);
     std::FILE* f = std::fopen(json_out.c_str(), "w");
     require(f != nullptr, "perf_incr: cannot write '", json_out, "'");

@@ -7,8 +7,8 @@
 // overlapping pair once — one clique at a time, with an inverted
 // node→clique index restricting candidates to cliques that share a node —
 // and every percolation reads that one pair sequence. This join is the
-// only one in the library: the sweep, per_k, the incremental bootstrap and
-// weighted CPM all run it.
+// only one in the library: the sweep (and through it the incremental
+// engine's materialize), per_k and weighted CPM all run it.
 //
 // The join is hub-sliced. In the AS graph a few dense-core nodes sit in
 // most large cliques (at paper scale 64 nodes carry 97.5% of the posting

@@ -173,9 +173,8 @@ const std::vector<EngineInfo>& engine_registry() {
       EngineInfo incremental;
       incremental.name = "incremental";
       incremental.summary =
-          "live clique/overlap state patched under edge batches, "
-          "materialized through the sweep tail; exact, lexicographic "
-          "clique order";
+          "live clique table patched under edge batches, materialized "
+          "through the sweep; exact, lexicographic clique order";
       incremental.caps.canonical_clique_order = true;
       incremental.run = &run_incremental_full;
       built_in.push_back(std::move(incremental));

@@ -86,9 +86,9 @@ struct EngineInfo {
 /// buckets, tree from the levels), per_k (one independent percolation per
 /// k, run in parallel across k, over the pairs of the same per-clique join;
 /// the original LP-CPM structure, kept as the reference oracle),
-/// incremental (live clique/overlap state patched under edge batches —
-/// cpm/incr_cpm.h — materialized through the sweep tail; exact,
-/// lexicographic clique order), almost_exact (Baudin et al. 2021 bounded-memory percolation over
+/// incremental (live clique table patched under edge batches —
+/// cpm/incr_cpm.h — materialized through the sweep; exact, lexicographic
+/// clique order), almost_exact (Baudin et al. 2021 bounded-memory percolation over
 /// per-node community candidates — no overlap join; approximate; the same
 /// level loop as sweep) and reference (the literal k-clique-graph
 /// definition; exponential). docs/ALGORITHMS.md compares them with

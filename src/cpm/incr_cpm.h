@@ -2,13 +2,12 @@
 //
 // The AS-level topology is not static: the serving scenario (ROADMAP item
 // 3) needs community results that track edge updates without recomputing
-// from scratch. This engine holds live state — the maximal-clique table, a
-// per-node clique index and the overlap multiset of the clique pairs that
-// share >= 3 nodes — and patches it locally per edge, so a batch touching
-// b edges costs work proportional to the affected neighborhoods, not the
-// graph. Pairs sharing exactly 2 nodes are not kept: the sweep builds
-// level 3 from shared edges of the clique table (sweep_cpm.h), and every
-// higher level k reads overlap k - 1 >= 3.
+// from scratch. This engine holds live state — the maximal-clique table
+// and a per-node clique index, O(Σ|clique|) in all — and patches it
+// locally per edge, so a batch touching b edges costs work proportional to
+// the affected neighborhoods, not the graph. No clique pair is stored:
+// the overlap pairs are derived afresh from the table when a result is
+// materialized.
 //
 // Clique maintenance is exact, by two local theorems:
 //
@@ -22,53 +21,37 @@
 //
 //  * REMOVE (u, v): exactly the cliques containing both endpoints die. A
 //    maximal clique of G' = G - uv that is not one of G is a fragment
-//    Q \ {u} or Q \ {v} of a dying clique Q; a fragment survives iff it
-//    still has >= 2 nodes and no witness node adjacent to all its members.
-//    Fragments are pairwise incomparable and never collide with a
-//    surviving clique (v was adjacent to all of Q \ {v}, contradicting
-//    that clique's prior maximality), so insertion needs no dedup.
+//    Q \ {u} or Q \ {v} of a dying clique Q with |Q| >= 3 (an edge Q
+//    leaves single nodes, which are no clique of the table). Fragments are
+//    pairwise incomparable and never collide with a surviving clique (v
+//    was adjacent to all of Q \ {v}, contradicting that clique's prior
+//    maximality), so insertion needs no dedup.
 //
-// The overlap multiset is patched with the same locality: inserting a
-// clique counts shared nodes against the per-node index (epoch-stamped
-// counters), and a removal reads everything it needs off the dying
-// parents' own overlap lists (|F ∩ D| >= 3 implies |Q ∩ D| >= 3 for a
-// fragment F of Q):
+// One witness rule settles every fragment: Q \ {x} is maximal in G'
+// unless a clique D != Q of the table holds all of it. Such a D misses x
+// (it would strictly contain Q otherwise), so it survives and contains the
+// fragment strictly; conversely, a node adjacent in G' to the whole
+// fragment extends it to a clique of G whose maximal clique is such a D.
+// The test stamps the fragment's nodes, scans the shortest clique list
+// among its members and counts stamped members. Every dying clique of a
+// removal is settled against the table as it stood with the edge, before
+// any slot changes; then the dying cliques retire and the kept fragments
+// go in as plain inserts.
 //
-//  * maximality — for |Q| >= 4, Q \ {x} is not maximal exactly when Q's
-//    list holds a surviving D with |Q ∩ D| = |Q| - 1 that misses x (a D
-//    holding both endpoints is dying itself and proves nothing); only
-//    |Q| = 3 scans the members' neighborhoods;
-//  * fragment pairs — fragments Q_i \ {x_i}, Q_j \ {x_j} of one removal
-//    share |Q_i ∩ Q_j| - |{x_i, x_j}| nodes, where |Q_i ∩ Q_j| is on Q_i's
-//    list, or 2 when unlisted;
-//  * relink — one fragment stays in its parent's slot and only the
-//    overlaps with neighbors holding its dropped endpoint change: they are
-//    patched in place on both sides, through each entry's twin position
-//    (the index of the same pair in the other clique's list). A second
-//    fragment takes a fresh slot and links anew.
+// The per-node clique index is lazily invalidated — a retire bumps the
+// slot's generation and leaves the stale references in place; scans skip
+// (and compact away) entries whose stamped generation no longer matches,
+// and an amortized global compaction bounds the stale fraction.
 //
-// Overlap lists are kept exact: a retire unlinks its pairs through the
-// twins, O(own list). The per-node clique index is lazily invalidated
-// instead — a retire bumps the slot's generation and leaves the stale
-// references in place; scans skip (and compact away) entries whose
-// stamped generation no longer matches, and an amortized global
-// compaction bounds the stale fraction. A clique's 64-bit hub mask
-// (choose_hubs over the bootstrap's per-node clique counts) answers
-// "does D hold endpoint x" for a hub x without touching D's nodes; the
-// clique list of a non-hub endpoint is short enough to stamp.
-//
-// Materialization then re-enters the sweep engine over the maintained
-// table + pairs (run_sweep_cpm_prejoined) — the communities, ids, maps and
-// tree are produced by literally the same code as a from-scratch sweep, so
-// exactness reduces to the clique/overlap maintenance above. It re-derives
-// nothing a batch left unchanged: the alive cliques are kept in
-// lexicographic order across batches (sorted once at bootstrap; a batch
-// sorts only its newborns and merges them in), the overlap lists are the
-// sweep's pair source (walked straight into its buckets, no flat pair
-// copy), and each level is emitted from the distinct nodes of its
-// communities' cliques. The check::churn_differential harness re-proves
-// the digest identity against a from-scratch run after every batch of
-// every fuzzed schedule.
+// Materialization re-enters the sweep engine over the kept table
+// (run_sweep_cpm_on_cliques with the node count): the overlap join,
+// communities, ids, maps and tree are produced by literally the same code
+// as a from-scratch sweep, so exactness reduces to the clique maintenance
+// above. The alive cliques are kept in lexicographic order across batches
+// (sorted once at bootstrap; a batch sorts only its newborns and merges
+// them in), so materialization never sorts the table. The
+// check::churn_differential harness re-proves the digest identity against
+// a from-scratch run after every batch of every fuzzed schedule.
 //
 // One serialization caveat: the table is emitted in lexicographic order
 // (churn cannot preserve enumeration order), so digest comparisons against
@@ -122,19 +105,18 @@ class IncrementalCpm {
   explicit IncrementalCpm(const Graph& g, Options options = {});
 
   /// Applies one edge batch: removes first, then adds, each patching the
-  /// clique table, per-node index and overlap multiset locally, then
-  /// merges the batch's new cliques into the kept order. Throws
+  /// clique table and per-node index locally, then merges the batch's new
+  /// cliques into the kept order. Throws
   /// kcc::Error on an invalid batch (see EdgeBatch) with the state
   /// untouched.
   void apply(const EdgeBatch& batch);
 
   /// Materializes the Result for the current graph by running the sweep
-  /// tail (run_sweep_cpm_prejoined) over the maintained clique table, in
-  /// the lexicographic order kept across batches (no sort here), with the
-  /// overlap lists as its pair source (no flat pair vector) and the node
-  /// count as the only thing it reads of the graph: no Graph is rebuilt.
-  /// The table copy and the sweep tail are two `percolate` run-report
-  /// stages (obs::StageScope); the tree step is the `tree` stage.
+  /// (run_sweep_cpm_on_cliques with the node count, overlap join
+  /// included) over the maintained clique table, in the lexicographic
+  /// order kept across batches (no sort here): no Graph is rebuilt. The
+  /// table copy and the sweep are two `percolate` run-report stages
+  /// (obs::StageScope); the tree step is the `tree` stage.
   Result result() const;
 
   /// The current graph, rebuilt from the maintained adjacency (for
@@ -154,19 +136,11 @@ class IncrementalCpm {
   void add_edge(NodeId u, NodeId v);
   void remove_edge(NodeId u, NodeId v);
   bool adjacent(NodeId u, NodeId v) const;
-  /// Whether Q \ {u} and Q \ {v} are maximal once edge (u, v) is gone,
-  /// for a clique Q of size 3 that held both endpoints.
-  std::pair<bool, bool> maximal_fragments(const NodeSet& q, NodeId u,
-                                          NodeId v);
-  /// Inserts a new maximal clique, finding its overlaps by scanning the
-  /// clique lists of its members.
-  CliqueId insert_clique(NodeSet nodes);
-  /// Insert steps: a free slot, one symmetric overlap entry, the node index.
-  CliqueId new_slot();
-  void link(CliqueId c, CliqueId d, std::uint32_t shared);
-  void index_clique(CliqueId c, NodeSet nodes);
-  std::uint64_t mask_of(const NodeSet& nodes) const;
-  void grow_scratch();
+  /// Whether a clique other than `q` holds all of q \ {x}: the fragment's
+  /// witness, so it is not maximal once the removed edge is gone.
+  bool witnessed_without(CliqueId q, NodeId x);
+  /// Inserts a new maximal clique into a free slot and the node index.
+  void insert_clique(NodeSet nodes);
 
   /// A lazily-invalidated reference to clique slot `clique`: valid iff
   /// `gen == gen_[clique]` (a retire bumps the slot generation, so stale
@@ -176,20 +150,8 @@ class IncrementalCpm {
     CliqueId clique;
     std::uint32_t gen;
   };
-  /// One side of a linked pair: overlaps_[c][i] = {d, j, shared} iff
-  /// overlaps_[d][j] = {c, i, shared}.
-  struct OverlapEntry {
-    CliqueId clique;
-    std::uint32_t twin;
-    std::uint32_t overlap;
-  };
   bool valid(CliqueRef e) const { return gen_[e.clique] == e.gen; }
-  /// Removes entry i of c's list (not its twin), moving the last entry
-  /// into its place and repointing that entry's twin.
-  void erase_entry(CliqueId c, std::uint32_t i);
-  /// Unlinks the pair at entry i of c's list, both sides.
-  void unlink_at(CliqueId c, std::uint32_t i);
-  /// Retires clique slot `c`, unlinking all its pairs.
+  /// Retires clique slot `c`.
   void retire_clique(CliqueId c);
   /// End of a batch: drops the stale refs from order_ and born_, sorts the
   /// newborns and merges them into order_.
@@ -216,33 +178,13 @@ class IncrementalCpm {
   std::vector<CliqueRef> born_;
 
   std::vector<std::vector<CliqueRef>> cliques_of_node_;  // unsorted
-  /// overlaps_[c] = (d, twin, |c ∩ d|) for every alive d sharing >= 3
-  /// nodes with c; stored symmetrically (each unordered pair appears in
-  /// both lists) and never stale.
-  std::vector<std::vector<OverlapEntry>> overlaps_;
-  /// Hub bit per node (kNoHub for the rest and for nodes added later) and
-  /// the hub mask per slot.
-  std::vector<std::uint8_t> hub_bit_;
-  std::vector<std::uint64_t> hub_mask_;
   /// Upper bound on stale cliques_of_node_ entries, reset by
   /// compact_if_needed().
   std::size_t stale_entries_ = 0;
 
-  // Epoch-stamped scratch values over clique slots, reused across
-  // operations so no per-op allocation or clearing is needed: a value
-  // counts for the current operation only while its epoch is epoch_.
-  // Epoch and value share one word, so a test is one load.
-  struct Mark {
-    std::uint32_t epoch = 0;
-    std::uint32_t value = 0;
-  };
-  std::vector<Mark> marks_;
-  std::uint32_t epoch_ = 0;
-  /// Starts an operation's marks (clearing them all when epoch_ wraps).
-  void next_epoch();
-
-  // Same trick over node ids: collect_absorbed stamps one endpoint's
-  // neighborhood for O(1) membership tests.
+  // Epoch stamps over node ids, reused across operations so no per-op
+  // clearing is needed: collect_absorbed stamps one endpoint's
+  // neighborhood, witnessed_without a fragment's nodes.
   std::vector<std::uint64_t> node_stamp_;
   std::uint64_t node_epoch_ = 0;
 

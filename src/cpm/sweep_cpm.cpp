@@ -5,6 +5,7 @@
 #include <span>
 #include <utility>
 
+#include "common/error.h"
 #include "common/union_find.h"
 #include "cpm/percolate_detail.h"
 #include "obs/log.h"
@@ -30,13 +31,23 @@ SweepMetrics& sweep_metrics() {
   return m;
 }
 
-// The sink's buckets, as the sweep drives them: the fill runs once, then
-// each level drains one bucket and frees it.
-class PairBuckets : public OverlapSink {
+// The sweep's pair store: one bucket per overlap value, so filing a pair is
+// its place in the descending counting sort. The fill runs once, then each
+// level drains one bucket and frees it.
+class PairBuckets {
  public:
   PairBuckets(std::size_t num_buckets, const char* caller,
               SweepCpmStats& stats)
-      : OverlapSink(num_buckets, caller), stats_(stats) {}
+      : buckets_(num_buckets), caller_(caller), stats_(stats) {}
+
+  // Files the pair of cliques `a`, `b` (ids into the sweep's table) that
+  // share `overlap` nodes.
+  void add(CliqueId a, CliqueId b, std::size_t overlap) {
+    // Two distinct maximal cliques share at most min(|A|, |B|) - 1 nodes.
+    require(overlap < buckets_.size(), caller_, ": overlap ", overlap,
+            " exceeds the clique-size bound");
+    buckets_[overlap].push_back(PackedPair{a, b});
+  }
 
   // The fill is done: count the pairs, record the peak (resident bytes
   // only shrink from here on) and publish the pair-store metrics.
@@ -65,6 +76,15 @@ class PairBuckets : public OverlapSink {
   }
 
  private:
+  // 8 bytes per pair, vs 12 in CliqueOverlap: the overlap is encoded by
+  // which bucket the pair lives in.
+  struct PackedPair {
+    CliqueId a = 0;
+    CliqueId b = 0;
+  };
+
+  std::vector<std::vector<PackedPair>> buckets_;  // [o] = pairs of overlap o
+  const char* caller_;
   SweepCpmStats& stats_;
 };
 
@@ -123,7 +143,7 @@ void chain_shared_edges(const std::vector<NodeSet>& cliques,
 
 // The shared body of every entry point: the descending-k loop. Level 3
 // chains through shared edges; every higher level k drains the bucket of
-// overlap k-1, filled once up front by `fill(sink, table, min_overlap)`
+// overlap k-1, filled once up front by `fill(buckets, table, min_overlap)`
 // with the pairs sharing >= min_overlap nodes, whose endpoints have size
 // >= k and so are already live.
 template <typename Fill>
@@ -174,33 +194,30 @@ SweepCpmResult sweep(std::size_t num_nodes, std::vector<NodeSet> cliques,
 
 }  // namespace
 
-SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
+SweepCpmResult run_sweep_cpm_on_cliques(std::size_t num_nodes,
                                         std::vector<NodeSet> cliques,
                                         const CpmOptions& options,
                                         bool build_tree) {
-  return sweep(g.num_nodes(), std::move(cliques), options, build_tree,
+  return sweep(num_nodes, std::move(cliques), options, build_tree,
                "run_sweep_cpm_on_cliques",
-               [&](OverlapSink& sink, const std::vector<NodeSet>& table,
+               [&](PairBuckets& buckets, const std::vector<NodeSet>& table,
                    std::size_t min_overlap) {
                  for_each_clique_overlaps(
-                     table, g.num_nodes(), min_overlap,
+                     table, num_nodes, min_overlap,
                      [&](std::span<const CliqueOverlap> pairs) {
                        for (const CliqueOverlap& p : pairs) {
-                         sink.add(p.a, p.b, p.overlap);
+                         buckets.add(p.a, p.b, p.overlap);
                        }
                      });
                });
 }
 
-SweepCpmResult run_sweep_cpm_prejoined(std::size_t num_nodes,
-                                       std::vector<NodeSet> cliques,
-                                       const OverlapSource& source,
-                                       const CpmOptions& options,
-                                       bool build_tree) {
-  return sweep(num_nodes, std::move(cliques), options, build_tree,
-               "run_sweep_cpm_prejoined",
-               [&](OverlapSink& sink, const std::vector<NodeSet>&,
-                   std::size_t min_overlap) { source(min_overlap, sink); });
+SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
+                                        std::vector<NodeSet> cliques,
+                                        const CpmOptions& options,
+                                        bool build_tree) {
+  return run_sweep_cpm_on_cliques(g.num_nodes(), std::move(cliques), options,
+                                  build_tree);
 }
 
 SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
@@ -208,15 +225,17 @@ SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
                                        std::vector<CliqueOverlap> overlaps,
                                        const CpmOptions& options,
                                        bool build_tree) {
-  return run_sweep_cpm_prejoined(
-      g.num_nodes(), std::move(cliques),
-      [&](std::size_t min_overlap, OverlapSink& sink) {
-        for (const CliqueOverlap& p : overlaps) {
-          if (p.overlap >= min_overlap) sink.add(p.a, p.b, p.overlap);
-        }
-        std::vector<CliqueOverlap>().swap(overlaps);
-      },
-      options, build_tree);
+  return sweep(g.num_nodes(), std::move(cliques), options, build_tree,
+               "run_sweep_cpm_prejoined",
+               [&](PairBuckets& buckets, const std::vector<NodeSet>&,
+                   std::size_t min_overlap) {
+                 for (const CliqueOverlap& p : overlaps) {
+                   if (p.overlap >= min_overlap) {
+                     buckets.add(p.a, p.b, p.overlap);
+                   }
+                 }
+                 std::vector<CliqueOverlap>().swap(overlaps);
+               });
 }
 
 }  // namespace kcc

@@ -45,10 +45,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/error.h"
 #include "cpm/clique_index.h"
 #include "cpm/community_tree.h"
 #include "cpm/cpm.h"
@@ -82,70 +80,29 @@ struct SweepCpmResult {
 
 /// Extracts all k-clique communities and the community tree in one
 /// descending-k sweep over a pre-enumerated maximal-clique set (each
-/// clique sorted, size >= 2, nodes < g.num_nodes()). Options are shared
-/// with the per-k engine. Only `g.num_nodes()` is read: every level, k = 2
-/// included, comes from the clique table. `build_tree` = false skips the
-/// tree step.
+/// clique sorted, size >= 2, nodes < `num_nodes`). Options are shared with
+/// the per-k engine. Every level, k = 2 included, comes from the clique
+/// table, so the node count is all the sweep needs of the graph: the
+/// incremental engine materializes through this form over its kept table,
+/// building no Graph. `build_tree` = false skips the tree step.
+SweepCpmResult run_sweep_cpm_on_cliques(std::size_t num_nodes,
+                                        std::vector<NodeSet> cliques,
+                                        const CpmOptions& options = {},
+                                        bool build_tree = true);
+
+/// Same, reading only `g.num_nodes()`.
 SweepCpmResult run_sweep_cpm_on_cliques(const Graph& g,
                                         std::vector<NodeSet> cliques,
                                         const CpmOptions& options = {},
                                         bool build_tree = true);
 
-/// The sweep's pair store as a pair source sees it: one bucket per overlap
-/// value, so filing a pair is its place in the descending counting sort
-/// (step 1). The sweep owns the buckets; a source only adds to them.
-class OverlapSink {
- public:
-  /// Files the pair of cliques `a`, `b` (ids into the sweep's table) that
-  /// share `overlap` nodes. Throws kcc::Error when `overlap` is more than
-  /// two of the table's cliques can share.
-  void add(CliqueId a, CliqueId b, std::size_t overlap) {
-    // Two distinct maximal cliques share at most min(|A|, |B|) - 1 nodes.
-    require(overlap < buckets_.size(), caller_, ": overlap ", overlap,
-            " exceeds the clique-size bound");
-    buckets_[overlap].push_back(PackedPair{a, b});
-  }
-
- protected:
-  // 8 bytes per pair, vs 12 in CliqueOverlap: the overlap is encoded by
-  // which bucket the pair lives in.
-  struct PackedPair {
-    CliqueId a = 0;
-    CliqueId b = 0;
-  };
-
-  OverlapSink(std::size_t num_buckets, const char* caller)
-      : buckets_(num_buckets), caller_(caller) {}
-
-  std::vector<std::vector<PackedPair>> buckets_;  // [o] = pairs of overlap o
-
- private:
-  const char* caller_;
-};
-
-/// A pair source: called once, before the first level, with the smallest
-/// overlap the sweep stores; it adds every unordered clique pair sharing at
-/// least that many nodes to the sink, each pair once, in any order.
-using OverlapSource =
-    std::function<void(std::size_t min_overlap, OverlapSink& sink)>;
-
-/// run_sweep_cpm_on_cliques over a clique set (nodes < `num_nodes`) whose
-/// overlap pairs are already known: skips the overlap join, lets `source`
-/// add the pairs straight into the sweep's buckets, then runs the same
-/// loop, level 3 included. The incremental engine maintains the pairs
-/// across edge batches and re-enters the sweep here, walking its live
-/// overlap lists into the sink with no flat copy and building no Graph, so
-/// its output is the sweep engine's output by construction. The source is called only when the effective k
-/// range reaches 3, and its pairs are used only when it reaches 4.
-SweepCpmResult run_sweep_cpm_prejoined(std::size_t num_nodes,
-                                       std::vector<NodeSet> cliques,
-                                       const OverlapSource& source,
-                                       const CpmOptions& options = {},
-                                       bool build_tree = true);
-
-/// Same, over a flat overlap pair multiset (every unordered clique pair
-/// sharing >= 3 nodes, any order, clique ids indexing `cliques`; pairs
-/// sharing fewer are accepted and dropped): a source that adds the vector.
+/// run_sweep_cpm_on_cliques over a clique set whose overlap pairs are
+/// already known: skips the overlap join and files the given pairs (every
+/// unordered clique pair sharing >= 3 nodes, any order, clique ids
+/// indexing `cliques`; pairs sharing fewer are accepted and dropped)
+/// straight into the sweep's buckets, then runs the same loop, level 3
+/// included. The pairs are filed only when the effective k range reaches
+/// 3, and used only when it reaches 4.
 SweepCpmResult run_sweep_cpm_prejoined(const Graph& g,
                                        std::vector<NodeSet> cliques,
                                        std::vector<CliqueOverlap> overlaps,

@@ -21,9 +21,9 @@ using testing::complete_graph;
 
 using TableEntry = CpmResult (*)(const Graph&, std::vector<NodeSet>);
 
-// The table entries cpm::Engine calls after enumeration, plus both
-// prejoined sweep entries: the flat pair vector and the pair source the
-// incremental engine materializes through.
+// The table entries cpm::Engine calls after enumeration, plus the
+// prejoined sweep entry over a flat pair vector and the node-count form
+// of the sweep that the incremental engine materializes through.
 const std::vector<std::pair<std::string, TableEntry>>& table_entries() {
   static const std::vector<std::pair<std::string, TableEntry>> entries{
       {"run_sweep_cpm_on_cliques",
@@ -36,11 +36,9 @@ const std::vector<std::pair<std::string, TableEntry>>& table_entries() {
                                         std::vector<CliqueOverlap>{})
              .cpm;
        }},
-      {"run_sweep_cpm_prejoined (pair source)",
+      {"run_sweep_cpm_on_cliques (node count)",
        [](const Graph& g, std::vector<NodeSet> table) {
-         return run_sweep_cpm_prejoined(g.num_nodes(), std::move(table),
-                                        [](std::size_t, OverlapSink&) {})
-             .cpm;
+         return run_sweep_cpm_on_cliques(g.num_nodes(), std::move(table)).cpm;
        }},
       {"run_cpm_on_cliques",
        [](const Graph& g, std::vector<NodeSet> table) {

@@ -294,9 +294,10 @@ TEST(IncrCpm, LevelThreeOnlyLinksFollowChurn) {
 
 // ------------------------------------------------------- the remove path
 //
-// A removal reads maximality, fragment pairs and relinks off the dying
-// parents' overlap lists. Each case below is checked for digest identity
-// and for the exact clique count after the removal.
+// A removal settles each fragment Q \ {x} of a dying clique Q by one
+// witness rule: it is kept unless a clique other than Q holds all of it.
+// Each case below is checked for digest identity and for the exact clique
+// count after the removal.
 
 /// The graph on `n` nodes whose edges make each of `cliques` a clique.
 Graph union_of_cliques(std::size_t n, const std::vector<NodeSet>& cliques) {
@@ -384,6 +385,51 @@ TEST(IncrCpm, FragmentsOfTwoParentsLinkByTheirDroppedEndpoints) {
       10, {{0, 1, 2, 3, 4, 5}, {0, 1, 2, 3, 6, 7}, {0, 2, 3, 4, 5, 8},
            {1, 2, 3, 6, 7, 9}});
   remove_and_check(cross, {0, 1}, 4, "cross endpoints");
+}
+
+TEST(IncrCpm, RemovingALoneEdgeKeepsNoSingleNodeClique) {
+  // {0, 1} is node 0's only clique; node 1 also lies in {1, 2, 3}. The
+  // removal leaves {0} with no clique at all, and the materialized result
+  // hides a one-node clique (the clique-size filter), so only the count
+  // shows whether one was kept.
+  const Graph g = union_of_cliques(4, {{0, 1}, {1, 2, 3}});
+  remove_and_check(g, {0, 1}, 1, "lone edge");
+  // Both endpoints isolated afterwards: the table is empty.
+  remove_and_check(union_of_cliques(2, {{0, 1}}), {0, 1}, 0, "single edge");
+}
+
+TEST(IncrCpm, EdgeFragmentWitnessedByACliqueSharingOnlyThatEdge) {
+  // Q = {0, 1, 2}; W = {1, 2, 3, 4, 5} shares only {1, 2} with Q, so it
+  // witnesses Q \ {0} and Q \ {1} = {0, 2} alone is born. Node 2 also
+  // heads a fan of triangles, so the fragment's members have clique lists
+  // of different lengths.
+  const std::vector<NodeSet> cliques{
+      {0, 1, 2}, {1, 2, 3, 4, 5}, {2, 6, 7}, {2, 7, 8}, {2, 8, 9}};
+  const Graph g = union_of_cliques(10, cliques);
+  remove_and_check(g, {0, 1}, 5, "edge witness");
+  // The same with the endpoints named the other way round.
+  EdgeBatch batch;
+  batch.remove.emplace_back(1, 0);
+  Mirror mirror(g);
+  IncrementalCpm state(g);
+  apply_and_check(state, mirror, batch, {}, "edge witness swapped");
+  EXPECT_EQ(state.num_cliques(), 5u);
+}
+
+TEST(IncrCpm, FragmentWitnessedByACliqueBornEarlierInTheBatch) {
+  // P = {0, 1, 2, 3, 4} and Q = {1, 2, 3, 5}. Removing (0, 4) first kills
+  // P and gives {1, 2, 3, 4} and {0, 1, 2, 3}, both maximal. Removing
+  // (1, 5) next, in the same batch, kills Q: its fragment {1, 2, 3} lies
+  // in both newborns and is not kept, while {2, 3, 5} is.
+  const Graph g = union_of_cliques(6, {{0, 1, 2, 3, 4}, {1, 2, 3, 5}});
+  Mirror mirror(g);
+  IncrementalCpm state(g);
+  EdgeBatch batch;
+  batch.remove = {{0, 4}, {1, 5}};
+  apply_and_check(state, mirror, batch, {}, "newborn witness");
+  EXPECT_EQ(state.num_cliques(), 3u);
+  apply_and_check(state, mirror, batch.inverse(), {}, "newborn inverse");
+  EXPECT_EQ(state.num_cliques(), 2u);
 }
 
 TEST(IncrCpm, ChurnInsideTheDenseCoreKeepsDigestIdentity) {

@@ -167,7 +167,7 @@ TEST(SweepCpm, EmitsTheDistinctNodesOfEachCommunitysCliques) {
   }
 }
 
-TEST(SweepCpm, PairSourceAndFlatPairsGiveTheSameCanonicalText) {
+TEST(SweepCpm, EveryEntryGivesTheSameCanonicalText) {
   const Graph g = random_graph(40, 0.45, 29);
   const std::vector<NodeSet> cliques = clique_table(g);
   const std::vector<CliqueOverlap> pairs =
@@ -182,17 +182,15 @@ TEST(SweepCpm, PairSourceAndFlatPairsGiveTheSameCanonicalText) {
   };
   const std::string flat =
       text(run_sweep_cpm_prejoined(g, cliques, pairs, {}));
-  // The source adds the pairs backwards, endpoints swapped.
-  const std::string sourced = text(run_sweep_cpm_prejoined(
-      g.num_nodes(), cliques,
-      [&](std::size_t min_overlap, OverlapSink& sink) {
-        for (auto p = pairs.rbegin(); p != pairs.rend(); ++p) {
-          if (p->overlap >= min_overlap) sink.add(p->b, p->a, p->overlap);
-        }
-      },
-      {}));
-  EXPECT_EQ(flat, sourced);
+  // The same pairs backwards, endpoints swapped.
+  std::vector<CliqueOverlap> reversed;
+  for (auto p = pairs.rbegin(); p != pairs.rend(); ++p) {
+    reversed.push_back({p->b, p->a, p->overlap});
+  }
+  EXPECT_EQ(flat, text(run_sweep_cpm_prejoined(g, cliques, reversed, {})));
   EXPECT_EQ(flat, text(run_sweep_cpm_on_cliques(g, cliques, {})));
+  // The node-count form reads nothing else of the graph.
+  EXPECT_EQ(flat, text(run_sweep_cpm_on_cliques(g.num_nodes(), cliques, {})));
 }
 
 TEST(SweepCpm, StatsReportPairsAndPeak) {
