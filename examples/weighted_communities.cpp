@@ -4,12 +4,11 @@
 //
 //   ./weighted_communities --k=4 --seed=42
 
-#include <algorithm>
 #include <iostream>
 
 #include "common/cli.h"
 #include "common/table.h"
-#include "cpm/engine.h"
+#include "cpm/weighted_cpm.h"
 #include "graph/weighted_graph.h"
 #include "synth/as_topology.h"
 
@@ -28,23 +27,11 @@ int main(int argc, char** argv) {
               << " links; peering weights in [" << weights.min_weight()
               << ", " << weights.max_weight() << "]\n\n";
 
-    const std::vector<double> thresholds{0.0, 1.1, 1.5, 2.0, 3.0};
     TextTable table({"intensity threshold", "communities", "largest"});
-    for (double threshold : thresholds) {
-      cpm::Options options;
-      options.min_k = k;
-      options.max_k = k;
-      options.intensity_threshold = threshold;
-      const cpm::Result result =
-          cpm::Engine(options).run_weighted(g, weights);
-      std::size_t count = 0, largest = 0;
-      if (result.cpm.has_k(k)) {
-        count = result.cpm.at(k).count();
-        for (const Community& c : result.cpm.at(k).communities) {
-          largest = std::max(largest, c.size());
-        }
-      }
-      table.add(fixed(threshold, 1), count, largest);
+    for (const IntensitySweepPoint& point :
+         intensity_sweep(g, weights, k, {0.0, 1.1, 1.5, 2.0, 3.0})) {
+      table.add(fixed(point.threshold, 1), point.community_count,
+                point.largest_community);
     }
     std::cout << table;
     std::cout << "\nInterpretation: raising the intensity threshold prunes "

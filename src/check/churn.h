@@ -13,7 +13,7 @@
 //  * digest     — cpm::canonical_text must be byte-identical to a
 //    from-scratch sweep on the mutated graph (the sweep result is passed
 //    through cpm::canonicalise_clique_order first — the incremental table
-//    is lexicographic, see EngineCaps::canonical_clique_order);
+//    is lexicographic, the sweep's in enumeration order);
 //  * invariants — the first-principles oracles of invariants.h, which
 //    share no percolation code with either engine.
 //

@@ -156,6 +156,22 @@ std::string inject_fault(cpm::Result& result, const std::string& kind) {
     }
     return {};
   }
+  if (kind == "clique-twice") {
+    // Breaks the level's clique partition the other way: a clique that two
+    // communities list. Only a level with two communities has one to copy.
+    for (CommunitySet& set : result.cpm.by_k) {
+      if (set.communities.size() < 2 ||
+          set.communities[0].clique_ids.empty()) {
+        continue;
+      }
+      const CliqueId clique = set.communities[0].clique_ids.front();
+      std::vector<CliqueId>& ids = set.communities[1].clique_ids;
+      ids.insert(std::lower_bound(ids.begin(), ids.end(), clique), clique);
+      return "listed clique " + std::to_string(clique) + " of k=" +
+             std::to_string(set.k) + " community 0 under community 1 too";
+    }
+    return {};
+  }
   if (kind == "tree") {
     if (result.has_tree && !result.tree.nodes().empty()) {
       // The canonical text serializes is_main; a const_cast keeps the hook
@@ -167,7 +183,7 @@ std::string inject_fault(cpm::Result& result, const std::string& kind) {
     return {};
   }
   throw Error("KCC_CHECK_INJECT_FAULT: unknown fault kind '" + kind +
-              "' (community|clique-map|tree)");
+              "' (community|clique-map|clique-twice|tree)");
 }
 
 }  // namespace detail
@@ -189,9 +205,10 @@ DiffOutcome run_differential(const Graph& g, const DiffOptions& options) {
 
   for (const auto& [min_k, max_k] : groups) {
     const std::vector<Variant> matrix = build_matrix(min_k, max_k, g, options);
-    // The last non-reference exact variant hosts the injected fault, so all
-    // three fault kinds (community / clique-map / tree) have a record to
-    // corrupt and the digest gate must catch it.
+    // The last non-reference exact variant hosts the injected fault, so
+    // every fault kind has a record to corrupt where the graph has one (a
+    // clique-twice fault needs a level with two communities) and the
+    // digest gate must catch it.
     std::size_t fault_target = matrix.size();
     if (!fault_kind.empty()) {
       for (std::size_t i = matrix.size(); i-- > 0;) {
@@ -205,12 +222,6 @@ DiffOutcome run_differential(const Graph& g, const DiffOptions& options) {
     cpm::Result baseline_result;     // kept for approximate-engine scoring
     std::string baseline_text;       // full canonical serialization
     std::string baseline_node_text;  // node-sets-only projection
-    // Lazily-built projection for engines whose caps declare a
-    // lexicographic clique table (canonical_clique_order): the baseline
-    // passed through cpm::canonicalise_clique_order. Clique order is a
-    // serialization detail, so normalizing the baseline keeps the gate
-    // byte-exact without exempting those engines from it.
-    std::string baseline_lex_text;
     // Previous approximate run per engine name: t1 vs tN must be identical.
     std::string approx_prev_label, approx_prev_engine, approx_prev_text;
     for (std::size_t i = 0; i < matrix.size(); ++i) {
@@ -285,20 +296,12 @@ DiffOutcome run_differential(const Graph& g, const DiffOptions& options) {
         continue;
       }
 
-      const bool lex_cliques =
-          cpm::engine_info(variant.options.engine).caps.canonical_clique_order;
-      if (lex_cliques && baseline_lex_text.empty()) {
-        cpm::Result reordered = baseline_result;
-        cpm::canonicalise_clique_order(reordered);
-        baseline_lex_text = cpm::canonical_text(reordered);
-      }
       const std::string text =
           variant.node_sets_only
               ? cpm::canonical_text(result, {false, false, false})
               : cpm::canonical_text(result);
-      const std::string& base = variant.node_sets_only ? baseline_node_text
-                                : lex_cliques          ? baseline_lex_text
-                                                       : baseline_text;
+      const std::string& base =
+          variant.node_sets_only ? baseline_node_text : baseline_text;
       const std::string diff =
           detail::first_diff(matrix[0].label, base, variant.label, text);
       if (!diff.empty()) {

@@ -8,10 +8,7 @@
 // variant (each registered exact engine × threads ∈ {1, N}, the
 // auto/bitset backend crosses, and — on tiny graphs — the exponential
 // reference engine) must produce a
-// byte-identical canonical serialization (cpm::canonical_text); variants of
-// engines that declare EngineCaps::canonical_clique_order are diffed
-// against the baseline passed through cpm::canonicalise_clique_order, since
-// clique-table order is a serialization detail rather than CPM output. The
+// byte-identical canonical serialization (cpm::canonical_text). The
 // baseline result is also validated from first principles by the invariant
 // oracles (invariants.h). Any divergence is reported as the first differing
 // canonical line, which pinpoints the k level / community / tree node that
@@ -25,10 +22,11 @@
 // DiffOptions::approx_min_f1 is a failure.
 //
 // Fault-injection self-test: when the KCC_CHECK_INJECT_FAULT environment
-// variable is set ("community" | "clique-map" | "tree"), the runner corrupts
-// one record of the final exact variant's result before diffing. A healthy
-// harness must detect the corruption — tools/kcc_fuzz.cpp --expect-fault
-// turns this into a ctest guard against a vacuously-green fuzzer.
+// variable is set ("community" | "clique-map" | "clique-twice" | "tree"),
+// the runner corrupts one record of the final exact variant's result before
+// diffing. A healthy harness must detect the corruption —
+// tools/kcc_fuzz.cpp --expect-fault turns this into a ctest guard against a
+// vacuously-green fuzzer.
 //
 // obs counters: check_graphs_total, check_variants_total,
 // check_invariants_total, check_mismatches_total, check_faults_injected_total
@@ -89,9 +87,13 @@ namespace detail {
 
 /// Test-only corruption hook shared by the differential and churn runners
 /// (KCC_CHECK_INJECT_FAULT): corrupts one record of `result` of the given
-/// kind ("community" | "clique-map" | "tree") and returns a description of
-/// what was corrupted, or an empty string when the result has no record of
-/// that kind. Throws kcc::Error on an unknown kind.
+/// kind and returns a description of what was corrupted, or an empty string
+/// when the result has no record of that kind. Kinds: "community" drops a
+/// community node, "clique-map" drops a clique id so no community of its
+/// level lists it, "clique-twice" lists one community's clique under a
+/// second community of the same level (nothing on a level with only one),
+/// "tree" flips a tree node's is_main bit. Throws kcc::Error on an unknown
+/// kind.
 std::string inject_fault(cpm::Result& result, const std::string& kind);
 
 /// First line where two canonical texts diverge, with both readings

@@ -8,63 +8,13 @@
 #include "common/error.h"
 #include "common/thread_pool.h"
 #include "cpm/almost_cpm.h"
-#include "cpm/incr_cpm.h"
 #include "cpm/reference_cpm.h"
 #include "cpm/sweep_cpm.h"
-#include "cpm/weighted_cpm.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 
 namespace kcc::cpm {
 namespace {
-
-// Wraps plain per-k node-set lists (reference / weighted results) in the
-// common CpmResult shape. Communities carry no clique ids; tree assembly
-// falls back to node-containment parent search.
-CpmResult result_from_node_sets(std::size_t min_k,
-                                std::vector<std::vector<NodeSet>> by_k) {
-  CpmResult result;
-  result.min_k = min_k;
-  result.max_k = min_k + by_k.size() - 1;  // wraps to min_k - 1 when empty
-  for (std::size_t i = 0; i < by_k.size(); ++i) {
-    CommunitySet set;
-    set.k = min_k + i;
-    // Re-establish the canonical order (size desc, nodes lex) shared by all
-    // engines; the oracle lists communities lexicographically.
-    std::sort(by_k[i].begin(), by_k[i].end(),
-              [](const NodeSet& a, const NodeSet& b) {
-                if (a.size() != b.size()) return a.size() > b.size();
-                return a < b;
-              });
-    for (CommunityId id = 0; id < by_k[i].size(); ++id) {
-      Community c;
-      c.k = set.k;
-      c.id = id;
-      c.nodes = std::move(by_k[i][id]);
-      set.communities.push_back(std::move(c));
-    }
-    result.by_k.push_back(std::move(set));
-  }
-  return result;
-}
-
-// Runs `communities_at(k)` for ascending k until the configured max_k (0 =
-// unbounded) or the first empty k, whichever comes first. No later k can be
-// non-empty: every (k+1)-clique contains k-cliques (and, under an intensity
-// threshold, one whose geometric-mean weight is at least its own), so an
-// empty level stays empty at every higher k. Stopping there keeps a huge
-// max_k from walking billions of empty levels.
-template <typename Fn>
-CpmResult collect_per_k(const Options& options, Fn&& communities_at) {
-  std::vector<std::vector<NodeSet>> by_k;
-  for (std::size_t k = options.min_k;
-       options.max_k == 0 || k <= options.max_k; ++k) {
-    std::vector<NodeSet> communities = communities_at(k);
-    if (communities.empty()) break;
-    by_k.push_back(std::move(communities));
-  }
-  return result_from_node_sets(options.min_k, std::move(by_k));
-}
 
 // The shared first stage of the engines that percolate a maximal-clique
 // table: enumeration at the configured floor and backend.
@@ -102,14 +52,43 @@ void build_tree_post_hoc(const Options& options, Result& result) {
 
 // ------------------------------------------------- registry run hooks
 
+// The literal definition, one k at a time: ascending from min_k until the
+// configured max_k (0 = unbounded) or the first empty k, whichever comes
+// first. No later k can be non-empty: every (k+1)-clique contains
+// k-cliques, so an empty level stays empty at every higher k. Stopping
+// there keeps a huge max_k from walking billions of empty levels. The
+// communities carry no clique ids; tree assembly falls back to
+// node-containment parent search.
 Result run_reference(const Options& options, const Graph& g) {
   KCC_SPAN("cpm_engine/reference");
   Result result;
   {
     obs::StageScope stage("percolate");
-    result.cpm = collect_per_k(options, [&](std::size_t k) {
-      return reference_k_clique_communities(g, k);
-    });
+    CpmResult& cpm = result.cpm;
+    cpm.min_k = options.min_k;
+    for (std::size_t k = options.min_k;
+         options.max_k == 0 || k <= options.max_k; ++k) {
+      std::vector<NodeSet> nodes = reference_k_clique_communities(g, k);
+      if (nodes.empty()) break;
+      // Re-establish the canonical order (size desc, nodes lex) shared by
+      // all engines; the oracle lists communities lexicographically.
+      std::sort(nodes.begin(), nodes.end(),
+                [](const NodeSet& a, const NodeSet& b) {
+                  if (a.size() != b.size()) return a.size() > b.size();
+                  return a < b;
+                });
+      CommunitySet set;
+      set.k = k;
+      for (CommunityId id = 0; id < nodes.size(); ++id) {
+        Community c;
+        c.k = k;
+        c.id = id;
+        c.nodes = std::move(nodes[id]);
+        set.communities.push_back(std::move(c));
+      }
+      cpm.by_k.push_back(std::move(set));
+    }
+    cpm.max_k = cpm.min_k + cpm.by_k.size() - 1;  // min_k - 1 when empty
   }
   build_tree_post_hoc(options, result);
   return result;
@@ -168,16 +147,6 @@ const std::vector<EngineInfo>& engine_registry() {
           "(the original LP-CPM structure; reference oracle)";
       per_k.run = &run_per_k;
       built_in.push_back(std::move(per_k));
-    }
-    {
-      EngineInfo incremental;
-      incremental.name = "incremental";
-      incremental.summary =
-          "live clique table patched under edge batches, materialized "
-          "through the sweep; exact, lexicographic clique order";
-      incremental.caps.canonical_clique_order = true;
-      incremental.run = &run_incremental_full;
-      built_in.push_back(std::move(incremental));
     }
     {
       EngineInfo almost;
@@ -263,25 +232,6 @@ Result Engine::run(const Graph& g) const {
       info_->caps.exact ? Exactness::kExact : Exactness::kAlmostExact;
   obs::annotate_run("cpm_engine", result.engine_name);
   obs::annotate_run("cpm_exactness", exactness_name(result.exactness));
-  return result;
-}
-
-Result Engine::run_weighted(const Graph& g, const EdgeWeights& weights) const {
-  KCC_SPAN("cpm_engine/weighted");
-  Result result;
-  result.engine_name = info_->name;
-  result.exactness =
-      info_->caps.exact ? Exactness::kExact : Exactness::kAlmostExact;
-  obs::StageScope stage("percolate");
-  result.cpm = collect_per_k(options_, [&](std::size_t k) {
-    WeightedCpmOptions weighted;
-    weighted.k = k;
-    weighted.intensity_threshold = options_.intensity_threshold;
-    weighted.max_cliques = options_.max_weighted_cliques;
-    return weighted_k_clique_communities(g, weights, weighted);
-  });
-  // Intensity filtering can break the nesting theorem, so has_tree stays
-  // false regardless of build_tree.
   return result;
 }
 

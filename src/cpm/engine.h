@@ -1,18 +1,20 @@
 // cpm::Engine — the one front door to clique percolation.
 //
-// Historically the library exposed three divergent entry points: run_cpm
-// (maximal-clique reduction, per-k percolation), reference_k_clique_communities
-// (the literal Sec. 3 definition, used as a test oracle) and
-// weighted_k_clique_communities (CPMw intensity filtering). Each had its own
-// options and result shape, and none produced the community tree. The Engine
-// facade unifies them: one Options struct selects the k range, the clique
-// floor, the intensity threshold and the engine; one Result carries
-// communities-by-k, the nesting tree and exactness provenance; stage wall
-// times go to the run recorder (obs::StageScope), not into the Result.
-// Every registered engine runs from a graph. The free functions that remain
-// are the table entries the Engine calls after enumerating maximal cliques
-// (run_sweep_cpm_on_cliques, run_cpm_on_cliques — also the per-k oracle —
-// and run_almost_cpm_on_cliques); tests and benches may call them directly.
+// Historically the library exposed divergent entry points: run_cpm
+// (maximal-clique reduction, per-k percolation) and
+// reference_k_clique_communities (the literal Sec. 3 definition, used as a
+// test oracle), each with its own options and result shape, and neither
+// produced the community tree. The Engine facade unifies them: one Options
+// struct selects the k range, the clique floor and the engine; one Result
+// carries communities-by-k, the nesting tree and exactness provenance;
+// stage wall times go to the run recorder (obs::StageScope), not into the
+// Result. Every registered engine runs from one static graph. The free
+// functions that remain are the table entries the Engine calls after
+// enumerating maximal cliques (run_sweep_cpm_on_cliques,
+// run_cpm_on_cliques — also the per-k oracle — and
+// run_almost_cpm_on_cliques); tests and benches may call them directly.
+// Edge churn lives in cpm::IncrementalCpm (cpm/incr_cpm.h) and weighted
+// CPM (CPMw) in cpm/weighted_cpm.h, outside the registry.
 //
 //   cpm::Options options;
 //   options.max_k = 12;
@@ -37,7 +39,6 @@
 #include "cpm/community_tree.h"
 #include "cpm/cpm.h"
 #include "graph/graph.h"
-#include "graph/weighted_graph.h"
 
 namespace kcc::cpm {
 
@@ -62,13 +63,6 @@ struct EngineCaps {
   /// Exponential-time validation oracle: only safe on tiny graphs. Matrix
   /// generators cap the input size for these.
   bool exponential = false;
-  /// The engine emits its clique table in lexicographic order rather than
-  /// enumeration order (the incremental engine cannot preserve enumeration
-  /// order across edge churn). Digest comparisons against enumeration-
-  /// ordered engines must first pass those Results through
-  /// canonicalise_clique_order() — clique order is a serialization detail
-  /// of canonical_text, not part of the CPM output.
-  bool canonical_clique_order = false;
 };
 
 /// One registered percolation backend: name, one-line summary (used to
@@ -86,9 +80,7 @@ struct EngineInfo {
 /// buckets, tree from the levels), per_k (one independent percolation per
 /// k, run in parallel across k, over the pairs of the same per-clique join;
 /// the original LP-CPM structure, kept as the reference oracle),
-/// incremental (live clique table patched under edge batches —
-/// cpm/incr_cpm.h — materialized through the sweep; exact, lexicographic
-/// clique order), almost_exact (Baudin et al. 2021 bounded-memory percolation over
+/// almost_exact (Baudin et al. 2021 bounded-memory percolation over
 /// per-node community candidates — no overlap join; approximate; the same
 /// level loop as sweep) and reference (the literal k-clique-graph
 /// definition; exponential). docs/ALGORITHMS.md compares them with
@@ -102,7 +94,7 @@ const EngineInfo* find_engine(const std::string& name);
 /// `name` is unknown.
 const EngineInfo& engine_info(const std::string& name);
 
-/// "sweep|per_k|incremental|almost_exact|reference" — the registered names
+/// "sweep|per_k|almost_exact|reference" — the registered names
 /// joined with `sep`, for help/error text.
 std::string engine_names_joined(char sep = '|');
 
@@ -111,7 +103,7 @@ struct Options {
   std::size_t min_k = 2;
 
   /// Largest community order; 0 means "up to the maximum clique size" (for
-  /// the reference and weighted paths: until a k yields no community).
+  /// the reference engine: until a k yields no community).
   std::size_t max_k = 0;
 
   /// Maximal cliques smaller than this are dropped before percolation
@@ -138,14 +130,6 @@ struct Options {
   /// back to the sparse kernel (0 = library default; see
   /// clique::Options::bitset_max_universe).
   std::size_t bitset_max_universe = 0;
-
-  /// Weighted runs (Engine::run_weighted) keep only k-cliques whose
-  /// intensity (geometric mean edge weight) reaches this threshold.
-  double intensity_threshold = 0.0;
-
-  /// Safety valve for weighted runs: abort when a single k would enumerate
-  /// more than this many k-cliques (0 disables).
-  std::size_t max_weighted_cliques = 5'000'000;
 
   /// Skip tree assembly (Result::has_tree stays false).
   bool build_tree = true;
@@ -177,11 +161,6 @@ class Engine {
   /// wall times (cliques / percolate / tree) go to obs::RunRecorder.
   Result run(const Graph& g) const;
 
-  /// CPMw: communities among k-cliques whose intensity reaches
-  /// options().intensity_threshold. Intensity filtering can break the
-  /// nesting theorem, so no tree is produced.
-  Result run_weighted(const Graph& g, const EdgeWeights& weights) const;
-
  private:
   Options options_;
   const EngineInfo* info_;  // resolved at construction; never null
@@ -212,9 +191,10 @@ std::uint64_t canonical_digest(const Result& result,
 /// Re-orders Result::cpm.cliques lexicographically and remaps every
 /// community's clique_ids accordingly (re-sorted ascending). Community node
 /// sets, community order and the tree are untouched. After this, an exact
-/// enumeration-ordered Result is byte-identical (canonical_text) to the
-/// same run from an engine with caps.canonical_clique_order — the
-/// equivalence check::differential and check::churn_differential rely on.
+/// enumeration-ordered Result is byte-identical (canonical_text) to
+/// IncrementalCpm::result() on the same graph, whose clique table is kept
+/// in lexicographic order across churn — the equivalence
+/// check::churn_differential relies on.
 void canonicalise_clique_order(Result& result);
 
 /// Flag names of the shared engine CLI surface (--k-min, --k-max, --engine,

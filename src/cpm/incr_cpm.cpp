@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <iterator>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 
@@ -39,6 +38,7 @@ IncrementalCpm::IncrementalCpm(const Graph& g, Options options)
           "IncrementalCpm: min_clique_size ", options_.min_clique_size,
           " must be <= min_k ", options_.min_k);
   KCC_SPAN("incr_cpm/bootstrap");
+  obs::StageScope stage("cliques");
   {
     ThreadPool pool(options_.threads);
     clique::Options copt;
@@ -135,6 +135,7 @@ void IncrementalCpm::validate(const EdgeBatch& batch) const {
 }
 
 void IncrementalCpm::apply(const EdgeBatch& batch) {
+  obs::StageScope stage("apply");
   validate(batch);
   KCC_SPAN("incr_cpm/apply");
   const std::uint64_t created_before = cliques_created_;
@@ -390,21 +391,19 @@ Graph IncrementalCpm::graph() const {
 
 Result IncrementalCpm::result() const {
   KCC_SPAN("incr_cpm/materialize");
-  // Copying the table is a `percolate` stage of its own, closed before the
-  // sweep tail opens its own: nesting two stages of one name would count
-  // this time twice.
-  std::optional<obs::StageScope> prepare_stage(std::in_place, "percolate");
-
   // The table: alive cliques above the clique floor in the kept
   // lexicographic order, the one table order churn can reproduce
-  // deterministically (see EngineCaps::canonical_clique_order).
+  // deterministically. Copying it is a stage of its own, closed before the
+  // sweep tail opens its `percolate` stage: stages do not nest.
   std::vector<NodeSet> table;
-  table.reserve(order_.size());
-  for (const CliqueRef e : order_) {
-    const NodeSet& q = cliques_[e.clique];
-    if (q.size() >= options_.min_clique_size) table.push_back(q);
+  {
+    obs::StageScope stage("materialize");
+    table.reserve(order_.size());
+    for (const CliqueRef e : order_) {
+      const NodeSet& q = cliques_[e.clique];
+      if (q.size() >= options_.min_clique_size) table.push_back(q);
+    }
   }
-  prepare_stage.reset();
   SweepCpmResult sweep =
       run_sweep_cpm_on_cliques(num_nodes(), std::move(table),
                                options_.cpm_options(), options_.build_tree);
@@ -417,29 +416,6 @@ Result IncrementalCpm::result() const {
   result.engine_name = "incremental";
   result.exactness = Exactness::kExact;
   return result;
-}
-
-Result run_incremental_full(const Options& options, const Graph& g) {
-  KCC_SPAN("cpm_engine/incremental");
-  // The bootstrap/apply stage closes before result(), which records its own
-  // percolate stages (preparation, then the sweep tail) and tree stage.
-  const IncrementalCpm state = [&] {
-    obs::StageScope stage("percolate");
-    // Hold back a suffix of edges and apply() them as one batch, so every
-    // full run — including each differential-matrix variant — exercises
-    // the churn path, not just the bootstrap.
-    const std::vector<std::pair<NodeId, NodeId>> edges = g.edges();
-    const std::size_t holdback = std::min<std::size_t>(8, edges.size());
-    const std::vector<std::pair<NodeId, NodeId>> base(
-        edges.begin(), edges.end() - static_cast<std::ptrdiff_t>(holdback));
-    IncrementalCpm live(Graph::from_edges(g.num_nodes(), base), options);
-    EdgeBatch batch;
-    batch.add.assign(edges.end() - static_cast<std::ptrdiff_t>(holdback),
-                     edges.end());
-    if (!batch.empty()) live.apply(batch);
-    return live;
-  }();
-  return state.result();
 }
 
 }  // namespace kcc::cpm

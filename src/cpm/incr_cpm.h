@@ -55,8 +55,8 @@
 //
 // One serialization caveat: the table is emitted in lexicographic order
 // (churn cannot preserve enumeration order), so digest comparisons against
-// enumeration-ordered engines go through cpm::canonicalise_clique_order()
-// — see EngineCaps::canonical_clique_order.
+// the registry's engines, which emit enumeration order, go through
+// cpm::canonicalise_clique_order().
 #pragma once
 
 #include <cstddef>
@@ -94,19 +94,20 @@ struct EdgeBatch {
 /// graph — with result() whenever needed.
 class IncrementalCpm {
  public:
-  /// Bootstraps from a full maximal-clique enumeration of `g`. Honors
-  /// options.min_k / max_k / min_clique_size / threads / clique_backend /
-  /// bitset_max_universe / build_tree; options.engine is ignored (this
-  /// state IS the engine). The k range and clique floor only filter
-  /// materialization — the maintained table always holds every maximal
-  /// clique of size >= 2, which the update theorems require. Throws
-  /// kcc::Error naming both values when min_clique_size > min_k (see
-  /// Options::min_clique_size).
+  /// Bootstraps from a full maximal-clique enumeration of `g` (the
+  /// `cliques` run-report stage: enumeration, node index and lexicographic
+  /// order). Honors options.min_k / max_k / min_clique_size / threads /
+  /// clique_backend / bitset_max_universe / build_tree; options.engine is
+  /// ignored (this state IS the engine). The k range and clique floor only
+  /// filter materialization — the maintained table always holds every
+  /// maximal clique of size >= 2, which the update theorems require.
+  /// Throws kcc::Error naming both values when min_clique_size > min_k
+  /// (see Options::min_clique_size).
   explicit IncrementalCpm(const Graph& g, Options options = {});
 
   /// Applies one edge batch: removes first, then adds, each patching the
   /// clique table and per-node index locally, then merges the batch's new
-  /// cliques into the kept order. Throws
+  /// cliques into the kept order; one `apply` run-report stage. Throws
   /// kcc::Error on an invalid batch (see EdgeBatch) with the state
   /// untouched.
   void apply(const EdgeBatch& batch);
@@ -115,8 +116,8 @@ class IncrementalCpm {
   /// (run_sweep_cpm_on_cliques with the node count, overlap join
   /// included) over the maintained clique table, in the lexicographic
   /// order kept across batches (no sort here): no Graph is rebuilt. The
-  /// table copy and the sweep are two `percolate` run-report stages
-  /// (obs::StageScope); the tree step is the `tree` stage.
+  /// table copy is the `materialize` run-report stage (obs::StageScope),
+  /// the sweep's levels and tree step its `percolate` and `tree` stages.
   Result result() const;
 
   /// The current graph, rebuilt from the maintained adjacency (for
@@ -192,12 +193,5 @@ class IncrementalCpm {
   std::uint64_t cliques_created_ = 0;
   std::uint64_t cliques_retired_ = 0;
 };
-
-/// Registry hook for the `incremental` engine (caps.exact,
-/// caps.canonical_clique_order). It deliberately exercises churn: it
-/// bootstraps on the graph minus a held-back suffix of edges and apply()s
-/// them as one batch, so every differential-matrix run covers the patch
-/// path, not just the bootstrap.
-Result run_incremental_full(const Options& options, const Graph& g);
 
 }  // namespace kcc::cpm

@@ -75,21 +75,8 @@ TEST(EngineRegistry, EveryEngineAgreesWithPerKOnOneGraph) {
     const cpm::Result result = run_engine(info.name, g);
     EXPECT_EQ(result.engine_name, info.name);
     if (info.caps.exact) {
-      if (info.caps.canonical_clique_order) {
-        // The engine cannot preserve enumeration order (e.g. incremental);
-        // compare both sides in canonical clique order instead.
-        cpm::Result canon_result = result;
-        cpm::Result canon_baseline = baseline;
-        cpm::canonicalise_clique_order(canon_result);
-        cpm::canonicalise_clique_order(canon_baseline);
-        EXPECT_EQ(cpm::canonical_digest(canon_result),
-                  cpm::canonical_digest(canon_baseline))
-            << info.name;
-      } else {
-        EXPECT_EQ(cpm::canonical_digest(result),
-                  cpm::canonical_digest(baseline))
-            << info.name;
-      }
+      EXPECT_EQ(cpm::canonical_digest(result), cpm::canonical_digest(baseline))
+          << info.name;
     } else {
       const cpm::Comparison gap = cpm::compare_results(baseline, result);
       EXPECT_TRUE(gap.ok) << info.name << ": " << gap.summary;

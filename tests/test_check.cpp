@@ -220,8 +220,9 @@ TEST(CheckDifferential, CleanGraphRunsWholeMatrix) {
   options.threads = 2;
   const check::DiffOutcome outcome = check::run_differential(g, options);
   EXPECT_TRUE(outcome.ok()) << outcome.failure;
-  // Full + restricted groups over 7 variants, plus the reference engine
-  // somewhere in the full group (the graph is small enough).
+  // Full + restricted groups of 12 variants each: the per_k baseline, six
+  // sweep and two more per_k variants, the reference engine (the graph is
+  // small enough) and almost_exact at 1 and N threads.
   EXPECT_GE(outcome.variants_run, 14u);
   EXPECT_GT(outcome.invariants_checked, 0u);
   EXPECT_FALSE(outcome.fault_injected);

@@ -18,7 +18,9 @@
 #include "clique/enumerator.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "common/timer.h"
 #include "cpm/engine.h"
+#include "obs/report.h"
 #include "test_helpers.h"
 
 namespace kcc {
@@ -585,18 +587,41 @@ TEST(IncrCpm, CliqueBackendsAgreeUnderChurn) {
   }
 }
 
-TEST(IncrCpm, RegistryEngineIsExactAndCoversThePatchPath) {
-  // The registry full-run hook holds back a suffix of edges and apply()s
-  // them, so running it at all exercises churn; its digest must match the
-  // canonicalised sweep.
+// A churn run's report names each stage once, in order: the bootstrap's
+// enumeration, node index and order (`cliques`), one `apply` per batch, the
+// table copy of result() (`materialize`), then the sweep's own `percolate`
+// and `tree`. The stages do not nest, so their walls fit inside the run.
+TEST(IncrCpm, RunReportNamesEachChurnStage) {
   const Graph g = testing::preferential_attachment_graph(45, 3, 37);
-  cpm::Options options;
-  options.engine = "incremental";
-  const cpm::Result run = cpm::Engine(options).run(g);
-  EXPECT_EQ(run.engine_name, "incremental");
-  EXPECT_EQ(run.exactness, cpm::Exactness::kExact);
-  EXPECT_TRUE(cpm::engine_info("incremental").caps.canonical_clique_order);
-  EXPECT_EQ(cpm::canonical_text(run), sweep_digest(g));
+  Mirror mirror(g);
+  Rng rng(41);
+  const EdgeBatch adds = add_batch(mirror, 4, rng);
+  mirror.apply(adds);
+  const EdgeBatch removes = remove_batch(mirror, 4, rng);
+
+  obs::RunRecorder& recorder = obs::RunRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  const Timer timer;
+  IncrementalCpm state(g);
+  state.apply(adds);
+  state.apply(removes);
+  const cpm::Result result = state.result();
+  const double run_seconds = timer.seconds();
+  recorder.set_enabled(false);
+
+  std::vector<std::string> names;
+  double stage_seconds = 0.0;
+  for (const obs::StageSample& stage : recorder.stages()) {
+    names.push_back(stage.name);
+    stage_seconds += stage.wall_seconds;
+  }
+  recorder.clear();
+  EXPECT_EQ(names, (std::vector<std::string>{"cliques", "apply", "apply",
+                                             "materialize", "percolate",
+                                             "tree"}));
+  EXPECT_LE(stage_seconds, run_seconds + 1e-9);
+  EXPECT_TRUE(result.has_tree);
 }
 
 TEST(IncrCpm, RejectsTheLargestNodeIdInsteadOfWrapping) {

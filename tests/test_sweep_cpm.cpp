@@ -527,13 +527,6 @@ TEST(CpmEngine, PerKLoopStopsAtTheFirstEmptyLevel) {
   const cpm::Result ref = cpm::Engine(options).run(complete_graph(4));
   EXPECT_EQ(ref.cpm.max_k, 4u);
   EXPECT_EQ(ref.cpm.by_k.size(), 3u);
-
-  const Graph g = overlapping_cliques(4, 4, 2);
-  const EdgeWeights weights(g, std::vector<double>(g.num_edges(), 1.0));
-  options.engine = "sweep";
-  options.intensity_threshold = 1.0;
-  const cpm::Result weighted = cpm::Engine(options).run_weighted(g, weights);
-  EXPECT_EQ(weighted.cpm.max_k, 4u);
 }
 
 TEST(CpmEngine, BuildTreeCanBeDisabled) {
@@ -542,26 +535,6 @@ TEST(CpmEngine, BuildTreeCanBeDisabled) {
   const cpm::Result result = cpm::Engine(options).run(complete_graph(6));
   EXPECT_FALSE(result.has_tree);
   EXPECT_EQ(result.cpm.max_k, 6u);
-}
-
-TEST(CpmEngine, WeightedRunFiltersAndNeverBuildsATree) {
-  const Graph g = overlapping_cliques(4, 4, 2);
-  // All edge weights 1 except a heavy triangle {0, 1, 2}.
-  std::vector<double> per_edge;
-  for (const auto& [u, v] : g.edges()) {
-    per_edge.push_back(u <= 2 && v <= 2 ? 4.0 : 1.0);
-  }
-  const EdgeWeights weights(g, std::move(per_edge));
-
-  cpm::Options options;
-  options.min_k = 3;
-  options.max_k = 3;
-  options.intensity_threshold = 2.0;
-  const cpm::Result result = cpm::Engine(options).run_weighted(g, weights);
-  EXPECT_FALSE(result.has_tree);
-  ASSERT_TRUE(result.cpm.has_k(3));
-  ASSERT_EQ(result.cpm.at(3).count(), 1u);
-  EXPECT_EQ(result.cpm.at(3).communities[0].nodes, (NodeSet{0, 1, 2}));
 }
 
 TEST(CpmEngine, ValidatesOptions) {
@@ -584,7 +557,7 @@ TEST(CpmEngine, UnknownEngineNamesListTheRegisteredOnes) {
               "unknown engine 'stream' (" + cpm::engine_names_joined() + ")");
   }
   EXPECT_EQ(cpm::engine_names_joined(),
-            "sweep|per_k|incremental|almost_exact|reference");
+            "sweep|per_k|almost_exact|reference");
 }
 
 TEST(CpmEngine, OptionsFromCliRejectsBadValues) {

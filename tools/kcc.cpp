@@ -439,12 +439,15 @@ int cmd_update(const CliArgs& args) {
   }
   const cpm::Result run = state.result();
 
-  // tmp + rename so a serving daemon reloading the path never maps a
-  // half-written file.
-  const std::string tmp = out + ".tmp";
-  snapshot::write_snapshot_file(tmp, run,
-                                snapshot::default_manifest_json("kcc", run));
-  std::filesystem::rename(tmp, out);
+  {
+    // tmp + rename so a serving daemon reloading the path never maps a
+    // half-written file.
+    const obs::StageScope stage("snapshot_write");
+    const std::string tmp = out + ".tmp";
+    snapshot::write_snapshot_file(tmp, run,
+                                  snapshot::default_manifest_json("kcc", run));
+    std::filesystem::rename(tmp, out);
+  }
 
   std::cout << "Replayed " << stream.batches.size() << " batches (" << ops
             << " ops) over " << base.num_nodes() << " nodes: "

@@ -9,7 +9,7 @@
 // significant regressions.
 //
 //   kcc_bench [--scale=test|bench|paper] [--seed=N] [--reps=5] [--threads=0]
-//             [--engines=sweep,per_k,incremental,almost_exact,reference]
+//             [--engines=sweep,per_k,almost_exact,reference]
 //             [--backends=sparse,bitset] [--out=REPORT.json] [--trajectory=FILE.jsonl]
 //             [--compare=BASELINE.json] [--in=REPORT.json]
 //             [--rel-tol=0.10] [--mad-k=5.0]
@@ -266,15 +266,13 @@ RepSample run_rep_in_child(const Graph& g, const BenchConfig& config,
       const double wall_ms = timer.seconds() * 1e3;
       const double cpu_ms = (obs::process_cpu_seconds() - cpu_start) * 1e3;
       const std::uint64_t peak_delta = obs::peak_rss_bytes() - rss_baseline;
-      // Summed by name: the incremental engine records `percolate` twice.
       std::map<std::string, double> stage_ms;
       for (const obs::StageSample& stage : recorder.stages()) {
         stage_ms[stage.name] += stage.wall_seconds * 1e3;
       }
-      // Digest in canonical clique order (outside the timed window) so the
-      // cross-config identity gate compares engines that preserve
-      // enumeration order and engines that cannot (caps.
-      // canonical_clique_order, e.g. incremental) on equal footing.
+      // Digest in canonical clique order (outside the timed window), the
+      // order earlier reports took theirs in, so --compare against them
+      // reports no digest drift.
       cpm::canonicalise_clique_order(result);
       std::ostringstream line;
       line << wall_ms << ' ' << stage_ms["cliques"] << ' '
